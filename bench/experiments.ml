@@ -985,24 +985,21 @@ let ablation () =
    writes BENCH_corpus.json for CI trend tracking. Quick mode sweeps the
    CI-size smoke manifest instead of the full one. *)
 (* ------------------------------------------------------------------ *)
-(* Reorder-rung strategies: sift vs rebuild vs none                     *)
+(* Reorder rung: sift vs none                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Head-to-head of the degradation ladder's rung-2 strategies on the
-   sequential path (par = None, so the rung comparison is not confounded
-   by shard planning): the rung disabled, the [Rebuild] hill climb whose
-   cost oracle re-builds the whole block per candidate swap, and the
-   default in-place [Sift]. Node caps are half the exact shared build
-   (fig5, apex7) or the corpus cap (parity_deep), so rung 1 always
-   fails and rung 2 must engage. No deadlines: a budget deadline bounds
-   the whole estimate including the Monte-Carlo rung, which would turn
-   a slow rebuild into a crash instead of a measurement. Long variants
-   (the parity_deep rebuild prices each of its O(inputs) candidate
-   swaps with a ~cap-sized build) are instead measured once — repeats
-   exist to beat timer noise, which minute-scale runs don't have. *)
+(* What the degradation ladder's rung 2 buys: the rung disabled
+   ([reorder_passes = 0]) against the in-place sift and retry. Node caps
+   are half the exact shared build (fig5, apex7) or the corpus cap
+   (parity_deep), so rung 1 always fails and rung 2 must engage. No
+   deadlines: a budget deadline bounds the whole estimate including the
+   Monte-Carlo rung, which would turn a slow variant into a crash
+   instead of a measurement. Variants slower than a minute are measured
+   once — repeats exist to beat timer noise, which minute-scale runs
+   don't have. *)
 let reorder ?(quick = false) ?(json = false) () =
   let module Engine = Dpa_power.Engine in
-  section "Reorder rung — in-place sift vs rebuild hill climb";
+  section "Reorder rung — in-place sift vs none";
   let repeats = if quick then 1 else 3 in
   let prep raw =
     let net = Dpa_synth.Opt.optimize raw in
@@ -1043,18 +1040,15 @@ let reorder ?(quick = false) ?(json = false) () =
       | Some p ->
         let c = prep (Dpa_workload.Profiles.build_comb p) in
         (* the corpus CI target — the default 1% half-width would make
-           the unavoidable Monte-Carlo rung dominate all three variants *)
+           the unavoidable Monte-Carlo rung dominate both variants *)
         [ ("parity_deep", c, 120_000, Some 0.02) ]
     in
     (fig5 :: apex7) @ parity_deep
   in
-  let variants = [ "none"; "rebuild"; "sift" ] in
+  let variants = [ "none"; "sift" ] in
   let run (name, (mapped, input_probs), cap, halfwidth) variant =
     let budget =
-      let strategy = if variant = "rebuild" then Engine.Rebuild else Engine.Sift in
-      let b =
-        Engine.bounded ~max_bdd_nodes:cap ~fallback:Engine.Simulate ~reorder:strategy ()
-      in
+      let b = Engine.bounded ~max_bdd_nodes:cap ~fallback:Engine.Simulate () in
       let b =
         match halfwidth with
         | Some h -> { b with Engine.sim_halfwidth = h }

@@ -48,10 +48,10 @@ let prepared_seq =
 
 let opaque x = ignore (Sys.opaque_identity x)
 
-let run_greedy ~mode () =
+let run_greedy () =
   let net = Lazy.force prepared_net in
   let probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let measure = Dpa_phase.Measure.create ~mode ~input_probs:probs net in
+  let measure = Dpa_phase.Measure.create ~input_probs:probs net in
   let cost = Dpa_phase.Cost.make net in
   let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   Dpa_phase.Greedy.run measure ~cost ~base_probs:base
@@ -78,8 +78,7 @@ let kernels =
         (Dpa_power.Engine.estimate ~budget
            ~input_probs:(Array.make (Netlist.num_inputs (Lazy.force prepared_net)) 0.5)
            mapped));
-    ("fig6.greedy-search", fun () -> opaque (run_greedy ~mode:`Incremental ()));
-    ("fig6.greedy-search-rebuild", fun () -> opaque (run_greedy ~mode:`Rebuild ()));
+    ("fig6.greedy-search", fun () -> opaque (run_greedy ()));
     ("fig7.partition-probabilities", fun () ->
       let sn =
         Dpa_workload.Generator.sequential
@@ -217,7 +216,7 @@ let greedy_registry_snapshot () =
   Dpa_obs.Metrics.reset ();
   let net = Lazy.force prepared_net in
   let probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let measure = Dpa_phase.Measure.create ~mode:`Incremental ~input_probs:probs net in
+  let measure = Dpa_phase.Measure.create ~input_probs:probs net in
   let cost = Dpa_phase.Cost.make net in
   let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   ignore (Dpa_phase.Greedy.run measure ~cost ~base_probs:base);
@@ -657,10 +656,14 @@ let parallel_bench ?(quick = false) ?(json = false) () =
          (Phase.all_positive (Netlist.num_outputs est_net)))
   in
   let est_probs = Array.make (Netlist.num_inputs est_net) 0.5 in
+  (* a node cap no cone reaches: only a budgeted estimate fans its shards
+     across the pool (unbudgeted it is one manager), yet every cone stays
+     exact *)
+  let budget = Dpa_power.Engine.bounded ~max_bdd_nodes:1_000_000 () in
   let workloads =
     [ ("fig5.estimate", fun pool ->
         let r =
-          Dpa_power.Engine.estimate ~par:pool ~input_probs:est_probs est_mapped
+          Dpa_power.Engine.estimate ~par:pool ~budget ~input_probs:est_probs est_mapped
         in
         r.Dpa_power.Engine.report.Dpa_power.Estimate.total);
       ("fig6.greedy-optimize", fun pool ->
@@ -688,7 +691,7 @@ let parallel_bench ?(quick = false) ?(json = false) () =
         in
         let probs = Array.make (Netlist.num_inputs net) 0.5 in
         [ ("apex7.estimate", fun pool ->
-            let r = Dpa_power.Engine.estimate ~par:pool ~input_probs:probs mapped in
+            let r = Dpa_power.Engine.estimate ~par:pool ~budget ~input_probs:probs mapped in
             r.Dpa_power.Engine.report.Dpa_power.Estimate.total);
           ("apex7.ma-vs-mp-flow", fun pool ->
             let config =

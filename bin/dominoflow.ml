@@ -145,8 +145,8 @@ let deadline_arg =
 let fallback_arg =
   let doc =
     "What to do when a budget runs out: $(b,none) fails with exit code 75, \
-     $(b,reorder) retries once under a reordered variable order, $(b,sim) \
-     (default) additionally falls back to Monte-Carlo simulation."
+     $(b,reorder) sifts the BDD variable order in place and retries the failed \
+     cones, $(b,sim) (default) additionally falls back to Monte-Carlo simulation."
   in
   let fb_conv =
     Arg.conv
@@ -158,28 +158,9 @@ let fallback_arg =
   in
   Arg.(value & opt fb_conv Dpa_power.Engine.Simulate & info [ "fallback" ] ~docv:"POLICY" ~doc)
 
-let reorder_conv =
-  Arg.conv
-    ( (fun s ->
-        match Dpa_power.Engine.reorder_of_string s with
-        | Some r -> Ok r
-        | None -> Error (`Msg (Printf.sprintf "invalid reorder strategy %S (sift|rebuild)" s))),
-      fun fmt r -> Format.pp_print_string fmt (Dpa_power.Engine.reorder_to_string r) )
-
-let reorder_arg =
-  let doc =
-    "Reorder-rung strategy when a cone blows the node budget: $(b,sift) (default) \
-     dynamically reorders the existing BDD store in place and resumes the failed \
-     cones, $(b,rebuild) hill-climbs a fresh variable order with full bounded \
-     rebuilds as the cost oracle."
-  in
-  Arg.(
-    value & opt reorder_conv Dpa_power.Engine.Sift & info [ "reorder" ] ~docv:"STRATEGY" ~doc)
-
 let reorder_passes_arg =
   let doc =
-    "Reorder-rung passes (sift passes under $(b,--reorder sift), hill-climb passes \
-     under $(b,--reorder rebuild)); $(b,0) disables the rung entirely, so exhausted \
+    "Reorder-rung sift passes; $(b,0) disables the rung entirely, so exhausted \
      cones fall straight through to the $(b,--fallback) policy."
   in
   Arg.(
@@ -208,7 +189,7 @@ let sim_backend_arg =
     & opt sb_conv Dpa_sim.Backend.default
     & info [ "sim-backend" ] ~docv:"BACKEND" ~doc)
 
-let budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder ~reorder_passes =
+let budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes =
   match max_bdd_nodes, deadline with
   | None, None when sim_backend = Dpa_sim.Backend.default -> None
   | _ ->
@@ -218,7 +199,6 @@ let budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder ~reorder_
         deadline_s = deadline;
         fallback;
         sim_backend;
-        reorder;
         reorder_passes }
 
 (* ---- run ---- *)
@@ -236,7 +216,7 @@ let run_cmd =
     Arg.(value & flag & info [ "two-level" ] ~doc)
   in
   let action file profile input_prob timed seed sequential two_level max_bdd_nodes
-      deadline fallback reorder reorder_passes sim_backend jobs trace metrics =
+      deadline fallback reorder_passes sim_backend jobs trace metrics =
     if input_prob < 0.0 || input_prob > 1.0 then
       `Error (false, "--input-prob must lie in [0,1]")
     else begin
@@ -249,7 +229,7 @@ let run_cmd =
           seed;
           pair_limit = pair_limit_of ~profile;
           timing = (if timed then Some Flow.default_timing else None);
-          budget = budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder ~reorder_passes;
+          budget = budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes;
           par = Some pool }
       in
       if sequential then begin
@@ -307,7 +287,7 @@ let run_cmd =
       ret
         (const action $ file_arg $ profile_arg $ input_prob_arg $ timed_arg $ seed_arg
         $ sequential_arg $ two_level_arg $ max_bdd_nodes_arg $ deadline_arg
-        $ fallback_arg $ reorder_arg $ reorder_passes_arg $ sim_backend_arg
+        $ fallback_arg $ reorder_passes_arg $ sim_backend_arg
         $ jobs_arg $ trace_arg $ metrics_arg))
 
 (* ---- estimate ---- *)
@@ -322,7 +302,7 @@ let estimate_cmd =
     Arg.(value & opt (some int) None & info [ "simulate" ] ~docv:"CYCLES" ~doc)
   in
   let action file profile input_prob phases cycles max_bdd_nodes deadline fallback
-      reorder reorder_passes sim_backend jobs trace metrics =
+      reorder_passes sim_backend jobs trace metrics =
     guard @@ fun () ->
     with_obs ~trace ~metrics @@ fun () ->
     with_par ~jobs @@ fun pool ->
@@ -353,7 +333,7 @@ let estimate_cmd =
         in
         let est =
           Dpa_power.Engine.estimate ~par:pool
-            ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder ~reorder_passes)
+            ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes)
             ~input_probs mapped
         in
         let r = est.Dpa_power.Engine.report in
@@ -393,7 +373,7 @@ let estimate_cmd =
     Term.(
       ret
         (const action $ file_arg $ profile_arg $ input_prob_arg $ phases_arg $ cycles_arg
-        $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ reorder_arg
+        $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
         $ reorder_passes_arg $ sim_backend_arg $ jobs_arg $ trace_arg $ metrics_arg))
 
 (* ---- validate ---- *)
@@ -419,7 +399,7 @@ let validate_cmd =
       & info [ "cycles" ] ~docv:"N" ~doc)
   in
   let action file profile input_prob phases cycles seed sim_backend max_bdd_nodes
-      deadline fallback reorder reorder_passes jobs trace metrics =
+      deadline fallback reorder_passes jobs trace metrics =
     if cycles < 1 then `Error (false, "--cycles must be >= 1")
     else begin
       guard @@ fun () ->
@@ -453,7 +433,7 @@ let validate_cmd =
           in
           let est =
             Dpa_power.Engine.estimate ~par:pool
-              ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder ~reorder_passes)
+              ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes)
               ~input_probs mapped
           in
           let estimated = est.Dpa_power.Engine.report.Dpa_power.Estimate.total in
@@ -493,7 +473,7 @@ let validate_cmd =
       ret
         (const action $ file_arg $ profile_arg $ input_prob_arg $ phases_arg $ cycles_arg
         $ seed_arg $ sim_backend_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
-        $ reorder_arg $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
+        $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
 
 (* ---- generate ---- *)
 
@@ -882,11 +862,10 @@ let submit_cmd =
   let action socket cmd id file inline input_prob phases seed max_bdd_nodes deadline
       fallback sim_backend cache =
     guard @@ fun () ->
-    (* the wire protocol does not carry a reorder strategy; the server
+    (* the wire protocol does not carry reorder passes; the server
        estimates under the engine default *)
     let budget =
       budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend
-        ~reorder:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder
         ~reorder_passes:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
     in
     match build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cache with
@@ -964,7 +943,6 @@ let batch_cmd =
     guard @@ fun () ->
     let budget =
       budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend
-        ~reorder:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder
         ~reorder_passes:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
     in
     let with_id i json =
@@ -1284,10 +1262,6 @@ let corpus_cmd =
     in
     Arg.(value & opt (some fb_conv) None & info [ "fallback" ] ~docv:"POLICY" ~doc)
   in
-  let reorder_opt_arg =
-    let doc = "Override every spec's reorder-rung strategy (sift|rebuild)." in
-    Arg.(value & opt (some reorder_conv) None & info [ "reorder" ] ~docv:"STRATEGY" ~doc)
-  in
   let sim_backend_opt_arg =
     let doc = "Override the Monte-Carlo backend used by budgeted specs (interp|compiled)." in
     let sb_conv =
@@ -1329,7 +1303,7 @@ let corpus_cmd =
     Arg.(value & opt float 10.0 & info [ "perf-slack" ] ~docv:"X" ~doc)
   in
   let action manifest only update baseline_dir out perf_slack max_bdd_nodes deadline
-      fallback reorder sim_backend jobs trace metrics =
+      fallback sim_backend jobs trace metrics =
     guard @@ fun () ->
     match C.manifest_of_string manifest with
     | None ->
@@ -1361,7 +1335,7 @@ let corpus_cmd =
             let name = spec.C.profile.Dpa_workload.Profiles.name in
             let budget =
               C.merge_budget spec ~max_bdd_nodes ~deadline_s:deadline ~fallback
-                ~sim_backend ~reorder
+                ~sim_backend
             in
             let o = C.run_spec ~par:pool ?budget spec in
             Printf.printf
@@ -1413,7 +1387,7 @@ let corpus_cmd =
     Term.(
       const action $ manifest_arg $ only_arg $ update_arg $ baseline_dir_arg $ out_arg
       $ perf_slack_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_opt_arg
-      $ reorder_opt_arg $ sim_backend_opt_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      $ sim_backend_opt_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 (* ---- tables ---- *)
 

@@ -37,9 +37,14 @@ let fresh_manager ~order t =
     invalid_arg "Build.of_netlist: order length must equal the input count";
   Robdd.create_sized ~nvars:(Array.length ins) ~cache_capacity:(4 * Netlist.size t)
 
-let of_netlist ?order t =
+(* A fresh manager under the given budget (none: unbounded), built. *)
+let build ?order ?max_nodes ?deadline ?cancel t =
   let order = match order with Some o -> o | None -> Ordering.reverse_topological t in
-  build_in ~order t (fresh_manager ~order t)
+  let m = fresh_manager ~order t in
+  Robdd.set_budget ?max_nodes ?deadline ?cancel m;
+  build_in ~order t m
+
+let of_netlist ?order t = build ?order t
 
 let output_roots t b = Array.map (fun (_, d) -> b.roots.(d)) (Netlist.outputs t)
 
@@ -57,11 +62,8 @@ let shared_all_size t b =
     t;
   Robdd.shared_size b.manager !gate_roots
 
-let bounded_size ?order ~max_nodes t =
-  let order = match order with Some o -> o | None -> Ordering.reverse_topological t in
-  let m = fresh_manager ~order t in
-  Robdd.set_budget ~max_nodes m;
-  match build_in ~order t m with
+let bounded_size ?order ?deadline ?cancel ~max_nodes t =
+  match build ?order ~max_nodes ?deadline ?cancel t with
   | b -> Some (shared_all_size t b)
   | exception Dpa_util.Dpa_error.Budget_exceeded _ -> None
 
@@ -84,8 +86,7 @@ let probabilities_of_built ~input_probs b =
   (* one shared memo across every root: shared BDD structure is priced once *)
   Robdd.probabilities b.manager level_probs b.roots
 
-let probabilities ?order ~input_probs t =
+let probabilities ?order ?deadline ?cancel ~input_probs t =
   if Array.length input_probs <> Netlist.num_inputs t then
     invalid_arg "Build.probabilities: input_probs length mismatch";
-  let b = of_netlist ?order t in
-  probabilities_of_built ~input_probs b
+  probabilities_of_built ~input_probs (build ?order ?deadline ?cancel t)

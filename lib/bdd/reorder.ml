@@ -62,9 +62,9 @@ let refine_cost ?(max_passes = 8) ?initial_cost ~cost order0 =
 
 let refine ?max_passes net order0 = refine_cost ?max_passes ~cost:(cost net) order0
 
-let refine_bounded ?max_passes ?initial_cost ~max_nodes net order0 =
+let refine_bounded ?max_passes ?initial_cost ?deadline ?cancel ~max_nodes net order0 =
   let cost order =
-    match Build.bounded_size ~order ~max_nodes net with
+    match Build.bounded_size ~order ?deadline ?cancel ~max_nodes net with
     | Some s -> s
     | None -> max_int
   in

@@ -35,10 +35,13 @@ val refine_cost :
 val refine_bounded :
   ?max_passes:int ->
   ?initial_cost:int ->
+  ?deadline:float ->
+  ?cancel:Dpa_util.Cancel.t ->
   max_nodes:int ->
   Dpa_logic.Netlist.t ->
   int array ->
   result option
 (** [refine] under a node budget: every candidate build is capped at
-    [max_nodes] manager nodes. [None] when no explored order (the start
+    [max_nodes] manager nodes and the absolute [deadline]
+    ({!Build.bounded_size}). [None] when no explored order (the start
     order included) fits the budget. *)

@@ -53,6 +53,7 @@ type session = {
   max_new_nodes : int;
   base_n : int; (* total_nodes at session start, for the allocation cap *)
   mutable swaps : int;
+  mutable exhausted : bool; (* a budget raised: only the final walk-back remains *)
 }
 
 (* Checked only at swap boundaries: between two checks the store may be
@@ -61,19 +62,21 @@ type session = {
    budget raises below and [Cancelled] leave the manager fully usable. *)
 let checkpoint s =
   Cancel.check s.cancel;
-  if s.deadline < infinity then begin
-    let now = Unix.gettimeofday () in
-    if now > s.deadline then
-      Dpa_error.budget_exceeded ~context:"sift" ~resource:Dpa_error.Wall_clock
-        ~limit:(s.deadline -. s.started) ~spent:(now -. s.started) ()
-  end;
-  if s.swaps >= s.max_swaps then
-    Dpa_error.budget_exceeded ~context:"sift.max_swaps" ~resource:Dpa_error.Bdd_nodes
-      ~limit:(float_of_int s.max_swaps) ~spent:(float_of_int s.swaps) ();
-  let allocated = Robdd.total_nodes s.m - s.base_n in
-  if allocated >= s.max_new_nodes then
-    Dpa_error.budget_exceeded ~context:"sift.max_new_nodes" ~resource:Dpa_error.Bdd_nodes
-      ~limit:(float_of_int s.max_new_nodes) ~spent:(float_of_int allocated) ()
+  if not s.exhausted then begin
+    if s.deadline < infinity then begin
+      let now = Unix.gettimeofday () in
+      if now > s.deadline then
+        Dpa_error.budget_exceeded ~context:"sift" ~resource:Dpa_error.Wall_clock
+          ~limit:(s.deadline -. s.started) ~spent:(now -. s.started) ()
+    end;
+    if s.swaps >= s.max_swaps then
+      Dpa_error.budget_exceeded ~context:"sift.max_swaps" ~resource:Dpa_error.Bdd_nodes
+        ~limit:(float_of_int s.max_swaps) ~spent:(float_of_int s.swaps) ();
+    let allocated = Robdd.total_nodes s.m - s.base_n in
+    if allocated >= s.max_new_nodes then
+      Dpa_error.budget_exceeded ~context:"sift.max_new_nodes" ~resource:Dpa_error.Bdd_nodes
+        ~limit:(float_of_int s.max_new_nodes) ~spent:(float_of_int allocated) ()
+  end
 
 let incref s n = if n > 1 then s.refc.(n) <- s.refc.(n) + 1
 
@@ -223,7 +226,10 @@ exception Capped
    the far one, then back to the smallest position seen. Store
    canonicity (plus the garbage sweep at session open) makes the live
    count a function of the order alone, so revisiting the best position
-   reproduces the best size exactly. *)
+   reproduces the best size exactly. A budget raised mid-walk still
+   walks back (with the budget checks off) before it propagates, so a
+   session never leaves the store larger than it found it — which is
+   what keeps a post-sift retry under the caller's node cap. *)
 let sift_var s cur0 ~max_growth =
   let cur = ref cur0 in
   let start_live = Robdd.live_nodes s.m in
@@ -237,11 +243,20 @@ let sift_var s cur0 ~max_growth =
     end;
     if sz > cap then raise Capped
   in
+  (* [cur] moves first: a budget raise lands at the swap's closing
+     checkpoint, when the levels are already exchanged *)
+  let down () =
+    incr cur;
+    swap_levels s (!cur - 1)
+  in
+  let up () =
+    decr cur;
+    swap_levels s !cur
+  in
   let walk_down () =
     try
       while !cur < s.nv - 1 do
-        swap_levels s !cur;
-        incr cur;
+        down ();
         record ()
       done
     with Capped -> ()
@@ -249,28 +264,33 @@ let sift_var s cur0 ~max_growth =
   let walk_up () =
     try
       while !cur > 0 do
-        swap_levels s (!cur - 1);
-        decr cur;
+        up ();
         record ()
       done
     with Capped -> ()
   in
-  if s.nv - 1 - !cur <= !cur then begin
-    walk_down ();
-    walk_up ()
-  end
-  else begin
-    walk_up ();
-    walk_down ()
-  end;
-  while !cur < !best_pos do
-    swap_levels s !cur;
-    incr cur
-  done;
-  while !cur > !best_pos do
-    swap_levels s (!cur - 1);
-    decr cur
-  done;
+  let walk_back () =
+    while !cur < !best_pos do
+      down ()
+    done;
+    while !cur > !best_pos do
+      up ()
+    done
+  in
+  (try
+     if s.nv - 1 - !cur <= !cur then begin
+       walk_down ();
+       walk_up ()
+     end
+     else begin
+       walk_up ();
+       walk_down ()
+     end;
+     walk_back ()
+   with Dpa_error.Budget_exceeded _ as e ->
+     s.exhausted <- true;
+     walk_back ();
+     raise e);
   assert (Robdd.live_nodes s.m = !best_size)
 
 let sift ?(passes = 1) ?(max_growth = 1.2) ?max_swaps ?max_new_nodes ?deadline ?cancel ~roots
@@ -344,6 +364,7 @@ let sift ?(passes = 1) ?(max_growth = 1.2) ?max_swaps ?max_new_nodes ?deadline ?
       max_new_nodes = (match max_new_nodes with Some k -> k | None -> max_int);
       base_n = n0;
       swaps = 0;
+      exhausted = false;
     }
   in
   let nodes_before = Robdd.live_nodes m in

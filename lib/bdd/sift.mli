@@ -29,7 +29,11 @@
     [max_swaps] / [max_new_nodes] / [deadline]) and cancellation
     ([Dpa_error.Error (Cancelled _)] via [cancel]) happen only at swap
     boundaries, where every store invariant holds — the manager stays
-    fully usable, holding whatever order the session had reached. *)
+    fully usable. Before a budget raise propagates, the variable being
+    sifted walks back to its best position seen (a few more swaps past
+    the budget), so the live count never ends above its value after
+    the opening sweep; a cancelled session stops at once, holding
+    whatever order it had reached. *)
 
 type result = {
   swaps : int;  (** adjacent-level swaps performed *)

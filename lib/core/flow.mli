@@ -60,8 +60,8 @@ type config = {
       (** resource budget for every power estimate in both flows (search
           and final pricing); [None] = exact, unbounded *)
   par : Dpa_util.Par.t option;
-      (** domain pool for intra-request parallelism: per-cone estimation
-          fan-out in every final pricing and speculative candidate
+      (** domain pool for intra-request parallelism: budgeted shard
+          builds in every final pricing and speculative candidate
           pricing inside the phase search. Results are bit-identical
           with or without a pool, at any jobs count (see DESIGN.md §11);
           [None] = fully sequential *)

@@ -22,8 +22,6 @@ type sample = {
   domino_switching : float;
 }
 
-type mode = [ `Incremental | `Rebuild ]
-
 (* What a measurement produces. Degradation is carried alongside the
    sample instead of being recorded eagerly so that a speculative
    prefetch can price a candidate without touching the search-trajectory
@@ -39,7 +37,6 @@ type t = {
   net : Dpa_logic.Netlist.t;
   library : Dpa_domino.Library.t;
   input_probs : float array;
-  mode : mode;
   budget : Dpa_power.Engine.budget option;
   cancel : Dpa_util.Cancel.t;
   custom_pricer : (t -> Dpa_domino.Mapped.t -> sample) option;
@@ -121,12 +118,7 @@ let price t mapped =
         degradation = Some r.Dpa_power.Engine.degradation;
       }
     | Some _ | None ->
-      let report =
-        match t.mode with
-        | `Rebuild ->
-          Dpa_power.Estimate.of_mapped ~cancel:t.cancel ~input_probs:t.input_probs mapped
-        | `Incremental -> Dpa_power.Estimate.of_mapped_env (env_of t) mapped
-      in
+      let report = Dpa_power.Estimate.of_mapped_env (env_of t) mapped in
       {
         sample =
           {
@@ -137,7 +129,7 @@ let price t mapped =
         degradation = None;
       })
 
-let create ?(library = Dpa_domino.Library.default) ?(mode = `Incremental) ?budget
+let create ?(library = Dpa_domino.Library.default) ?budget
     ?(cancel = Dpa_util.Cancel.none) ?pricer ?par ~input_probs net =
   if not (Dpa_synth.Opt.is_domino_ready net) then
     invalid_arg "Measure.create: netlist contains XOR; run Opt.optimize first";
@@ -147,7 +139,6 @@ let create ?(library = Dpa_domino.Library.default) ?(mode = `Incremental) ?budge
     net;
     library;
     input_probs;
-    mode;
     budget;
     cancel;
     custom_pricer = Option.map (fun f t mapped -> (ignore t; f mapped)) pricer;

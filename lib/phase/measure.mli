@@ -3,16 +3,16 @@
     run the BDD power estimator. Results are memoized per assignment, so a
     search never pays twice for the same candidate.
 
-    By default measurement is {e incremental}: all candidates share one
-    BDD manager (variable order fixed from the all-positive realization)
-    and one per-node probability cache, so pricing a flip only builds and
+    Measurement is {e incremental}: all candidates share one BDD manager
+    (variable order fixed from the all-positive realization) and one
+    per-node probability cache, so pricing a flip only builds and
     evaluates the BDD nodes its changed cones introduce — the paper's
     Property 4.1 observation that a phase flip complements a cone's
-    probabilities, realized structurally through BDD sharing. [`Rebuild]
-    restores the original build-from-scratch behavior (a fresh manager and
-    a per-block variable order for every candidate). Both modes are exact;
-    they can differ in the last ulp because summation order over BDD nodes
-    differs.
+    probabilities, realized structurally through BDD sharing. It is
+    exact: it agrees with a from-scratch {!Dpa_power.Estimate.of_mapped}
+    per candidate up to the last ulp (summation order over BDD nodes
+    differs), which the tests check by passing that oracle as a custom
+    [pricer].
 
     With a {!Dpa_util.Par} pool the searches built on top can
     {!prefetch} candidates speculatively across domains. Each domain owns
@@ -29,13 +29,10 @@ type sample = {
   domino_switching : float;
 }
 
-type mode = [ `Incremental | `Rebuild ]
-
 type t
 
 val create :
   ?library:Dpa_domino.Library.t ->
-  ?mode:mode ->
   ?budget:Dpa_power.Engine.budget ->
   ?cancel:Dpa_util.Cancel.t ->
   ?pricer:(Dpa_domino.Mapped.t -> sample) ->
@@ -43,8 +40,7 @@ val create :
   input_probs:float array ->
   Dpa_logic.Netlist.t ->
   t
-(** The netlist must be domino-ready (no XOR). [mode] defaults to
-    [`Incremental] and only affects the built-in pricer. [pricer]
+(** The netlist must be domino-ready (no XOR). [pricer]
     overrides how a mapped block is turned into a sample — the default is
     the BDD power estimate and the plain cell count; the timing-integrated
     optimizer substitutes a price-after-resizing pricer. A custom [pricer]

@@ -7,8 +7,6 @@ module Par = Dpa_util.Par
 
 type fallback = No_fallback | Reorder_retry | Simulate
 
-type reorder_strategy = Sift | Rebuild
-
 type budget = {
   max_bdd_nodes : int option;
   deadline_s : float option;
@@ -18,7 +16,6 @@ type budget = {
   sim_seed : int;
   sim_backend : Dpa_sim.Backend.t;
   reorder_passes : int;
-  reorder : reorder_strategy;
 }
 
 let default_budget =
@@ -31,12 +28,11 @@ let default_budget =
     sim_seed = 1;
     sim_backend = Dpa_sim.Backend.default;
     reorder_passes = 2;
-    reorder = Sift;
   }
 
 let bounded ?max_bdd_nodes ?deadline_s ?(fallback = Simulate)
-    ?(sim_backend = Dpa_sim.Backend.default) ?(reorder = Sift) () =
-  { default_budget with max_bdd_nodes; deadline_s; fallback; sim_backend; reorder }
+    ?(sim_backend = Dpa_sim.Backend.default) () =
+  { default_budget with max_bdd_nodes; deadline_s; fallback; sim_backend }
 
 let is_unbounded b = b.max_bdd_nodes = None && b.deadline_s = None
 
@@ -50,13 +46,6 @@ let fallback_to_string = function
   | No_fallback -> "none"
   | Reorder_retry -> "reorder"
   | Simulate -> "sim"
-
-let reorder_of_string = function
-  | "sift" -> Some Sift
-  | "rebuild" -> Some Rebuild
-  | _ -> None
-
-let reorder_to_string = function Sift -> "sift" | Rebuild -> "rebuild"
 
 (* two-sided normal quantile for the common confidence levels; the sample
    count only needs the right order of magnitude *)
@@ -96,13 +85,13 @@ type degradation = {
   ci_halfwidth : float;
 }
 
-let count_method d m = Array.fold_left (fun n x -> if x = m then n + 1 else n) 0 d.methods
+let count_method methods m = Array.fold_left (fun n x -> if x = m then n + 1 else n) 0 methods
 
-let exact_cones d = count_method d Exact
+let exact_cones d = count_method d.methods Exact
 
-let reordered_cones d = count_method d Reordered
+let reordered_cones d = count_method d.methods Reordered
 
-let simulated_cones d = count_method d Simulated
+let simulated_cones d = count_method d.methods Simulated
 
 let all_exact d = Array.for_all (fun m -> m = Exact) d.methods
 
@@ -159,16 +148,6 @@ let g_budget_remaining =
   Metrics.gauge ~help:"BDD node budget left after the last cone build"
     "engine.budget.nodes_remaining"
 
-(* The shard plan below is a pure function of the output cones — never of
-   the pool width or its schedule — so [bdd_nodes] at jobs=N over
-   [bdd_nodes] at jobs=1 is 1.0 by construction. The gauge is a tripwire:
-   anything other than 1.0 means a width-dependence crept into the
-   parallel path (CI gates the real two-run ratio on the smoke corpus). *)
-let g_sharing_ratio =
-  Metrics.gauge
-    ~help:"parallel-estimate bdd_nodes over the width-invariant jobs=1 baseline"
-    "engine.sharing_ratio"
-
 let c_par_tasks = oc "par.tasks" "tasks fanned out to the domain pool"
 
 let c_par_steals = oc "par.steals" "work-stealing operations in the domain pool"
@@ -184,188 +163,16 @@ let publish_par_stats pool (before : Par.stats) =
 (* The ladder                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One bounded build attempt: every output cone in order, each protected
-   individually, so one hostile cone cannot take down its siblings (they
-   still profit from whatever sharing was interned before exhaustion). *)
-let attempt ~budget ~deadline ~cancel ~order ~cones ~rung mapped =
-  let pb = Estimate.start_build ~order mapped in
-  let m = Estimate.partial_manager pb in
-  Robdd.set_budget ?max_nodes:budget.max_bdd_nodes ?deadline ~cancel m;
-  let ok =
-    Array.mapi
-      (fun k cone ->
-        Robdd.set_budget_context m (Printf.sprintf "output cone %d" k);
-        let built =
-          Trace.with_span "engine.cone"
-            ~args:[ ("cone", Trace.Int k); ("rung", Trace.Str rung) ]
-          @@ fun () ->
-          if Dpa_util.Fault.fire Dpa_util.Fault.Slow_cone then
-            Dpa_util.Fault.sleep ~cancel Dpa_util.Fault.Slow_cone;
-          match Estimate.build_nodes pb ~within:(Bitset.mem cone) with
-          | () ->
-            Trace.add_args [ ("built", Trace.Bool true) ];
-            true
-          | exception Dpa_error.Budget_exceeded _ ->
-            Trace.add_args [ ("built", Trace.Bool false) ];
-            false
-        in
-        (match budget.max_bdd_nodes with
-        | Some cap ->
-          let remaining = float_of_int (max 0 (cap - Robdd.live_nodes m)) in
-          Metrics.set g_budget_remaining remaining;
-          if Trace.is_enabled () then
-            Trace.counter "engine.budget" [ ("nodes_remaining", remaining) ]
-        | None -> ());
-        built)
-      cones
-  in
-  Robdd.clear_budget m;
-  Robdd.publish_metrics m;
-  (pb, ok)
-
 let count_ok ok = Array.fold_left (fun n b -> if b then n + 1 else n) 0 ok
-
-(* Budgeted adjacent-swap reorder of the collapsed variable order. Only
-   meaningful under a node budget: the oracle needs a finite cap to price
-   infeasible orders without hanging. *)
-let reordered_order ~budget ~deadline ~cancel ~order mapped =
-  match budget.max_bdd_nodes with
-  | None -> None
-  | Some max_nodes ->
-    let deadline_passed () =
-      match deadline with Some d -> Unix.gettimeofday () > d | None -> false
-    in
-    if budget.reorder_passes <= 0 || Array.length order < 2 || deadline_passed () then None
-    else begin
-      let cost o =
-        Dpa_util.Cancel.check cancel;
-        if deadline_passed () then max_int
-        else
-          match Estimate.bounded_block_size ~cancel ~order:o ~max_nodes ~deadline mapped with
-          | Some s -> s
-          | None -> max_int
-      in
-      (* the ladder only reaches this rung because the start order blew the
-         budget, so its cost is known to be [max_int] — seed the incumbent
-         instead of paying a full oracle probe to rediscover it *)
-      let r =
-        Dpa_bdd.Reorder.refine_cost ~max_passes:budget.reorder_passes
-          ~initial_cost:max_int ~cost order
-      in
-      if r.Dpa_bdd.Reorder.swaps_accepted = 0 then None else Some r.Dpa_bdd.Reorder.order
-    end
-
-(* Rung 2 under the [Sift] strategy: instead of probing candidate orders
-   with full rebuilds, dynamically reorder the rung-1 store in place
-   ({!Dpa_bdd.Sift}) and retry the failed cones in the {e same} partial
-   build. Every already-built cone survives with node ids and probability
-   memos intact, the interned prefixes of budget-aborted cones compact,
-   and whatever became unreachable is retired — handing its node count
-   back to the manager budget for the retry. *)
-
-(* Sift allocates transiently while swapping (retired slots are not yet
-   reused), so bound the session's raw allocation independently of the
-   live-size growth cap; the bound is a function of the live size at
-   entry, which is deterministic. *)
-let sift_alloc_cap live = max 500_000 (4 * live)
-
-(* A full sift pass performs O(nvars) swaps per variable — quadratic in
-   the input count — while the achievable node savings scale with the
-   store. Capping the session's swaps linearly in the live size keeps
-   the rung's wall-clock proportional to the build it is rescuing on
-   wide-input blocks (a truncated session is fine: sifting visits the
-   largest levels first, so the early swaps carry most of the gain). *)
-let sift_swap_cap live = max 100_000 (2 * live)
-
-(* Every swap pays for the nodes stored at the two levels it exchanges,
-   so a sift session costs time proportional to the {e live} store —
-   which includes the pinned prefixes of every budget-aborted cone —
-   while each retry can only spend [cap] fresh nodes. When the store is
-   debris-dominated (live far beyond the cap, i.e. many dead prefixes
-   each about cap-sized), the session reshapes millions of nodes to
-   maybe rescue one cone: strictly worse than falling through to the
-   simulation rung. The ratio is deterministic in the build, so the
-   guard cannot perturb jobs-invariance. *)
-let sift_worthwhile ~budget m =
-  match budget.max_bdd_nodes with
-  | None -> true
-  | Some cap -> Robdd.live_nodes m <= 16 * cap
-
-let run_sift ~budget ~deadline ~cancel pb =
-  let m = Estimate.partial_manager pb in
-  let live = Robdd.live_nodes m in
-  match
-    Estimate.sift_partial ~passes:budget.reorder_passes
-      ~max_swaps:(sift_swap_cap live) ~max_new_nodes:(sift_alloc_cap live)
-      ?deadline ~cancel pb
-  with
-  | r ->
-    Trace.instant "engine.ladder.sift"
-      ~args:
-        [
-          ("swaps", Trace.Int r.Dpa_bdd.Sift.swaps);
-          ("nodes_before", Trace.Int r.Dpa_bdd.Sift.nodes_before);
-          ("nodes_after", Trace.Int r.Dpa_bdd.Sift.nodes_after);
-        ]
-  | exception Dpa_error.Budget_exceeded _ ->
-    (* ran out of wall clock or swap allowance mid-sift: the store is
-       consistent at every swap boundary, so the retry below still runs
-       against whatever improvement was achieved *)
-    Trace.instant "engine.ladder.sift" ~args:[ ("completed", Trace.Bool false) ]
-
-(* Retry the cones [ok] marks failed, in the sifted build. Returns the
-   updated per-cone success array; [ok] itself is not mutated. *)
-let retry_failed ~budget ~deadline ~cancel ~cones ~members ~ok ~headroom pb =
-  let m = Estimate.partial_manager pb in
-  let ok' = Array.copy ok in
-  Array.iteri
-    (fun t k ->
-      if not ok.(t) then begin
-        let max_nodes =
-          match budget.max_bdd_nodes with
-          | None -> None
-          | Some cap -> Some (if headroom then Robdd.live_nodes m + cap else cap)
-        in
-        Robdd.set_budget ?max_nodes ?deadline ~cancel
-          ~context:(Printf.sprintf "output cone %d (sifted)" k)
-          m;
-        let built =
-          Trace.with_span "engine.cone"
-            ~args:[ ("cone", Trace.Int k); ("rung", Trace.Str "sift") ]
-          @@ fun () ->
-          if Dpa_util.Fault.fire Dpa_util.Fault.Slow_cone then
-            Dpa_util.Fault.sleep ~cancel Dpa_util.Fault.Slow_cone;
-          match Estimate.build_nodes pb ~within:(Bitset.mem cones.(k)) with
-          | () ->
-            Trace.add_args [ ("built", Trace.Bool true) ];
-            true
-          | exception Dpa_error.Budget_exceeded _ ->
-            Trace.add_args [ ("built", Trace.Bool false) ];
-            false
-        in
-        Robdd.clear_budget m;
-        ok'.(t) <- built
-      end)
-    members;
-  Robdd.publish_metrics m;
-  ok'
-
-let merge_methods ~ok0 ~okf ~used_reorder =
-  Array.init (Array.length okf) (fun k ->
-      if okf.(k) then if used_reorder && not ok0.(k) then Reordered else Exact
-      else Simulated)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel estimation over overlap-sharded cones                       *)
-(* ------------------------------------------------------------------ *)
 
 (* Output cones are partitioned into at most [max_shards] shards by a
    greedy overlap heuristic, and each shard builds all its cones in ONE
    manager — the Brace/Rudell thread-local discipline at shard rather
    than cone granularity, so cross-cone sharing survives inside a shard.
    The plan is a pure function of the cones (never of the pool width or
-   its schedule), which is what makes every [jobs] count produce the
-   same managers, the same [bdd_nodes] and bit-identical probabilities. *)
+   its schedule), which is what makes every [jobs] count — and no pool
+   at all — produce the same managers, the same [bdd_nodes] and
+   bit-identical probabilities. *)
 let max_shards = 16
 
 (* Big cones first; each joins the shard whose accumulated support it
@@ -412,43 +219,62 @@ let plan_shards ~n_shards cones =
   end;
   shard_of
 
-(* What one shard task hands back across the domain boundary: plain data
-   only — the shard's manager dies with the task. [sb_probs] has
-   [Float.nan] wherever the (possibly partial) build did not reach. *)
-type shard_build = {
-  sb_ok0 : bool array;  (* rung-1 success, parallel to the member array *)
-  sb_okf : bool array;  (* after the in-shard sift retry *)
-  sb_nodes : int;  (* live manager nodes when the shard finished *)
-  sb_probs : float array;
-}
+(* Rung 2: dynamically reorder the shard's rung-1 store in place
+   ({!Dpa_bdd.Sift}) and retry the failed cones in the {e same} partial
+   build. Every already-built cone survives with node ids and probability
+   memos intact, the interned prefixes of budget-aborted cones compact,
+   and whatever became unreachable is retired — handing its node count
+   back to the manager budget for the retry. *)
 
-(* One shard, one manager, built in whatever domain the pool schedules
-   the task on. Cones build in ascending index order under a per-cone
-   headroom budget ([live + cap], so the cap bounds each cone's NEW
-   nodes — the moral equivalent of the full cap every per-cone private
-   manager used to get, minus the re-derivation). Under the [Sift]
-   strategy a shard with failures sifts its own store in place and
-   retries them right here, so no manager ever crosses a domain. *)
-let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ~sift ~rung
-    mapped =
-  Trace.with_span "engine.shard"
-    ~args:
-      [
-        ("cones", Trace.Int (Array.length members));
-        ("rung", Trace.Str rung);
-        ("domain", Trace.Int (Domain.self () :> int));
-      ]
-  @@ fun () ->
-  let pb = Estimate.start_build ~order mapped in
+(* Sift allocates transiently while swapping (retired slots are not yet
+   reused), so bound the session's raw allocation independently of the
+   live-size cap; the bound is a function of the live size at entry,
+   which is deterministic. *)
+let sift_alloc_cap live = max 500_000 (4 * live)
+
+(* A full sift pass performs O(nvars) swaps per variable — quadratic in
+   the input count — while the achievable node savings scale with the
+   store. Capping the session's swaps linearly in the live size keeps
+   the rung's wall-clock proportional to the build it is rescuing on
+   wide-input blocks (a truncated session is fine: sifting visits the
+   largest levels first, so the early swaps carry most of the gain). *)
+let sift_swap_cap live = max 100_000 (2 * live)
+
+let run_sift ~budget ~deadline ~cancel pb =
   let m = Estimate.partial_manager pb in
-  let ok0 =
-    Array.map
-      (fun k ->
-        let max_nodes =
-          Option.map (fun cap -> Robdd.live_nodes m + cap) budget.max_bdd_nodes
-        in
-        Robdd.set_budget ?max_nodes ?deadline ~cancel
-          ~context:(Printf.sprintf "output cone %d" k)
+  let live = Robdd.live_nodes m in
+  match
+    Estimate.sift_partial ~passes:budget.reorder_passes
+      ~max_swaps:(sift_swap_cap live) ~max_new_nodes:(sift_alloc_cap live)
+      ?deadline ~cancel pb
+  with
+  | r ->
+    Trace.instant "engine.ladder.sift"
+      ~args:
+        [
+          ("swaps", Trace.Int r.Dpa_bdd.Sift.swaps);
+          ("nodes_before", Trace.Int r.Dpa_bdd.Sift.nodes_before);
+          ("nodes_after", Trace.Int r.Dpa_bdd.Sift.nodes_after);
+        ]
+  | exception Dpa_error.Budget_exceeded _ ->
+    (* ran out of wall clock or swap allowance mid-sift: the store is
+       consistent at every swap boundary, so the retry still runs
+       against whatever improvement was achieved *)
+    Trace.instant "engine.ladder.sift" ~args:[ ("completed", Trace.Bool false) ]
+
+(* Attempt every cone of [members] that [ok] marks unbuilt, in order,
+   recording successes into [ok]. Each cone is protected individually, so
+   one hostile cone cannot take down its siblings (they still profit from
+   whatever sharing was interned before exhaustion). The cap bounds the
+   manager's live node count — the same [max_bdd_nodes] for rung 1 and
+   for the post-sift retry. *)
+let build_cones ~budget ~deadline ~cancel ~cones ~rung pb members ok =
+  let m = Estimate.partial_manager pb in
+  Array.iteri
+    (fun t k ->
+      if not ok.(t) then begin
+        Robdd.set_budget ?max_nodes:budget.max_bdd_nodes ?deadline ~cancel
+          ~context:(Printf.sprintf "output cone %d (%s)" k rung)
           m;
         let built =
           Trace.with_span "engine.cone"
@@ -465,73 +291,95 @@ let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ~s
             false
         in
         Robdd.clear_budget m;
-        (match max_nodes with
+        (match budget.max_bdd_nodes with
         | Some cap ->
           let remaining = float_of_int (max 0 (cap - Robdd.live_nodes m)) in
-          Metrics.set g_budget_remaining remaining
+          Metrics.set g_budget_remaining remaining;
+          if Trace.is_enabled () then
+            Trace.counter "engine.budget" [ ("nodes_remaining", remaining) ]
         | None -> ());
-        built)
-      members
-  in
+        ok.(t) <- built
+      end)
+    members
+
+(* What one shard hands back — across a domain boundary when a pool runs
+   it: plain data only, the shard's manager dies with the task. [sb_probs]
+   has [Float.nan] wherever the (possibly partial) build did not reach. *)
+type shard_build = {
+  sb_ok0 : bool array;  (* rung-1 success, parallel to the member array *)
+  sb_okf : bool array;  (* after the in-shard sift retry *)
+  sb_nodes : int;  (* live manager nodes when the shard finished *)
+  sb_probs : float array;
+}
+
+(* One shard, one manager, built in whatever domain runs it. A shard with
+   failures sifts its own store in place and retries them right here, so
+   no manager ever crosses a domain. *)
+let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members mapped =
+  Trace.with_span "engine.shard"
+    ~args:
+      [
+        ("cones", Trace.Int (Array.length members));
+        ("domain", Trace.Int (Domain.self () :> int));
+      ]
+  @@ fun () ->
+  let pb = Estimate.start_build ~order mapped in
+  let ok0 = Array.make (Array.length members) false in
+  build_cones ~budget ~deadline ~cancel ~cones ~rung:"exact" pb members ok0;
   (* extract rung-1 probabilities before any reordering, so cones priced
      by rung 1 keep bit-identical values whatever the sift does *)
   let probs0 = Estimate.partial_probabilities pb ~input_probs in
-  let okf =
+  let okf, probs =
     if
-      sift
-      && budget.fallback <> No_fallback
-      && budget.reorder_passes > 0
-      && not (Array.for_all Fun.id ok0)
-      && sift_worthwhile ~budget m
-    then begin
-      run_sift ~budget ~deadline ~cancel pb;
-      retry_failed ~budget ~deadline ~cancel ~cones ~members ~ok:ok0 ~headroom:true pb
-    end
-    else ok0
-  in
-  Robdd.publish_metrics m;
-  let probs =
-    if okf == ok0 then probs0
+      budget.fallback = No_fallback
+      || budget.reorder_passes <= 0
+      || Array.for_all Fun.id ok0
+    then (ok0, probs0)
     else begin
+      run_sift ~budget ~deadline ~cancel pb;
+      let okf = Array.copy ok0 in
+      build_cones ~budget ~deadline ~cancel ~cones ~rung:"sift" pb members okf;
       let probs1 = Estimate.partial_probabilities pb ~input_probs in
-      Array.mapi (fun i p0 -> if Float.is_nan p0 then probs1.(i) else p0) probs0
+      (okf, Array.mapi (fun i p0 -> if Float.is_nan p0 then probs1.(i) else p0) probs0)
     end
   in
+  let m = Estimate.partial_manager pb in
+  Robdd.publish_metrics m;
   { sb_ok0 = ok0; sb_okf = okf; sb_nodes = Robdd.live_nodes m; sb_probs = probs }
 
-let failed_indices ok =
-  let acc = ref [] in
-  Array.iteri (fun k b -> if not b then acc := k :: !acc) ok;
-  Array.of_list (List.rev !acc)
-
-(* The parallel ladder. Shard tasks return plain arrays and all merging
-   happens on the submitting domain in ascending shard order, so the
-   result is independent of the pool's schedule — and therefore of the
-   jobs count. The budget is enforced per cone as headroom over the
-   shard manager's live size, unlike the sequential ladder's cumulative
-   cap; both are honest policies, but they are different policies, so
-   the two paths are not numerically comparable under a budget. *)
-let estimate_par ~pool ~budget ~cancel ~input_probs mapped =
+(* The budgeted ladder. Shards return plain arrays and all merging
+   happens on the calling domain in ascending shard order, so the result
+   is independent of the pool's schedule, of its width, and of whether
+   there is a pool at all. *)
+let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
   let net = Mapped.net mapped in
   let n_out = Netlist.num_outputs net in
   let order = Estimate.block_order ~input_probs mapped in
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget.deadline_s in
   let cones = Dpa_logic.Cone.of_outputs net in
-  let before = Par.stats pool in
   let n_shards = max 1 (min n_out max_shards) in
   let shard_of = plan_shards ~n_shards cones in
   let groups =
-    Array.init n_shards (fun s ->
-        failed_indices (Array.init n_out (fun k -> shard_of.(k) <> s)))
-    |> Array.to_list
-    |> List.filter (fun g -> Array.length g > 0)
+    List.init n_shards (fun s ->
+        List.filter (fun k -> shard_of.(k) = s) (List.init n_out Fun.id))
+    |> List.filter_map (function [] -> None | g -> Some (Array.of_list g))
     |> Array.of_list
   in
-  (* rung 1 (+ in-shard sift retry under the default strategy) *)
+  (* rungs 1 and 2, one shard at a time: a pool fans the shards out, but
+     [Par.map] rejects nesting, so without one (e.g. inside a speculative
+     pricing task) they run in order on the calling domain *)
+  let build s =
+    build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members:groups.(s)
+      mapped
+  in
   let builds =
-    Par.map pool (Array.length groups) (fun s ->
-        build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones
-          ~members:groups.(s) ~sift:(budget.reorder = Sift) ~rung:"exact" mapped)
+    match par with
+    | None -> Array.init (Array.length groups) build
+    | Some pool ->
+      let before = Par.stats pool in
+      let b = Par.map pool (Array.length groups) build in
+      publish_par_stats pool before;
+      b
   in
   let ok0 = Array.make n_out false and okf = Array.make n_out false in
   Array.iteri
@@ -544,68 +392,11 @@ let estimate_par ~pool ~budget ~cancel ~input_probs mapped =
     groups;
   Trace.instant "engine.ladder.exact"
     ~args:[ ("built", Trace.Int (count_ok ok0)); ("cones", Trace.Int n_out) ];
-  let retry_nodes = ref 0 in
-  let retry_probs = ref [] in
-  (* rung 2 under [Rebuild]: one hill-climbed order' computed here on the
-     submitting domain, then shards with failures rebuild just their
-     failed cones under it in fresh managers; adoption is per cone — a
-     retry that also blows the budget keeps the rung-1 partial build
-     (its interned prefix still prices exactly). Under [Sift] the retry
-     already happened inside each shard task. *)
-  (match budget.reorder with
-  | Sift ->
-    if count_ok okf > count_ok ok0 then
-      Trace.instant "engine.ladder.reorder"
-        ~args:
-          [
-            ("strategy", Trace.Str "sift");
-            ("adopted", Trace.Bool true);
-            ("built", Trace.Int (count_ok okf));
-          ]
-  | Rebuild ->
-    if not (Array.for_all Fun.id ok0) && budget.fallback <> No_fallback then begin
-      Dpa_util.Cancel.check cancel;
-      match reordered_order ~budget ~deadline ~cancel ~order mapped with
-      | None ->
-        Trace.instant "engine.ladder.reorder"
-          ~args:[ ("strategy", Trace.Str "rebuild"); ("adopted", Trace.Bool false) ]
-      | Some order' ->
-        let rgroups =
-          Array.to_list groups
-          |> List.map (fun members -> Array.of_list (List.filter (fun k -> not ok0.(k)) (Array.to_list members)))
-          |> List.filter (fun g -> Array.length g > 0)
-          |> Array.of_list
-        in
-        let retries =
-          Par.map pool (Array.length rgroups) (fun t ->
-              build_shard ~budget ~deadline ~cancel ~order:order' ~input_probs ~cones
-                ~members:rgroups.(t) ~sift:false ~rung:"reorder" mapped)
-        in
-        let adopted = ref 0 in
-        Array.iteri
-          (fun t members ->
-            retry_nodes := !retry_nodes + retries.(t).sb_nodes;
-            let any = ref false in
-            Array.iteri
-              (fun u k ->
-                if retries.(t).sb_okf.(u) then begin
-                  okf.(k) <- true;
-                  any := true;
-                  incr adopted
-                end)
-              members;
-            if !any then retry_probs := retries.(t).sb_probs :: !retry_probs)
-          rgroups;
-        retry_probs := List.rev !retry_probs;
-        Trace.instant "engine.ladder.reorder"
-          ~args:
-            [
-              ("strategy", Trace.Str "rebuild");
-              ("adopted", Trace.Bool (!adopted > 0));
-              ("built", Trace.Int (count_ok okf));
-            ]
-    end);
   let reorder_used = count_ok okf > count_ok ok0 in
+  if count_ok ok0 < n_out && budget.fallback <> No_fallback && budget.reorder_passes > 0
+  then
+    Trace.instant "engine.ladder.reorder"
+      ~args:[ ("adopted", Trace.Bool reorder_used); ("built", Trace.Int (count_ok okf)) ];
   let methods =
     Array.init n_out (fun k ->
         if not okf.(k) then Simulated else if ok0.(k) then Exact else Reordered)
@@ -617,15 +408,10 @@ let estimate_par ~pool ~budget ~cancel ~input_probs mapped =
           ~args:
             [ ("cone", Trace.Int k); ("method", Trace.Str (cone_method_to_string meth)) ])
       methods;
-  Metrics.add c_exact (Array.fold_left (fun n m -> if m = Exact then n + 1 else n) 0 methods);
-  Metrics.add c_reordered
-    (Array.fold_left (fun n m -> if m = Reordered then n + 1 else n) 0 methods);
-  Metrics.add c_simulated
-    (Array.fold_left (fun n m -> if m = Simulated then n + 1 else n) 0 methods);
-  let bdd_nodes =
-    Array.fold_left (fun acc b -> acc + b.sb_nodes) !retry_nodes builds
-  in
-  Metrics.set g_sharing_ratio 1.0;
+  Metrics.add c_exact (count_method methods Exact);
+  Metrics.add c_reordered (count_method methods Reordered);
+  Metrics.add c_simulated (count_method methods Simulated);
+  let bdd_nodes = Array.fold_left (fun acc b -> max acc b.sb_nodes) 0 builds in
   let n_failed = n_out - count_ok okf in
   if n_failed > 0 && budget.fallback <> Simulate then
     Dpa_error.error
@@ -644,20 +430,19 @@ let estimate_par ~pool ~budget ~cancel ~input_probs mapped =
          });
   (* deterministic merge, ascending shard index: every exact value a
      shard produced (including the interned prefixes of failed builds),
-     then adopted rebuild-retry values, then Monte-Carlo values for
-     whatever stayed unbuilt everywhere *)
+     then Monte-Carlo values for whatever stayed unbuilt everywhere *)
   let node_probs = Array.make (Netlist.size net) Float.nan in
-  let merge_probs probs =
-    Array.iteri (fun i p -> if not (Float.is_nan p) then node_probs.(i) <- p) probs
-  in
-  Array.iter (fun b -> merge_probs b.sb_probs) builds;
-  List.iter merge_probs !retry_probs;
+  Array.iter
+    (fun b ->
+      Array.iteri (fun i p -> if not (Float.is_nan p) then node_probs.(i) <- p) b.sb_probs)
+    builds;
   let sim_cycles, ci =
     if n_failed = 0 then (0, 0.0)
     else begin
+      (* rung 3: one whole-block Monte-Carlo run from [sim_seed] on the
+         calling domain — the same stream at any pool width *)
       Dpa_util.Cancel.check cancel;
       let cycles = sim_cycles_of budget in
-      let failed = failed_indices okf in
       Trace.instant "engine.ladder.sim"
         ~args:
           [
@@ -665,47 +450,18 @@ let estimate_par ~pool ~budget ~cancel ~input_probs mapped =
             ("cones", Trace.Int n_failed);
             ("backend", Trace.Str (Dpa_sim.Backend.to_string budget.sim_backend));
           ];
-      Metrics.add c_sim_cycles (cycles * n_failed);
-      (* compiled backend: lower the block to its tape once on the
-         submitting domain; the program is immutable, so the pool's
-         domains measure their cones against the shared tape *)
-      let measure_cone =
-        match budget.sim_backend with
-        | Dpa_sim.Backend.Interp ->
-          fun rng ->
-            Dpa_sim.Simulator.measure ~backend:Dpa_sim.Backend.Interp ~cycles ~cancel rng
-              ~input_probs mapped
-        | Dpa_sim.Backend.Compiled ->
-          let prog = Dpa_sim.Compiled.of_block mapped in
-          fun rng -> Dpa_sim.Simulator.measure_compiled ~cycles ~cancel rng ~input_probs prog
-      in
-      (* rung 3: per-cone Monte-Carlo with index-derived seeds — cone k
-         sees the same stream whichever domain (or jobs count) runs it *)
-      let acts =
-        Par.map pool n_failed (fun t ->
-            let k = failed.(t) in
-            Trace.with_span "engine.cone"
-              ~args:
-                [
-                  ("cone", Trace.Int k);
-                  ("rung", Trace.Str "sim");
-                  ("domain", Trace.Int (Domain.self () :> int));
-                ]
-            @@ fun () ->
-            measure_cone (Dpa_util.Rng.derive ~base:budget.sim_seed ~index:k))
+      Metrics.add c_sim_cycles cycles;
+      let act =
+        Dpa_sim.Simulator.measure ~backend:budget.sim_backend ~cycles ~cancel
+          (Dpa_util.Rng.create budget.sim_seed) ~input_probs mapped
       in
       Array.iteri
-        (fun t k ->
-          Bitset.iter
-            (fun i ->
-              if Float.is_nan node_probs.(i) then
-                node_probs.(i) <- acts.(t).Dpa_sim.Simulator.node_probs.(i))
-            cones.(k))
-        failed;
+        (fun i p ->
+          if Float.is_nan p then node_probs.(i) <- act.Dpa_sim.Simulator.node_probs.(i))
+        node_probs;
       (cycles, ci_halfwidth_of budget cycles)
     end
   in
-  publish_par_stats pool before;
   let report =
     Estimate.price mapped ~node_probs ~input_toggle:(fun opos ->
         Model.static_switching input_probs.(opos))
@@ -717,8 +473,7 @@ let estimate_par ~pool ~budget ~cancel ~input_probs mapped =
 
 let estimate ?par ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none) ~input_probs
     mapped =
-  let net = Mapped.net mapped in
-  let n_out = Netlist.num_outputs net in
+  let n_out = Netlist.num_outputs (Mapped.net mapped) in
   let args =
     [
       ("outputs", Trace.Int n_out);
@@ -735,159 +490,18 @@ let estimate ?par ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none) ~i
   @@ fun () ->
   Metrics.incr c_estimates;
   Dpa_util.Cancel.check cancel;
-  match par with
-  | Some pool -> estimate_par ~pool ~budget ~cancel ~input_probs mapped
-  | None ->
   if is_unbounded budget then begin
+    (* nothing to contain: one manager over the whole block, pool or not *)
     if Dpa_util.Fault.fire Dpa_util.Fault.Slow_cone then
       Dpa_util.Fault.sleep ~cancel Dpa_util.Fault.Slow_cone;
     let report = Estimate.of_mapped ~cancel ~input_probs mapped in
     Metrics.add c_exact n_out;
     {
       report;
-      degradation =
-        exact_degradation ~n_outputs:n_out ~bdd_nodes:report.Estimate.bdd_nodes;
+      degradation = exact_degradation ~n_outputs:n_out ~bdd_nodes:report.Estimate.bdd_nodes;
     }
   end
-  else begin
-    let order = Estimate.block_order ~input_probs mapped in
-    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget.deadline_s in
-    let cones = Dpa_logic.Cone.of_outputs net in
-    (* rung 1: exact under budget *)
-    let pb0, ok0 = attempt ~budget ~deadline ~cancel ~order ~cones ~rung:"exact" mapped in
-    Trace.instant "engine.ladder.exact"
-      ~args:[ ("built", Trace.Int (count_ok ok0)); ("cones", Trace.Int n_out) ];
-    let probs_of pb = Estimate.partial_probabilities pb ~input_probs in
-    let pb, okf, reorder_used, exact_probs =
-      if Array.for_all Fun.id ok0 || budget.fallback = No_fallback then
-        (pb0, ok0, false, probs_of pb0)
-      else begin
-        Dpa_util.Cancel.check cancel;
-        match budget.reorder with
-        | Sift ->
-          (* rung 2 (default): sift the rung-1 store in place and retry
-             the failed cones in the same partial build. Rung-1
-             probabilities are extracted first so every cone that built
-             before the sift keeps bit-identical values. *)
-          if
-            budget.reorder_passes <= 0
-            || not (sift_worthwhile ~budget (Estimate.partial_manager pb0))
-          then (pb0, ok0, false, probs_of pb0)
-          else begin
-            let probs0 = probs_of pb0 in
-            run_sift ~budget ~deadline ~cancel pb0;
-            let ok1 =
-              retry_failed ~budget ~deadline ~cancel ~cones
-                ~members:(Array.init n_out Fun.id) ~ok:ok0 ~headroom:false pb0
-            in
-            let adopted = count_ok ok1 > count_ok ok0 in
-            Trace.instant "engine.ladder.reorder"
-              ~args:
-                [
-                  ("strategy", Trace.Str "sift");
-                  ("adopted", Trace.Bool adopted);
-                  ("built", Trace.Int (count_ok ok1));
-                ];
-            let probs1 = probs_of pb0 in
-            let merged =
-              Array.mapi (fun i p0 -> if Float.is_nan p0 then probs1.(i) else p0) probs0
-            in
-            (pb0, ok1, adopted, merged)
-          end
-        | Rebuild -> (
-          (* rung 2 (opt-in): one retry under a hill-climbed order, with
-             candidate orders priced by full bounded rebuilds *)
-          match reordered_order ~budget ~deadline ~cancel ~order mapped with
-          | None ->
-            Trace.instant "engine.ladder.reorder"
-              ~args:[ ("strategy", Trace.Str "rebuild"); ("adopted", Trace.Bool false) ];
-            (pb0, ok0, false, probs_of pb0)
-          | Some order' ->
-            let pb1, ok1 =
-              attempt ~budget ~deadline ~cancel ~order:order' ~cones ~rung:"reorder"
-                mapped
-            in
-            let adopted = count_ok ok1 > count_ok ok0 in
-            Trace.instant "engine.ladder.reorder"
-              ~args:
-                [
-                  ("strategy", Trace.Str "rebuild");
-                  ("adopted", Trace.Bool adopted);
-                  ("built", Trace.Int (count_ok ok1));
-                ];
-            if adopted then (pb1, ok1, true, probs_of pb1)
-            else (pb0, ok0, false, probs_of pb0))
-      end
-    in
-    let methods = merge_methods ~ok0 ~okf ~used_reorder:reorder_used in
-    if Trace.is_enabled () then
-      Array.iteri
-        (fun k meth ->
-          Trace.instant "engine.cone.method"
-            ~args:
-              [ ("cone", Trace.Int k); ("method", Trace.Str (cone_method_to_string meth)) ])
-        methods;
-    Metrics.add c_exact
-      (Array.fold_left (fun n m -> if m = Exact then n + 1 else n) 0 methods);
-    Metrics.add c_reordered
-      (Array.fold_left (fun n m -> if m = Reordered then n + 1 else n) 0 methods);
-    Metrics.add c_simulated
-      (Array.fold_left (fun n m -> if m = Simulated then n + 1 else n) 0 methods);
-    let bdd_nodes = Robdd.live_nodes (Estimate.partial_manager pb) in
-    let n_failed = n_out - count_ok okf in
-    if n_failed > 0 && budget.fallback <> Simulate then
-      Dpa_error.error
-        (Dpa_error.Budget
-           {
-             Dpa_error.resource = Dpa_error.Bdd_nodes;
-             limit =
-               (match budget.max_bdd_nodes with
-               | Some n -> float_of_int n
-               | None -> infinity);
-             spent = float_of_int bdd_nodes;
-             context =
-               Printf.sprintf "%d of %d output cones unbuildable (fallback %s)" n_failed
-                 n_out
-                 (fallback_to_string budget.fallback);
-           });
-    let node_probs, sim_cycles, ci =
-      if n_failed = 0 then (exact_probs, 0, 0.0)
-      else begin
-        (* rung 3: Monte-Carlo fallback for whatever stayed unbuilt *)
-        Dpa_util.Cancel.check cancel;
-        let cycles = sim_cycles_of budget in
-        Trace.instant "engine.ladder.sim"
-          ~args:
-            [
-              ("cycles", Trace.Int cycles);
-              ("cones", Trace.Int n_failed);
-              ("backend", Trace.Str (Dpa_sim.Backend.to_string budget.sim_backend));
-            ];
-        Metrics.add c_sim_cycles cycles;
-        let rng = Dpa_util.Rng.create budget.sim_seed in
-        let act =
-          Dpa_sim.Simulator.measure ~backend:budget.sim_backend ~cycles ~cancel rng
-            ~input_probs mapped
-        in
-        let merged =
-          Array.mapi
-            (fun i exact ->
-              if Float.is_nan exact then act.Dpa_sim.Simulator.node_probs.(i) else exact)
-            exact_probs
-        in
-        (merged, cycles, ci_halfwidth_of budget cycles)
-      end
-    in
-    let report =
-      Estimate.price mapped ~node_probs ~input_toggle:(fun opos ->
-          Model.static_switching input_probs.(opos))
-    in
-    {
-      report = { report with Estimate.bdd_nodes };
-      degradation =
-        { methods; bdd_nodes; reorder_used; sim_cycles; ci_halfwidth = ci };
-    }
-  end
+  else estimate_bounded ?par ~budget ~cancel ~input_probs mapped
 
 (* ------------------------------------------------------------------ *)
 (* Netlist-level node probabilities under the same ladder               *)
@@ -926,11 +540,15 @@ let node_probabilities ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.non
   else begin
     let order = Dpa_bdd.Ordering.reverse_topological net in
     let max_nodes = match budget.max_bdd_nodes with Some n -> n | None -> max_int in
+    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget.deadline_s in
     let bounded_try order =
-      match Dpa_bdd.Build.bounded_size ~order ~max_nodes net with
-      | Some _ ->
-        (* feasible: rebuild unbudgeted — the probe just proved it fits *)
-        Some (Dpa_bdd.Build.probabilities ~order ~input_probs net)
+      match Dpa_bdd.Build.bounded_size ~order ?deadline ~cancel ~max_nodes net with
+      | Some _ -> (
+        (* feasible: rebuild for probabilities — the probe proved the node
+           cap holds, but the deadline still runs *)
+        match Dpa_bdd.Build.probabilities ~order ?deadline ~cancel ~input_probs net with
+        | probs -> Some probs
+        | exception Dpa_error.Budget_exceeded _ -> None)
       | None -> None
     in
     match bounded_try order with
@@ -946,7 +564,7 @@ let node_probabilities ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.non
           | Some max_nodes -> (
             match
               Dpa_bdd.Reorder.refine_bounded ~max_passes:budget.reorder_passes
-                ~initial_cost:max_int ~max_nodes net order
+                ~initial_cost:max_int ?deadline ~cancel ~max_nodes net order
             with
             | Some r -> bounded_try r.Dpa_bdd.Reorder.order
             | None -> None)

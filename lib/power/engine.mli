@@ -4,21 +4,20 @@
     size. The engine makes every estimate terminate inside a configurable
     resource {!budget} by degrading gracefully, one output cone at a time:
 
-    + {b exact} — build the block's BDDs under a manager node budget and
-      wall-clock deadline ({!Dpa_bdd.Robdd.set_budget});
-    + {b reorder} — if a cone blows the budget, reorder and retry. The
-      default {!reorder_strategy} ([Sift]) dynamically reorders the
-      rung-1 node store {e in place} ({!Dpa_bdd.Sift}) — already-built
-      cones survive bitwise, aborted prefixes compact, garbage is
-      retired back to the budget — and retries the failed cones in the
-      same build. [Rebuild] instead hill-climbs a fresh order with full
-      bounded rebuilds as the cost oracle
-      ({!Dpa_bdd.Reorder.refine_cost} over
-      {!Estimate.bounded_block_size}) and re-attempts from scratch;
-    + {b simulate} — cones still unbuilt are priced from a Monte-Carlo run
-      of the domino simulator ({!Dpa_sim.Simulator.measure}) with a sample
-      count sized from the requested confidence interval, merged with the
-      exact probabilities of everything that {e did} build.
+    + {b exact} — output cones are grouped into at most 16 shards by
+      support overlap, and each shard builds its cones, one at a time,
+      in one manager under the node cap and wall-clock deadline
+      ({!Dpa_bdd.Robdd.set_budget});
+    + {b reorder} — a shard with failed cones dynamically reorders its
+      node store {e in place} ({!Dpa_bdd.Sift}) — already-built cones
+      survive bitwise, aborted prefixes compact, garbage is retired back
+      to the budget — and retries the failed cones in the same manager,
+      under the same cap;
+    + {b simulate} — cones still unbuilt are priced from one whole-block
+      Monte-Carlo run of the domino simulator
+      ({!Dpa_sim.Simulator.measure}) with a sample count sized from the
+      requested confidence interval, merged with the exact probabilities
+      of everything that {e did} build.
 
     Every answer carries a {!degradation} report saying which rung priced
     which cone, so callers (and the CLI) can surface approximation
@@ -28,20 +27,15 @@
     degrading — never a bare [Failure]. *)
 
 (** What to do when the exact build exhausts its budget. Each level
-    includes the previous: [Simulate] still tries exact, then reorder,
-    then simulation. *)
+    includes the previous: [Reorder_retry] sifts in place and retries,
+    [Simulate] additionally falls back to simulation. *)
 type fallback = No_fallback | Reorder_retry | Simulate
 
-(** How the reorder rung recovers a cone that blew the node budget.
-    [Sift] (the default) reorders the existing store in place and
-    resumes; [Rebuild] searches for a better order by rebuilding from
-    scratch under candidate orders — quadratically more oracle work,
-    kept as the reference implementation and for A/B benchmarking
-    ([bench reorder]). *)
-type reorder_strategy = Sift | Rebuild
-
 type budget = {
-  max_bdd_nodes : int option;  (** manager node cap; [None] = unlimited *)
+  max_bdd_nodes : int option;
+      (** manager node cap: no BDD manager the ladder creates holds more
+          live nodes, rung-1 build and sift retry alike; [None] =
+          unlimited *)
   deadline_s : float option;
       (** wall-clock seconds for the whole estimate; [None] = unlimited *)
   fallback : fallback;
@@ -57,23 +51,20 @@ type budget = {
           are bit-identical for equal seeds ({!Dpa_sim.Backend}), so
           this only trades speed *)
   reorder_passes : int;
-      (** reorder-rung effort: sift passes under [Sift], hill-climb
-          passes under [Rebuild]; [0] disables the rung *)
-  reorder : reorder_strategy;
+      (** reorder-rung effort in sift passes ({!node_probabilities}:
+          hill-climb passes); [0] disables the rung *)
 }
 
 val default_budget : budget
 (** Unlimited resources, [Simulate] fallback, 1% half-width at 95%
     confidence, seed 1, the default simulation backend
-    ({!Dpa_sim.Backend.default}), 2 reorder passes with the [Sift]
-    strategy. *)
+    ({!Dpa_sim.Backend.default}), 2 reorder passes. *)
 
 val bounded :
   ?max_bdd_nodes:int ->
   ?deadline_s:float ->
   ?fallback:fallback ->
   ?sim_backend:Dpa_sim.Backend.t ->
-  ?reorder:reorder_strategy ->
   unit ->
   budget
 (** [default_budget] with the given limits installed. *)
@@ -86,11 +77,6 @@ val fallback_of_string : string -> fallback option
 (** ["none"] | ["reorder"] | ["sim"] (the CLI spelling). *)
 
 val fallback_to_string : fallback -> string
-
-val reorder_of_string : string -> reorder_strategy option
-(** ["sift"] | ["rebuild"] (the CLI spelling). *)
-
-val reorder_to_string : reorder_strategy -> string
 
 val sim_cycles_of : budget -> int
 (** Monte-Carlo sample count implied by [sim_halfwidth]/[sim_confidence]:
@@ -111,8 +97,10 @@ val cone_method_to_string : cone_method -> string
 
 type degradation = {
   methods : cone_method array;  (** per output cone, in output order *)
-  bdd_nodes : int;  (** manager size of the (possibly partial) build *)
-  reorder_used : bool;  (** the reorder rung's order was adopted *)
+  bdd_nodes : int;
+      (** live nodes of the largest manager the estimate built — at most
+          [max_bdd_nodes] under a node cap *)
+  reorder_used : bool;  (** the sift retry rescued at least one cone *)
   sim_cycles : int;  (** 0 when no cone needed simulation *)
   ci_halfwidth : float;  (** 0.0 when no cone needed simulation *)
 }
@@ -150,28 +138,23 @@ val estimate :
   Dpa_domino.Mapped.t ->
   result
 (** Runs the ladder on one mapped block. With an unbounded budget this is
-    exactly {!Estimate.of_mapped}. Under a budget, each output cone is
-    built separately so exhaustion is contained: sibling cones keep the
-    nodes interned before the blow-up and their probabilities stay exact.
+    exactly {!Estimate.of_mapped}: one manager over the whole block, with
+    or without [par]. Under a budget, output cones are built one at a
+    time so exhaustion is contained: sibling cones keep the nodes
+    interned before the blow-up and their probabilities stay exact.
 
-    With [par], output cones are partitioned into at most 16 shards by
-    a greedy overlap heuristic (big cones first, each joining the shard
-    whose accumulated support it overlaps most, under a soft load cap),
-    and each shard builds {e all} its cones in one private manager
-    ({!Dpa_bdd.Robdd.adopt} discipline) — cross-cone sharing survives
-    inside a shard instead of being re-derived per cone. The plan is a
-    pure function of the cones, never of the pool width or schedule, so
-    probabilities, powers {e and} the [bdd_nodes] complexity metric are
-    bit-identical at every [jobs] count (Monte-Carlo streams are
-    index-derived via {!Dpa_util.Rng.derive}); the
-    [engine.sharing_ratio] gauge records that invariant (1.0). Note the
-    budget then applies {e per cone as headroom} — each cone may intern
-    up to the node cap on top of the shard's prior live size — whereas
-    the sequential ladder shares one cumulative cap, so budgeted
-    results are not comparable between the two paths. Unbudgeted, every
-    probability and power is bitwise equal to the sequential path
-    (ROBDD canonicity); only [bdd_nodes] can differ, by however much
-    sharing crosses shard boundaries.
+    The budgeted path always partitions the output cones into at most 16
+    shards by a greedy overlap heuristic (big cones first, each joining
+    the shard whose accumulated support it overlaps most, under a soft
+    load cap), and each shard builds {e all} its cones in one private
+    manager capped at [max_bdd_nodes] ({!Dpa_bdd.Robdd.adopt}
+    discipline) — cross-cone sharing survives inside a shard. With
+    [par] the shards run across the pool's domains; without it they run
+    in order on the calling domain. The plan is a pure function of the
+    cones, never of the pool, and the Monte-Carlo rung is one run from
+    [sim_seed] on the calling domain, so probabilities, powers,
+    [bdd_nodes] and the degradation report are bit-identical with no
+    pool and at every [jobs] count.
 
     [cancel] is a cooperative-cancellation token, orthogonal to the
     budget: it is installed on every manager the ladder creates, polled

@@ -254,17 +254,6 @@ let partial_probabilities pb ~input_probs =
     (fun i ->
       if node_built pb i then Robdd.cached_probability cache pb.pb_roots.(i) else Float.nan)
 
-let bounded_block_size ?(cancel = Dpa_util.Cancel.none) ~order ~max_nodes ~deadline mapped =
-  let pb = start_build ~order mapped in
-  Robdd.set_budget ~max_nodes ?deadline ~cancel ~context:"reorder probe" pb.pb_manager;
-  let r =
-    match build_nodes pb ~within:(fun _ -> true) with
-    | () -> Some (Robdd.total_nodes pb.pb_manager)
-    | exception Dpa_util.Dpa_error.Budget_exceeded _ -> None
-  in
-  Robdd.publish_metrics pb.pb_manager;
-  r
-
 (* ------------------------------------------------------------------ *)
 (* Incremental estimation: one shared manager across many blocks        *)
 (* ------------------------------------------------------------------ *)

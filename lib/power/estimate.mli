@@ -103,17 +103,6 @@ val sift_partial :
     {!Dpa_util.Dpa_error.Budget_exceeded} or cancellation (the manager is
     consistent at every swap boundary). Parameters as {!Dpa_bdd.Sift.sift}. *)
 
-val bounded_block_size :
-  ?cancel:Dpa_util.Cancel.t ->
-  order:int array ->
-  max_nodes:int ->
-  deadline:float option ->
-  Dpa_domino.Mapped.t ->
-  int option
-(** Total manager nodes of a full block build under [order], or [None] if
-    it would exceed [max_nodes] (or the absolute [deadline]) — the cost
-    oracle for the engine's budgeted reorder rung. *)
-
 (** {2 Incremental estimation}
 
     A phase search prices hundreds of re-phased variants of one circuit.

@@ -31,11 +31,9 @@ val execute :
     [Unsupported] here: the pool answers it from its own health record.
 
     [par] is the calling worker's private domain pool for intra-request
-    parallelism (per-cone estimation, speculative phase-search pricing).
-    It must belong to the calling domain exclusively — pools are one
-    submitter at a time, and each service worker owns its own so
+    parallelism (budgeted shard builds, speculative phase-search
+    pricing). It must belong to the calling domain exclusively — pools
+    are one submitter at a time, and each service worker owns its own so
     inter-request and intra-request parallelism compose without sharing.
-    Responses are bit-identical at every pool width; relative to {e no}
-    pool, every power and probability is identical too, but the
-    [bdd_nodes] complexity metric can be larger (per-cone private
-    managers forgo cross-cone node sharing). *)
+    Responses are byte-identical with no pool and at every pool width,
+    [bdd_nodes] included. *)

@@ -119,12 +119,9 @@ let process_line ?par ?(cancel = Cancel.none) ?stats ?cache line =
     match (request, stats) with
     | Protocol.Stats, Some snapshot -> (Protocol.ok_response ~id ~cmd (snapshot ()), false)
     | _ -> (
-      (* [pooled] is part of the key: bdd_nodes can differ between the
-         pool and no-pool execution paths (see Handler), and a cache
-         entry must only ever answer for byte-identical executions *)
       let ckey =
         match (cache, mode) with
-        | Some c, `Use -> Option.map (fun k -> (c, k)) (Rescache.key ~pooled:(par <> None) request)
+        | Some c, `Use -> Option.map (fun k -> (c, k)) (Rescache.key request)
         | Some _, `Bypass | None, _ -> None
       in
       match Option.bind ckey (fun (c, k) -> Rescache.find c k) with
@@ -261,7 +258,7 @@ let worker_body t slot ~generation par =
         (try
            if Fault.fire Fault.Worker_panic then raise Fault.Injected_panic;
            let response, is_shutdown =
-             process_line ?par ~cancel:infl.cancel
+             process_line ~par ~cancel:infl.cancel
                ~stats:(fun () -> stats_json t)
                ?cache:t.cache job.line
            in
@@ -295,13 +292,12 @@ let worker_body t slot ~generation par =
 let worker t slot ~generation =
   (* the intra-request pool lives and dies with the worker domain: its
      sub-domains are resident across requests (no spawn per request) and
-     it has exactly one submitter — this worker — by construction.
-     jobs = 1 runs without a pool: byte-for-byte the pre-pool service.
-     [Par.with_pool] shuts the sub-domains down even when the body
-     raises, so a panicking worker leaks nothing. *)
+     it has exactly one submitter — this worker — by construction (at
+     jobs = 1 it spawns nothing and runs inline). [Par.with_pool] shuts
+     the sub-domains down even when the body raises, so a panicking
+     worker leaks nothing. *)
   try
-    if t.jobs <= 1 then worker_body t slot ~generation None
-    else Dpa_util.Par.with_pool ~jobs:t.jobs (fun par -> worker_body t slot ~generation (Some par))
+    Dpa_util.Par.with_pool ~jobs:t.jobs (worker_body t slot ~generation)
   with _ ->
     (* abnormal exit: flag the slot for the watchdog. The in-flight
        request (if any) was already answered on the way out. *)

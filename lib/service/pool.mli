@@ -92,8 +92,8 @@ val create :
     created inside the worker domain and shut down when it exits (even
     on a panic), so the process runs at most [workers × jobs] busy
     domains — pick [jobs ≈ cores / workers] to avoid oversubscription.
-    [jobs = 1] creates no pool at all: requests execute byte-for-byte
-    as the pre-pool service did.
+    [jobs = 1] spawns no extra domain. Responses are byte-identical at
+    every width.
 
     [soft_limit_s] (default 30) and [hard_limit_s] (default 120) are
     the watchdog thresholds on a single request's wall clock: the soft

@@ -200,7 +200,7 @@ let stats_json t =
    interface preamble for the rationale of each component. Fields are
    length-delimited ('|' plus explicit lengths where content is free
    text) so adjacent fields cannot alias. *)
-let key_material ~pooled ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget =
+let key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget =
   let b = Buffer.create 256 in
   Buffer.add_string b "rckey1|";
   Buffer.add_string b cmd;
@@ -226,10 +226,9 @@ let key_material ~pooled ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget 
          (match max_bdd_nodes with None -> "-" | Some n -> string_of_int n)
          (Dpa_power.Engine.fallback_to_string fallback)
          (Dpa_sim.Backend.to_string sim_backend)));
-  Buffer.add_string b (if pooled then "|par" else "|seq");
   Buffer.contents b
 
-let key ~pooled (request : Protocol.request) =
+let key (request : Protocol.request) =
   let cacheable ~with_name ~cmd ~source ~input_prob ~phases ~seed ~budget =
     match (budget : Protocol.budget_opts option) with
     | Some { Protocol.deadline_s = Some _; _ } ->
@@ -242,8 +241,7 @@ let key ~pooled (request : Protocol.request) =
         Some
           (Digest.to_hex
              (Digest.string
-                (key_material ~pooled ~cmd ~net ~with_name ~input_prob ~phases ~seed
-                   ~budget)))
+                (key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget)))
       | exception _ ->
         (* unloadable source: let the cold path produce the error *)
         None)

@@ -15,12 +15,12 @@
       name as [circuit]; [estimate]/[optimize] responses do not);
     - the request parameters: command, [input_prob] (exact float bits),
       [phases], [seed], and the budget's [max_bdd_nodes] / [fallback] /
-      [sim_backend];
-    - whether the executing worker runs with an intra-request pool
-      ([jobs > 1]): relative to no pool, the [bdd_nodes] metric can
-      differ (per-cone private managers forgo cross-cone sharing), so a
-      snapshot written at one [--jobs] width must never answer for the
-      other.
+      [sim_backend].
+
+    The worker's intra-request pool width is {e not} part of the key:
+    the engine answers byte-identically with no pool and at every
+    [--jobs] width, so a snapshot written at one width answers for any
+    other.
 
     {b What is never cached.} [ping]/[info]/[stats]/[shutdown]; any
     request carrying [deadline_s] (the degradation ladder makes its
@@ -64,13 +64,12 @@ val create : ?stripes:int -> max_bytes:int -> max_entries:int -> unit -> t
     simply not stored. Raises [Invalid_argument] if either bound
     is [< 1]. *)
 
-val key : pooled:bool -> Protocol.request -> string option
+val key : Protocol.request -> string option
 (** The cache key of a request, or [None] when the request must not be
     cached (wrong command, carries a deadline, or its source fails to
-    load — see the module preamble). [pooled] says whether execution
-    will run with an intra-request pool; it is part of the key. Loads
-    and canonicalizes the netlist, which costs a parse — small against
-    the BDD work a hit saves. *)
+    load — see the module preamble). Loads and canonicalizes the
+    netlist, which costs a parse — small against the BDD work a hit
+    saves. *)
 
 val find : t -> string -> string option
 (** The stored encoded [result] payload, refreshing the entry's

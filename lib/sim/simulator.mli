@@ -47,18 +47,6 @@ val measure :
     [Dpa_error.Error (Cancelled _)]. The checks never perturb the random
     stream, so cancellation does not break backend bit-identity. *)
 
-val measure_compiled :
-  ?cycles:int ->
-  ?cancel:Dpa_util.Cancel.t ->
-  Dpa_util.Rng.t ->
-  input_probs:float array ->
-  Compiled.t ->
-  activity
-(** As [measure ~backend:Compiled], but on an already-compiled program —
-    the engine's per-cone Monte-Carlo rung compiles the block once and
-    measures many cones against it (the program is immutable and safe to
-    share across pool domains). *)
-
 type evaluate_trace = {
   rises : int array;  (** 0→1 transitions per node during one evaluate *)
   final : bool array;  (** values at the end of the evaluate phase *)

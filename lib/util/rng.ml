@@ -32,18 +32,6 @@ let bernoulli t p = float t 1.0 < p
 
 let split t = { state = bits64 t }
 
-(* Key-derived stream: state = mix (base + (index+1)·γ), the same jump
-   splitmix64 itself makes, so streams for distinct indices are as
-   independent as successive [split]s — but addressable by index, which
-   is what per-cone Monte-Carlo fallback needs to stay reproducible
-   under any parallel schedule. *)
-let derive ~base ~index =
-  if index < 0 then invalid_arg "Rng.derive: negative index";
-  {
-    state =
-      mix (Int64.add (Int64.of_int base) (Int64.mul (Int64.of_int (index + 1)) golden_gamma));
-  }
-
 (* [float t 1.0] is exactly [b /. 2^53] with [b] the top 53 bits of
    [bits64] — both the division by a power of two and the multiplication
    by 1.0 are exact — so [bernoulli t p  ≡  b < p·2^53] over the reals.

@@ -32,14 +32,6 @@ val split : t -> t
 (** [split t] derives a statistically independent generator, advancing
     [t]. Useful for giving each sub-experiment its own stream. *)
 
-val derive : base:int -> index:int -> t
-(** [derive ~base ~index] is the [index]-th independent stream of the
-    splittable seed [base] ([index >= 0]). Unlike {!split} it does not
-    thread generator state, so sub-experiment [index] gets the same
-    stream no matter how many siblings ran before it — the property
-    that keeps per-cone Monte-Carlo fallback identical at any [--jobs]
-    value. *)
-
 val bernoulli_threshold : float -> int
 (** [bernoulli_threshold p] is the integer [T] such that
     [bernoulli t p] decides exactly as [b < T], where [b] is the 53-bit

@@ -33,12 +33,9 @@ type outcome = {
 (* No [deadline_s] in manifest budgets, ever: wall-clock deadlines make
    the ladder rung machine-dependent, and baselines demand (profile,
    seed, budget)-determinism. Node caps and sim parameters are exact. *)
-(* The reorder rung runs the default [Sift] strategy: in-place dynamic
-   reordering of the rung-1 node store plus a retry in the same build.
-   Unlike the [Rebuild] oracle (a whole bounded block build per adjacent
-   swap, O(inputs × node cap) interned nodes per estimate — which is why
-   the rung used to be pinned off here), sifting costs a bounded multiple
-   of the store it compacts, so corpus-scale circuits can afford it. *)
+(* The reorder rung sifts each shard's node store in place and retries
+   in the same build; sifting costs a bounded multiple of the store it
+   compacts, so corpus-scale circuits can afford it. *)
 let budgeted ?max_bdd_nodes ?sim_halfwidth ?reorder_passes () =
   let b =
     {
@@ -119,9 +116,9 @@ let find_spec m name =
 
 (* ---- budget merging --------------------------------------------------- *)
 
-let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback ~sim_backend ~reorder =
-  match (max_bdd_nodes, deadline_s, fallback, sim_backend, reorder) with
-  | None, None, None, None, None -> spec.budget
+let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback ~sim_backend =
+  match (max_bdd_nodes, deadline_s, fallback, sim_backend) with
+  | None, None, None, None -> spec.budget
   | _ ->
     let b = Option.value spec.budget ~default:Dpa_power.Engine.default_budget in
     Some
@@ -133,7 +130,6 @@ let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback ~sim_backend ~reorder
           (match deadline_s with Some _ -> deadline_s | None -> b.Dpa_power.Engine.deadline_s);
         fallback = Option.value fallback ~default:b.Dpa_power.Engine.fallback;
         sim_backend = Option.value sim_backend ~default:b.Dpa_power.Engine.sim_backend;
-        reorder = Option.value reorder ~default:b.Dpa_power.Engine.reorder;
       }
 
 (* ---- running one spec -------------------------------------------------- *)

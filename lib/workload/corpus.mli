@@ -66,7 +66,6 @@ val merge_budget :
   deadline_s:float option ->
   fallback:Dpa_power.Engine.fallback option ->
   sim_backend:Dpa_sim.Backend.t option ->
-  reorder:Dpa_power.Engine.reorder_strategy option ->
   Dpa_power.Engine.budget option
 (** CLI overrides folded over the spec's own budget; all-[None] keeps the
     spec budget untouched (including [None] = unbudgeted). *)
@@ -75,8 +74,9 @@ val run_spec :
   ?par:Dpa_util.Par.t -> ?budget:Dpa_power.Engine.budget -> spec -> outcome
 (** Builds the circuit and runs the full MA-vs-MP comparison.
     [?budget] replaces the spec's own (use {!merge_budget} to combine);
-    [?par] fans per-cone estimation across a domain pool — outcomes are
-    bit-identical at any pool width. *)
+    [?par] fans budgeted shard builds and speculative search pricing
+    across a domain pool — outcomes are bit-identical at any pool width
+    and without one. *)
 
 val json_of_outcome : outcome -> Dpa_util.Jsonlite.t
 

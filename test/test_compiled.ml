@@ -198,9 +198,9 @@ let test_measure_counts_validation () =
 let test_engine_jobs_invariance () =
   (* a node budget tight enough that cones fall through to the
      Monte-Carlo rung, on the compiled backend: jobs=1 and jobs=4 must
-     price every node bit-identically (Rng.derive per-cone streams).
-     The cap is per-cone headroom over the shard store, so it must be
-     smaller than the marginal footprint of a nontrivial cone *)
+     price every node bit-identically (one whole-block stream from the
+     budget's seed). The cap bounds each shard's manager, so it must be
+     smaller than any nontrivial cone *)
   let net, mapped = prep (load_blif "../data/frg1_synthetic.blif") in
   let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
   let budget =

@@ -145,6 +145,31 @@ let test_node_probabilities_ladder () =
     (Printf.sprintf "per-node error %.4f within Monte-Carlo tolerance" !worst)
     true (!worst < 0.05)
 
+(* the budget's deadline and the caller's token must reach the BDD work
+   itself, not only the checks between rungs: parity_wide's netlist build
+   interns far more than the 1024 allocations between deadline polls *)
+let parity_wide_net () =
+  match Dpa_workload.Profiles.find "parity_wide" with
+  | Some p -> Dpa_synth.Opt.optimize (Dpa_workload.Profiles.build_comb p)
+  | None -> Alcotest.fail "parity_wide profile missing"
+
+let test_node_probabilities_deadline () =
+  let net = parity_wide_net () in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
+  let budget = Engine.bounded ~deadline_s:0.0 () in
+  let _, how = Engine.node_probabilities ~budget ~input_probs net in
+  Alcotest.(check string) "an expired deadline stops the exact build" "simulated"
+    (Engine.cone_method_to_string how)
+
+let test_node_probabilities_cancel () =
+  let net = parity_wide_net () in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
+  let budget = Engine.bounded ~max_bdd_nodes:max_int () in
+  let cancel = Dpa_util.Cancel.create ~deadline_in:0.02 () in
+  match Engine.node_probabilities ~budget ~cancel ~input_probs net with
+  | _ -> Alcotest.fail "expected the token to stop the exact build"
+  | exception Dpa_error.Error (Dpa_error.Cancelled _) -> ()
+
 (* ---- malformed corpus --------------------------------------------- *)
 
 let corpus =
@@ -232,6 +257,8 @@ let suite =
     Alcotest.test_case "budgeted flow matches unbudgeted" `Slow
       test_budgeted_flow_matches_unbudgeted;
     Alcotest.test_case "node probabilities ladder" `Quick test_node_probabilities_ladder;
+    Alcotest.test_case "node probabilities deadline" `Quick test_node_probabilities_deadline;
+    Alcotest.test_case "node probabilities cancel" `Quick test_node_probabilities_cancel;
     Alcotest.test_case "malformed corpus all error" `Quick test_malformed_corpus_all_error;
     Alcotest.test_case "malformed messages carry lines" `Quick
       test_malformed_messages_carry_lines;

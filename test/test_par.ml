@@ -1,11 +1,10 @@
 (* The shared work-stealing domain pool and the parallel-identity
-   property: everything the pool touches — per-cone estimation, the
-   speculative greedy replay, Monte-Carlo fallback streams — must be
-   bit-identical at every jobs count. Floats are compared through
+   property: everything the pool touches — budgeted shard builds, the
+   speculative greedy replay — must be bit-identical at every jobs count
+   and without a pool. Floats are compared through
    [Int64.bits_of_float]: "close" is not good enough here. *)
 
 module Par = Dpa_util.Par
-module Rng = Dpa_util.Rng
 module Engine = Dpa_power.Engine
 module Optimizer = Dpa_phase.Optimizer
 
@@ -128,22 +127,6 @@ let test_stats_count_tasks () =
   let after = (Par.stats pool).Par.tasks in
   Alcotest.(check int) "50 tasks accounted" 50 (after - before)
 
-(* ---- split Rng streams -------------------------------------------- *)
-
-let test_rng_derive_deterministic () =
-  let a = Rng.derive ~base:42 ~index:7 and b = Rng.derive ~base:42 ~index:7 in
-  for _ = 1 to 50 do
-    Alcotest.(check int64) "same stream" (Rng.bits64 a) (Rng.bits64 b)
-  done
-
-let test_rng_derive_independent () =
-  let a = Rng.derive ~base:42 ~index:0 and b = Rng.derive ~base:42 ~index:1 in
-  let differs = ref false in
-  for _ = 1 to 16 do
-    if Rng.bits64 a <> Rng.bits64 b then differs := true
-  done;
-  Alcotest.(check bool) "indices give distinct streams" true !differs
-
 (* ---- parallel identity: estimation -------------------------------- *)
 
 let mapped_of path =
@@ -169,42 +152,31 @@ let check_reports_equal msg (a : Engine.result) (b : Engine.result) =
     (Engine.degradation_to_string a.Engine.degradation)
     (Engine.degradation_to_string b.Engine.degradation)
 
-let test_estimate_identity_across_jobs () =
+(* One estimation path: the estimate without a pool is the reference,
+   and every pool width must reproduce it bit for bit — probabilities,
+   powers, bdd_nodes and the degradation report alike. *)
+let check_pool_identity ?budget label =
   List.iter
     (fun path ->
       let mapped, input_probs = mapped_of path in
-      let at_jobs jobs =
-        Par.with_pool ~jobs @@ fun pool -> Engine.estimate ~par:pool ~input_probs mapped
-      in
-      let r1 = at_jobs 1 in
-      check_reports_equal (path ^ " jobs 1 vs 2") r1 (at_jobs 2);
-      check_reports_equal (path ^ " jobs 1 vs 4") r1 (at_jobs 4);
-      (* against the sequential path, every probability and power is
-         bitwise equal; only the bdd_nodes complexity metric may differ
-         (per-cone managers forgo cross-cone sharing) *)
-      let seq = Engine.estimate ~input_probs mapped in
-      check_bits (path ^ " par vs seq total") seq.Engine.report.Dpa_power.Estimate.total
-        r1.Engine.report.Dpa_power.Estimate.total;
-      check_bits_array
-        (path ^ " par vs seq node_probs")
-        seq.Engine.report.Dpa_power.Estimate.node_probs
-        r1.Engine.report.Dpa_power.Estimate.node_probs)
+      let no_pool = Engine.estimate ?budget ~input_probs mapped in
+      List.iter
+        (fun jobs ->
+          let pooled =
+            Par.with_pool ~jobs @@ fun pool ->
+            Engine.estimate ~par:pool ?budget ~input_probs mapped
+          in
+          check_reports_equal
+            (Printf.sprintf "%s %s no pool vs jobs %d" path label jobs)
+            no_pool pooled)
+        [ 1; 4 ])
     data_files
 
+let test_estimate_identity_across_jobs () = check_pool_identity "unbudgeted"
+
 let test_budgeted_estimate_identity_across_jobs () =
-  (* a tight node cap forces the full ladder (reorder + simulation);
-     index-derived Monte-Carlo streams keep it jobs-invariant *)
-  let budget = Engine.bounded ~max_bdd_nodes:200 () in
-  List.iter
-    (fun path ->
-      let mapped, input_probs = mapped_of path in
-      let at_jobs jobs =
-        Par.with_pool ~jobs @@ fun pool ->
-        Engine.estimate ~par:pool ~budget ~input_probs mapped
-      in
-      let r1 = at_jobs 1 in
-      check_reports_equal (path ^ " budgeted jobs 1 vs 4") r1 (at_jobs 4))
-    data_files
+  (* a tight node cap forces the full ladder (sift retry + simulation) *)
+  check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:200 ()) "budgeted"
 
 (* ---- parallel identity: the phase search -------------------------- *)
 
@@ -275,8 +247,6 @@ let suite =
     Alcotest.test_case "create bounds" `Quick test_create_bounds;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
     Alcotest.test_case "stats count tasks" `Quick test_stats_count_tasks;
-    Alcotest.test_case "rng derive deterministic" `Quick test_rng_derive_deterministic;
-    Alcotest.test_case "rng derive independent" `Quick test_rng_derive_independent;
     Alcotest.test_case "estimate identity across jobs" `Quick
       test_estimate_identity_across_jobs;
     Alcotest.test_case "budgeted estimate identity" `Quick

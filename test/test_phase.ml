@@ -358,10 +358,19 @@ let test_incremental_greedy_matches_rebuild () =
       let probs = example_probs net in
       let cost = Cost.make net in
       let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
-      let run mode =
-        Greedy.run (Measure.create ~mode ~input_probs:probs net) ~cost ~base_probs:base
+      let run ?pricer () =
+        Greedy.run (Measure.create ?pricer ~input_probs:probs net) ~cost ~base_probs:base
       in
-      let inc = run `Incremental and reb = run `Rebuild in
+      (* the oracle: a fresh manager and per-block order for every candidate *)
+      let rebuild mapped =
+        let r = Dpa_power.Estimate.of_mapped ~input_probs:probs mapped in
+        {
+          Measure.power = r.Dpa_power.Estimate.total;
+          size = Dpa_domino.Mapped.size mapped;
+          domino_switching = r.Dpa_power.Estimate.domino_switching;
+        }
+      in
+      let inc = run () and reb = run ~pricer:rebuild () in
       Alcotest.(check string)
         (name ^ ": same assignment")
         (Phase.to_string reb.Greedy.assignment)

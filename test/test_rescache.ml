@@ -68,7 +68,7 @@ let optimize ?(seed = 1) text =
       budget = None;
     }
 
-let key r = Rescache.key ~pooled:false r
+let key r = Rescache.key r
 
 let check_some_eq msg a b =
   match (a, b) with
@@ -103,10 +103,7 @@ let test_key_composition () =
               fallback = Dpa_power.Engine.Simulate;
               sim_backend = Dpa_sim.Backend.default;
             }
-          dln_base));
-  check_some_neq "pool width is in the key"
-    (Rescache.key ~pooled:false (estimate dln_base))
-    (Rescache.key ~pooled:true (estimate dln_base))
+          dln_base))
 
 let test_key_refusals () =
   let uncacheable msg r = Alcotest.(check bool) msg true (key r = None) in
@@ -130,7 +127,7 @@ let test_key_refusals () =
 
 let test_compare_key_includes_name () =
   let cmp text =
-    Rescache.key ~pooled:false
+    Rescache.key
       (Protocol.Compare
          {
            source = Protocol.Inline { text; format = `Dln };

@@ -185,6 +185,27 @@ let test_budget_exhaustion_leaves_usable () =
   let p = Robdd.probability m (Array.make 6 0.5) f in
   Alcotest.(check bool) "probability still works" true (p > 0.0 && p < 1.0)
 
+(* wherever the swap cap cuts a session short, the store ends no larger
+   than the opening sweep left it — what keeps a post-sift retry under
+   the engine's node cap. The pairs start in their optimal order, so
+   every sift walk leaves it through larger stores. *)
+let test_exhaustion_never_grows_store () =
+  for k = 1 to 40 do
+    let m = Robdd.create ~nvars:6 in
+    let v l = Robdd.var m l in
+    let pair a b = Robdd.apply_and m (v a) (v b) in
+    let f = Robdd.apply_or m (pair 0 1) (Robdd.apply_or m (pair 2 3) (pair 4 5)) in
+    let swept = Robdd.size m f + 2 in
+    let order = Array.init 6 Fun.id in
+    (try ignore (Sift.sift ~passes:2 ~max_swaps:k ~roots:[ f ] ~order m)
+     with Dpa_error.Budget_exceeded _ -> ());
+    Alcotest.(check bool)
+      (Printf.sprintf "max_swaps %d: live %d <= %d" k (Robdd.live_nodes m) swept)
+      true
+      (Robdd.live_nodes m <= swept);
+    check_permutation "order is a permutation" order 6
+  done
+
 let test_max_new_nodes_cap () =
   let m, f = bad_pairs_manager () in
   let order = Array.init 6 Fun.id in
@@ -245,6 +266,8 @@ let suite =
     Alcotest.test_case "prob cache survives" `Quick test_prob_cache_survives;
     Alcotest.test_case "identity on corpus" `Quick test_sift_identity_on_corpus;
     Alcotest.test_case "budget exhaustion usable" `Quick test_budget_exhaustion_leaves_usable;
+    Alcotest.test_case "exhaustion never grows the store" `Quick
+      test_exhaustion_never_grows_store;
     Alcotest.test_case "max new nodes cap" `Quick test_max_new_nodes_cap;
     Alcotest.test_case "cancellation mid-sift" `Quick test_cancellation_mid_sift;
     Alcotest.test_case "garbage sweep refund" `Quick test_garbage_sweep_refunds_budget;
