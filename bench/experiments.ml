@@ -583,15 +583,16 @@ let validate () =
      accurate."
 
 (* ------------------------------------------------------------------ *)
-(* Compiled simulation: interp vs bit-parallel tape throughput          *)
+(* Compiled simulation: reference interpreter vs bit-parallel tape      *)
 (* ------------------------------------------------------------------ *)
 
-(* Cycles/second of the two Monte-Carlo backends on every data/ circuit
-   plus a generated Table 1 profile, same seed for both. The activity
-   counts are compared first — a speedup for different answers would be
-   meaningless, so the bench aborts on any mismatch (the determinism
-   contract of Dpa_sim.Backend). With [json] the rows land in
-   BENCH_sim_compile.json for CI trend tracking. *)
+(* Cycles/second of the compiled tape (Simulator.measure) against its
+   reference interpreter (Simulator.measure_reference) on every data/
+   circuit plus a generated Table 1 profile, same seed for both. The
+   activity counts are compared first — a speedup for different answers
+   would be meaningless, so the bench aborts on any mismatch (the
+   determinism contract of Dpa_sim.Compiled). With [json] the rows land
+   in BENCH_sim_compile.json for CI trend tracking. *)
 let sim_compile ?(quick = false) ?(json = false) () =
   section "Compiled simulation — interpreter vs bit-parallel tape";
   let cycles = if quick then 2_000 else 20_000 in
@@ -634,20 +635,24 @@ let sim_compile ?(quick = false) ?(json = false) () =
       Mapped.map (Inverterless.realize net (Phase.all_positive (Netlist.num_outputs net)))
     in
     let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-    let run backend =
+    let run measure =
       let best = ref infinity and result = ref None in
       for _ = 1 to repeats do
         let rng = Dpa_util.Rng.create 2024 in
         let t0 = Unix.gettimeofday () in
-        let a = Dpa_sim.Simulator.measure ~backend ~cycles rng ~input_probs mapped in
+        let a = measure rng in
         let dt = Unix.gettimeofday () -. t0 in
         if dt < !best then best := dt;
         result := Some a
       done;
       (Option.get !result, float_of_int cycles /. Float.max !best 1e-9)
     in
-    let ai, interp_cps = run Dpa_sim.Backend.Interp in
-    let ac, compiled_cps = run Dpa_sim.Backend.Compiled in
+    let ai, interp_cps =
+      run (fun rng -> Dpa_sim.Simulator.measure_reference ~cycles rng ~input_probs mapped)
+    in
+    let ac, compiled_cps =
+      run (fun rng -> Dpa_sim.Simulator.measure ~cycles rng ~input_probs mapped)
+    in
     let identical =
       ai.Dpa_sim.Simulator.fire_counts = ac.Dpa_sim.Simulator.fire_counts
       && ai.Dpa_sim.Simulator.input_toggles = ac.Dpa_sim.Simulator.input_toggles
@@ -655,7 +660,8 @@ let sim_compile ?(quick = false) ?(json = false) () =
     in
     if not identical then begin
       Printf.eprintf
-        "sim bench: %s: backends disagree at seed 2024 — speedup would be meaningless\n"
+        "sim bench: %s: tape disagrees with the reference at seed 2024 — speedup would be \
+         meaningless\n"
         name;
       exit 1
     end;
@@ -677,7 +683,7 @@ let sim_compile ?(quick = false) ?(json = false) () =
           Printf.sprintf "%.1fx" (ccps /. Float.max icps 1e-9) ])
     rows;
   Table.print t;
-  Printf.printf "\nall circuits bit-identical across backends (%d cycles, seed 2024)\n"
+  Printf.printf "\nall circuits bit-identical to the reference (%d cycles, seed 2024)\n"
     cycles;
   if json then begin
     let json_float f =
@@ -976,15 +982,6 @@ let ablation () =
       *. 100.0))
 
 (* ------------------------------------------------------------------ *)
-(* Corpus sweep                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The production-scale regression substrate (ROADMAP item 1): every
-   manifest circuit through the MA-vs-MP flow, reporting per-circuit wall
-   time, ladder rung, BDD nodes, power and phase-conflict counts; --json
-   writes BENCH_corpus.json for CI trend tracking. Quick mode sweeps the
-   CI-size smoke manifest instead of the full one. *)
-(* ------------------------------------------------------------------ *)
 (* Reorder rung: sift vs none                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1110,46 +1107,4 @@ let reorder ?(quick = false) ?(json = false) () =
     output_string oc (Buffer.contents b);
     close_out oc;
     Printf.printf "wrote BENCH_reorder.json\n"
-  end
-
-let corpus_sweep ?(quick = false) ?(json = false) () =
-  let module C = Dpa_workload.Corpus in
-  let m = if quick then C.smoke else C.full in
-  section
-    (Printf.sprintf "Corpus sweep — %s manifest through the MA-vs-MP flows" m.C.name);
-  let outcomes =
-    List.map
-      (fun spec ->
-        let o = C.run_spec spec in
-        Printf.printf "  %-14s %6d gates  [%s]  %.2fs\n%!" o.C.name o.C.gates o.C.ladder
-          o.C.runtime_s;
-        o)
-      m.C.specs
-  in
-  let t =
-    Table.create
-      ~columns:
-        [ ("Ckt", Table.Left); ("family", Table.Left); ("gates", Table.Right);
-          ("MA pwr", Table.Right); ("MP pwr", Table.Right); ("sav %", Table.Right);
-          ("flips", Table.Right); ("dup", Table.Right); ("ladder", Table.Left);
-          ("bdd nodes", Table.Right); ("sec", Table.Right) ]
-  in
-  List.iter
-    (fun (o : C.outcome) ->
-      Table.add_row t
-        [ o.C.name; o.C.family; string_of_int o.C.gates;
-          Table.cell_float ~decimals:2 o.C.ma_power;
-          Table.cell_float ~decimals:2 o.C.mp_power;
-          Table.cell_float ~decimals:1 o.C.power_saving_pct;
-          string_of_int o.C.phase_flips; string_of_int o.C.duplicated_gates; o.C.ladder;
-          string_of_int o.C.bdd_nodes;
-          Table.cell_float ~decimals:2 o.C.runtime_s ])
-    outcomes;
-  Table.print t;
-  if json then begin
-    let oc = open_out "BENCH_corpus.json" in
-    output_string oc (C.bench_json ~manifest:m.C.name ~jobs:1 outcomes);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote BENCH_corpus.json\n"
   end

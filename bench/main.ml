@@ -878,7 +878,6 @@ let all () =
   Experiments.ablation ();
   Experiments.sim_compile ();
   Experiments.reorder ();
-  Experiments.corpus_sweep ();
   service_throughput ();
   service_loadgen ();
   parallel_bench ();
@@ -916,7 +915,6 @@ let () =
       ("ablation", Experiments.ablation);
       ("sim", fun () -> Experiments.sim_compile ~quick:is_quick ~json ());
       ("reorder", fun () -> Experiments.reorder ~quick:is_quick ~json ());
-      ("corpus", fun () -> Experiments.corpus_sweep ~quick:is_quick ~json ());
       ("service", fun () -> service_throughput ~quick:is_quick ~json ());
       ("loadgen", fun () -> service_loadgen ~quick:is_quick ~json ());
       ("parallel", fun () -> parallel_bench ~quick:is_quick ~json ());

@@ -4,7 +4,7 @@
      dominoflow run --profile apex7 [--timed]
      dominoflow run --file design.dln --input-prob 0.5
      dominoflow estimate --file design.dln --phases "+-+"
-     dominoflow generate --profile frg1 > frg1.dln
+     dominoflow workload --emit frg1 --format dln > frg1.dln
      dominoflow table1 / table2 *)
 
 open Cmdliner
@@ -168,38 +168,22 @@ let reorder_passes_arg =
     & opt int Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
     & info [ "reorder-passes" ] ~docv:"N" ~doc)
 
-let sim_backend_arg =
-  let doc =
-    "Monte-Carlo simulation backend: $(b,interp) walks the netlist event queue \
-     cycle by cycle, $(b,compiled) (default) lowers the block once to a flat \
-     bit-parallel instruction tape that evaluates 63 cycles per pass. Both \
-     backends produce bit-identical activity counts for equal seeds."
-  in
-  let sb_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dpa_sim.Backend.of_string s with
-          | Some b -> Ok b
-          | None ->
-            Error (`Msg (Printf.sprintf "invalid sim backend %S (interp|compiled)" s))),
-        fun fmt b -> Format.pp_print_string fmt (Dpa_sim.Backend.to_string b) )
-  in
-  Arg.(
-    value
-    & opt sb_conv Dpa_sim.Backend.default
-    & info [ "sim-backend" ] ~docv:"BACKEND" ~doc)
-
-let budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes =
+let budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes =
   match max_bdd_nodes, deadline with
-  | None, None when sim_backend = Dpa_sim.Backend.default -> None
+  | None, None -> None
   | _ ->
     Some
       { Dpa_power.Engine.default_budget with
         Dpa_power.Engine.max_bdd_nodes;
         deadline_s = deadline;
         fallback;
-        sim_backend;
         reorder_passes }
+
+(* the optimized netlist's phase assignment: all positive, or the
+   --phases string *)
+let assignment_of ~net = function
+  | None -> Ok (Phase.all_positive (Netlist.num_outputs net))
+  | Some s -> Phase.of_string ~num_outputs:(Netlist.num_outputs net) s
 
 (* ---- run ---- *)
 
@@ -216,7 +200,7 @@ let run_cmd =
     Arg.(value & flag & info [ "two-level" ] ~doc)
   in
   let action file profile input_prob timed seed sequential two_level max_bdd_nodes
-      deadline fallback reorder_passes sim_backend jobs trace metrics =
+      deadline fallback reorder_passes jobs trace metrics =
     if input_prob < 0.0 || input_prob > 1.0 then
       `Error (false, "--input-prob must lie in [0,1]")
     else begin
@@ -229,7 +213,7 @@ let run_cmd =
           seed;
           pair_limit = pair_limit_of ~profile;
           timing = (if timed then Some Flow.default_timing else None);
-          budget = budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes;
+          budget = budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes;
           par = Some pool }
       in
       if sequential then begin
@@ -287,8 +271,7 @@ let run_cmd =
       ret
         (const action $ file_arg $ profile_arg $ input_prob_arg $ timed_arg $ seed_arg
         $ sequential_arg $ two_level_arg $ max_bdd_nodes_arg $ deadline_arg
-        $ fallback_arg $ reorder_passes_arg $ sim_backend_arg
-        $ jobs_arg $ trace_arg $ metrics_arg))
+        $ fallback_arg $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
 
 (* ---- estimate ---- *)
 
@@ -302,7 +285,7 @@ let estimate_cmd =
     Arg.(value & opt (some int) None & info [ "simulate" ] ~docv:"CYCLES" ~doc)
   in
   let action file profile input_prob phases cycles max_bdd_nodes deadline fallback
-      reorder_passes sim_backend jobs trace metrics =
+      reorder_passes jobs trace metrics =
     guard @@ fun () ->
     with_obs ~trace ~metrics @@ fun () ->
     with_par ~jobs @@ fun pool ->
@@ -310,21 +293,7 @@ let estimate_cmd =
     | Error msg -> `Error (false, msg)
     | Ok raw ->
       let net = Dpa_synth.Opt.optimize raw in
-      let n = Netlist.num_outputs net in
-      let assignment =
-        match phases with
-        | None -> Ok (Phase.all_positive n)
-        | Some s when String.length s = n ->
-          let ok = String.for_all (fun c -> c = '+' || c = '-') s in
-          if ok then
-            Ok (Array.init n (fun k -> if s.[k] = '-' then Phase.Negative else Phase.Positive))
-          else Error "phase string may contain only '+' and '-'"
-        | Some s ->
-          Error
-            (Printf.sprintf "phase string %S has %d characters for %d outputs" s
-               (String.length s) n)
-      in
-      (match assignment with
+      (match assignment_of ~net phases with
       | Error msg -> `Error (false, msg)
       | Ok assignment ->
         let input_probs = Array.make (Netlist.num_inputs net) input_prob in
@@ -333,7 +302,7 @@ let estimate_cmd =
         in
         let est =
           Dpa_power.Engine.estimate ~par:pool
-            ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes)
+            ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes)
             ~input_probs mapped
         in
         let r = est.Dpa_power.Engine.report in
@@ -360,8 +329,7 @@ let estimate_cmd =
           let rng = Dpa_util.Rng.create 1 in
           let m =
             Dpa_power.Estimate.of_activity mapped
-              (Dpa_sim.Simulator.measure ~backend:sim_backend ~cycles:c rng ~input_probs
-                 mapped)
+              (Dpa_sim.Simulator.measure ~cycles:c rng ~input_probs mapped)
           in
           Printf.printf "  simulated (%d cycles) %9.4f\n" c
             m.Dpa_power.Estimate.total
@@ -374,15 +342,14 @@ let estimate_cmd =
       ret
         (const action $ file_arg $ profile_arg $ input_prob_arg $ phases_arg $ cycles_arg
         $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
-        $ reorder_passes_arg $ sim_backend_arg $ jobs_arg $ trace_arg $ metrics_arg))
+        $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
 
 (* ---- validate ---- *)
 
 (* Cross-check the analytic engine estimate against a Monte-Carlo
    measurement of the same mapped block. The simulated number is the
    ground truth the whole estimation stack approximates, so this is the
-   end-to-end validation path for both the engine and the simulation
-   backends. *)
+   end-to-end validation path for the engine. *)
 let validate_cmd =
   let phases_arg =
     let doc = "Explicit phase string, e.g. \"+-+\" (default all positive)." in
@@ -395,11 +362,11 @@ let validate_cmd =
     in
     Arg.(
       value
-      & opt int Dpa_sim.Backend.default_cycles
+      & opt int Dpa_sim.Compiled.default_cycles
       & info [ "cycles" ] ~docv:"N" ~doc)
   in
-  let action file profile input_prob phases cycles seed sim_backend max_bdd_nodes
-      deadline fallback reorder_passes jobs trace metrics =
+  let action file profile input_prob phases cycles seed max_bdd_nodes deadline fallback
+      reorder_passes jobs trace metrics =
     if cycles < 1 then `Error (false, "--cycles must be >= 1")
     else begin
       guard @@ fun () ->
@@ -409,22 +376,7 @@ let validate_cmd =
       | Error msg -> `Error (false, msg)
       | Ok raw ->
         let net = Dpa_synth.Opt.optimize raw in
-        let n = Netlist.num_outputs net in
-        let assignment =
-          match phases with
-          | None -> Ok (Phase.all_positive n)
-          | Some s when String.length s = n ->
-            if String.for_all (fun c -> c = '+' || c = '-') s then
-              Ok
-                (Array.init n (fun k ->
-                     if s.[k] = '-' then Phase.Negative else Phase.Positive))
-            else Error "phase string may contain only '+' and '-'"
-          | Some s ->
-            Error
-              (Printf.sprintf "phase string %S has %d characters for %d outputs" s
-                 (String.length s) n)
-        in
-        (match assignment with
+        (match assignment_of ~net phases with
         | Error msg -> `Error (false, msg)
         | Ok assignment ->
           let input_probs = Array.make (Netlist.num_inputs net) input_prob in
@@ -433,15 +385,14 @@ let validate_cmd =
           in
           let est =
             Dpa_power.Engine.estimate ~par:pool
-              ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend ~reorder_passes)
+              ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes)
               ~input_probs mapped
           in
           let estimated = est.Dpa_power.Engine.report.Dpa_power.Estimate.total in
           let rng = Dpa_util.Rng.create seed in
           let measured =
             Dpa_power.Estimate.of_activity mapped
-              (Dpa_sim.Simulator.measure ~backend:sim_backend ~cycles rng ~input_probs
-                 mapped)
+              (Dpa_sim.Simulator.measure ~cycles rng ~input_probs mapped)
           in
           let simulated = measured.Dpa_power.Estimate.total in
           let rel =
@@ -456,9 +407,7 @@ let validate_cmd =
               (Dpa_power.Engine.degradation_to_string
                  est.Dpa_power.Engine.degradation);
           Printf.printf "  estimated total      %10.4f\n" estimated;
-          Printf.printf "  simulated total      %10.4f   (%s backend, %d cycles, seed %d)\n"
-            simulated
-            (Dpa_sim.Backend.to_string sim_backend)
+          Printf.printf "  simulated total      %10.4f   (%d cycles, seed %d)\n" simulated
             cycles seed;
           Printf.printf "  relative gap         %9.2f%%\n" rel;
           `Ok ())
@@ -466,39 +415,14 @@ let validate_cmd =
   in
   let doc =
     "Validate the analytic power estimate against a Monte-Carlo simulation of the \
-     mapped block (selectable backend, deterministic seed)."
+     mapped block (deterministic seed)."
   in
   Cmd.v (Cmd.info "validate" ~doc)
     Term.(
       ret
         (const action $ file_arg $ profile_arg $ input_prob_arg $ phases_arg $ cycles_arg
-        $ seed_arg $ sim_backend_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
+        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
         $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
-
-(* ---- generate ---- *)
-
-let generate_cmd =
-  let action profile =
-    match Dpa_workload.Profiles.find profile with
-    | None ->
-      `Error
-        ( false,
-          Printf.sprintf "unknown profile %S (available: %s)" profile
-            (String.concat ", " Dpa_workload.Profiles.names) )
-    | Some p when Dpa_workload.Profiles.is_sequential p ->
-      `Error
-        ( false,
-          Printf.sprintf "profile %S is sequential; use `dominoflow workload --emit`"
-            profile )
-    | Some p ->
-      print_string (Dpa_logic.Io.to_string (Dpa_workload.Profiles.build_comb p));
-      `Ok ()
-  in
-  let profile_pos =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PROFILE")
-  in
-  let doc = "Emit a benchmark profile's netlist in .dln format on stdout." in
-  Cmd.v (Cmd.info "generate" ~doc) Term.(ret (const action $ profile_pos))
 
 (* ---- info ---- *)
 
@@ -707,12 +631,8 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "cache-snapshot" ] ~docv:"PATH" ~doc)
   in
-  let no_cache_arg =
-    let doc = "Disable the result cache (same as --cache-mb 0)." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
-  in
   let action socket workers jobs queue_capacity max_request_bytes cache_mb cache_entries
-      cache_snapshot no_cache fault fault_seed trace metrics =
+      cache_snapshot fault fault_seed trace metrics =
     if workers < 1 then `Error (false, "--workers must be >= 1")
     else if queue_capacity < 1 then `Error (false, "--queue-capacity must be >= 1")
     else if max_request_bytes < 1 then `Error (false, "--max-request-bytes must be >= 1")
@@ -753,7 +673,7 @@ let serve_cmd =
             jobs;
             queue_capacity;
             max_request_bytes;
-            cache_mb = (if no_cache then 0 else cache_mb);
+            cache_mb;
             cache_entries;
             cache_snapshot;
           };
@@ -776,7 +696,7 @@ let serve_cmd =
       ret
         (const action $ socket_req_arg $ workers_arg $ serve_jobs_arg $ queue_arg
        $ max_request_bytes_arg $ cache_mb_arg $ cache_entries_arg $ cache_snapshot_arg
-       $ no_cache_arg $ fault_arg $ fault_seed_arg $ trace_arg $ metrics_arg))
+       $ fault_arg $ fault_seed_arg $ trace_arg $ metrics_arg))
 
 (* Request construction shared by submit and batch: one CLI-side source
    of truth for turning flags into protocol envelopes. *)
@@ -802,7 +722,6 @@ let build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cach
           Protocol.max_bdd_nodes = b.Dpa_power.Engine.max_bdd_nodes;
           deadline_s = b.Dpa_power.Engine.deadline_s;
           fallback = b.Dpa_power.Engine.fallback;
-          sim_backend = b.Dpa_power.Engine.sim_backend;
         })
       budget
   in
@@ -860,12 +779,12 @@ let submit_cmd =
     Arg.(value & opt int 0 & info [ "id" ] ~docv:"N" ~doc)
   in
   let action socket cmd id file inline input_prob phases seed max_bdd_nodes deadline
-      fallback sim_backend cache =
+      fallback cache =
     guard @@ fun () ->
     (* the wire protocol does not carry reorder passes; the server
        estimates under the engine default *)
     let budget =
-      budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend
+      budget_of ~max_bdd_nodes ~deadline ~fallback
         ~reorder_passes:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
     in
     match build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cache with
@@ -899,8 +818,7 @@ let submit_cmd =
             value
             & opt (some string) None
             & info [ "phases" ] ~docv:"PHASES" ~doc:"Explicit phase string (estimate).")
-        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ sim_backend_arg
-        $ cache_arg))
+        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ cache_arg))
 
 let batch_cmd =
   let jobs_arg =
@@ -939,10 +857,10 @@ let batch_cmd =
     Arg.(value & opt int 3 & info [ "retries" ] ~docv:"K" ~doc)
   in
   let action socket workers request_jobs retries jobs files cmd repeat inline input_prob
-      phases seed max_bdd_nodes deadline fallback sim_backend cache =
+      phases seed max_bdd_nodes deadline fallback cache =
     guard @@ fun () ->
     let budget =
-      budget_of ~max_bdd_nodes ~deadline ~fallback ~sim_backend
+      budget_of ~max_bdd_nodes ~deadline ~fallback
         ~reorder_passes:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
     in
     let with_id i json =
@@ -1075,8 +993,7 @@ let batch_cmd =
             value
             & opt (some string) None
             & info [ "phases" ] ~docv:"PHASES" ~doc:"Explicit phase string (estimate).")
-        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ sim_backend_arg
-        $ cache_arg))
+        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ cache_arg))
 
 let chaos_cmd =
   let requests_arg =
@@ -1262,19 +1179,6 @@ let corpus_cmd =
     in
     Arg.(value & opt (some fb_conv) None & info [ "fallback" ] ~docv:"POLICY" ~doc)
   in
-  let sim_backend_opt_arg =
-    let doc = "Override the Monte-Carlo backend used by budgeted specs (interp|compiled)." in
-    let sb_conv =
-      Arg.conv
-        ( (fun s ->
-            match Dpa_sim.Backend.of_string s with
-            | Some b -> Ok b
-            | None ->
-              Error (`Msg (Printf.sprintf "invalid sim backend %S (interp|compiled)" s))),
-          fun fmt b -> Format.pp_print_string fmt (Dpa_sim.Backend.to_string b) )
-    in
-    Arg.(value & opt (some sb_conv) None & info [ "sim-backend" ] ~docv:"BACKEND" ~doc)
-  in
   let manifest_arg =
     let doc = "Manifest to sweep: $(b,full) (default) or $(b,smoke) (CI-size)." in
     Arg.(value & opt string "full" & info [ "manifest" ] ~docv:"NAME" ~doc)
@@ -1303,7 +1207,7 @@ let corpus_cmd =
     Arg.(value & opt float 10.0 & info [ "perf-slack" ] ~docv:"X" ~doc)
   in
   let action manifest only update baseline_dir out perf_slack max_bdd_nodes deadline
-      fallback sim_backend jobs trace metrics =
+      fallback jobs trace metrics =
     guard @@ fun () ->
     match C.manifest_of_string manifest with
     | None ->
@@ -1333,10 +1237,7 @@ let corpus_cmd =
         List.map
           (fun spec ->
             let name = spec.C.profile.Dpa_workload.Profiles.name in
-            let budget =
-              C.merge_budget spec ~max_bdd_nodes ~deadline_s:deadline ~fallback
-                ~sim_backend
-            in
+            let budget = C.merge_budget spec ~max_bdd_nodes ~deadline_s:deadline ~fallback in
             let o = C.run_spec ~par:pool ?budget spec in
             Printf.printf
               "%-14s %6d gates  MA %8.2f  MP %8.2f  (%+5.1f%% power, %+5.1f%% area)  \
@@ -1386,8 +1287,8 @@ let corpus_cmd =
   Cmd.v (Cmd.info "corpus" ~doc)
     Term.(
       const action $ manifest_arg $ only_arg $ update_arg $ baseline_dir_arg $ out_arg
-      $ perf_slack_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_opt_arg
-      $ sim_backend_opt_arg $ jobs_arg $ trace_arg $ metrics_arg)
+      $ perf_slack_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_opt_arg $ jobs_arg
+      $ trace_arg $ metrics_arg)
 
 (* ---- tables ---- *)
 
@@ -1431,6 +1332,6 @@ let () =
   let doc = "automated phase assignment for low power domino circuits" in
   let info = Cmd.info "dominoflow" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
-       [ run_cmd; estimate_cmd; validate_cmd; generate_cmd; info_cmd; equiv_cmd;
+       [ run_cmd; estimate_cmd; validate_cmd; info_cmd; equiv_cmd;
          mfvs_cmd; workload_cmd; corpus_cmd; table1_cmd; table2_cmd; serve_cmd;
          submit_cmd; batch_cmd; chaos_cmd ]))

@@ -14,7 +14,6 @@ type budget = {
   sim_halfwidth : float;
   sim_confidence : float;
   sim_seed : int;
-  sim_backend : Dpa_sim.Backend.t;
   reorder_passes : int;
 }
 
@@ -26,13 +25,11 @@ let default_budget =
     sim_halfwidth = 0.01;
     sim_confidence = 0.95;
     sim_seed = 1;
-    sim_backend = Dpa_sim.Backend.default;
     reorder_passes = 2;
   }
 
-let bounded ?max_bdd_nodes ?deadline_s ?(fallback = Simulate)
-    ?(sim_backend = Dpa_sim.Backend.default) () =
-  { default_budget with max_bdd_nodes; deadline_s; fallback; sim_backend }
+let bounded ?max_bdd_nodes ?deadline_s ?(fallback = Simulate) () =
+  { default_budget with max_bdd_nodes; deadline_s; fallback }
 
 let is_unbounded b = b.max_bdd_nodes = None && b.deadline_s = None
 
@@ -444,16 +441,11 @@ let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
       Dpa_util.Cancel.check cancel;
       let cycles = sim_cycles_of budget in
       Trace.instant "engine.ladder.sim"
-        ~args:
-          [
-            ("cycles", Trace.Int cycles);
-            ("cones", Trace.Int n_failed);
-            ("backend", Trace.Str (Dpa_sim.Backend.to_string budget.sim_backend));
-          ];
+        ~args:[ ("cycles", Trace.Int cycles); ("cones", Trace.Int n_failed) ];
       Metrics.add c_sim_cycles cycles;
       let act =
-        Dpa_sim.Simulator.measure ~backend:budget.sim_backend ~cycles ~cancel
-          (Dpa_util.Rng.create budget.sim_seed) ~input_probs mapped
+        Dpa_sim.Simulator.measure ~cycles ~cancel (Dpa_util.Rng.create budget.sim_seed)
+          ~input_probs mapped
       in
       Array.iteri
         (fun i p ->
@@ -506,23 +498,6 @@ let estimate ?par ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none) ~i
 (* ------------------------------------------------------------------ *)
 (* Netlist-level node probabilities under the same ladder               *)
 (* ------------------------------------------------------------------ *)
-
-let mc_netlist_probabilities ~backend ~cycles ~seed ~cancel ~input_probs net =
-  let rng = Dpa_util.Rng.create seed in
-  match backend with
-  | Dpa_sim.Backend.Compiled ->
-    Dpa_sim.Compiled.node_probabilities ~cycles ~cancel rng ~input_probs
-      (Dpa_sim.Compiled.of_netlist net)
-  | Dpa_sim.Backend.Interp ->
-    let n = Netlist.size net in
-    let counts = Array.make n 0 in
-    for cycle = 1 to cycles do
-      if cycle land 63 = 0 then Dpa_util.Cancel.check cancel;
-      let vec = Array.map (fun p -> Dpa_util.Rng.bernoulli rng p) input_probs in
-      let values = Dpa_logic.Eval.all_nodes net vec in
-      Array.iteri (fun i v -> if v then counts.(i) <- counts.(i) + 1) values
-    done;
-    Array.map (fun c -> float_of_int c /. float_of_int cycles) counts
 
 let node_probabilities ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none)
     ~input_probs net =
@@ -587,9 +562,8 @@ let node_probabilities ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.non
                  context = "netlist probability build (fallback insufficient)";
                });
         tag Simulated;
-        Trace.add_args
-          [ ("backend", Trace.Str (Dpa_sim.Backend.to_string budget.sim_backend)) ];
-        (mc_netlist_probabilities ~backend:budget.sim_backend
-           ~cycles:(sim_cycles_of budget) ~seed:budget.sim_seed ~cancel ~input_probs net,
-         Simulated))
+        ( Dpa_sim.Compiled.node_probabilities ~cycles:(sim_cycles_of budget) ~cancel
+            (Dpa_util.Rng.create budget.sim_seed) ~input_probs
+            (Dpa_sim.Compiled.of_netlist net),
+          Simulated ))
   end

@@ -46,10 +46,6 @@ type budget = {
   sim_seed : int;
       (** deterministic simulator seed — identical inputs give identical
           fallback numbers, which keeps greedy phase search monotone *)
-  sim_backend : Dpa_sim.Backend.t;
-      (** how the Monte-Carlo rung evaluates the netlist; both backends
-          are bit-identical for equal seeds ({!Dpa_sim.Backend}), so
-          this only trades speed *)
   reorder_passes : int;
       (** reorder-rung effort in sift passes ({!node_probabilities}:
           hill-climb passes); [0] disables the rung *)
@@ -57,16 +53,9 @@ type budget = {
 
 val default_budget : budget
 (** Unlimited resources, [Simulate] fallback, 1% half-width at 95%
-    confidence, seed 1, the default simulation backend
-    ({!Dpa_sim.Backend.default}), 2 reorder passes. *)
+    confidence, seed 1, 2 reorder passes. *)
 
-val bounded :
-  ?max_bdd_nodes:int ->
-  ?deadline_s:float ->
-  ?fallback:fallback ->
-  ?sim_backend:Dpa_sim.Backend.t ->
-  unit ->
-  budget
+val bounded : ?max_bdd_nodes:int -> ?deadline_s:float -> ?fallback:fallback -> unit -> budget
 (** [default_budget] with the given limits installed. *)
 
 val is_unbounded : budget -> bool
@@ -176,7 +165,8 @@ val node_probabilities :
     under the same ladder — the budgeted replacement for
     {!Dpa_bdd.Build.probabilities} used for phase-search base
     probabilities. The netlist has a single shared build, so the method is
-    whole-netlist rather than per-cone; the simulation rung evaluates the
-    netlist directly under Bernoulli input vectors.
+    whole-netlist rather than per-cone; the simulation rung runs the
+    netlist's own compiled tape ({!Dpa_sim.Compiled.of_netlist}) from
+    [sim_seed] under Bernoulli input vectors.
 
     @raise Dpa_util.Dpa_error.Error as {!estimate}. *)

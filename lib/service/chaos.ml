@@ -87,7 +87,6 @@ let request_lines ~rng ~requests ~deadline_every netlist =
                   Protocol.max_bdd_nodes = Some 20000;
                   deadline_s = Some 0.05;
                   fallback = Dpa_power.Engine.Simulate;
-                  sim_backend = Dpa_sim.Backend.default;
                 }
             else None
           in

@@ -19,22 +19,8 @@ let load = function
 
 let engine_budget = function
   | None -> None
-  | Some { Protocol.max_bdd_nodes; deadline_s; fallback; sim_backend } ->
-    Some
-      { Engine.default_budget with Engine.max_bdd_nodes; deadline_s; fallback; sim_backend }
-
-let assignment_of ~n = function
-  | None -> Phase.all_positive n
-  | Some s when String.length s = n && String.for_all (fun c -> c = '+' || c = '-') s ->
-    Array.init n (fun k -> if s.[k] = '-' then Phase.Negative else Phase.Positive)
-  | Some s when String.length s <> n ->
-    Dpa_error.error
-      (Dpa_error.Invalid_input
-         (Printf.sprintf "phase string %S has %d characters for %d outputs" s
-            (String.length s) n))
-  | Some _ ->
-    Dpa_error.error
-      (Dpa_error.Invalid_input "phase string may contain only '+' and '-'")
+  | Some { Protocol.max_bdd_nodes; deadline_s; fallback } ->
+    Some { Engine.default_budget with Engine.max_bdd_nodes; deadline_s; fallback }
 
 (* ------------------------------------------------------------------ *)
 (* Handlers                                                             *)
@@ -61,7 +47,14 @@ let estimate ?par ?cancel ~source ~input_prob ~phases ~budget () =
      phase assignment inverter-free, map, price through the engine *)
   let net = Dpa_synth.Opt.optimize (load source) in
   let n = Netlist.num_outputs net in
-  let assignment = assignment_of ~n phases in
+  let assignment =
+    match phases with
+    | None -> Phase.all_positive n
+    | Some s -> (
+      match Phase.of_string ~num_outputs:n s with
+      | Ok a -> a
+      | Error msg -> Dpa_error.error (Dpa_error.Invalid_input msg))
+  in
   let input_probs = Array.make (Netlist.num_inputs net) input_prob in
   let mapped = Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net assignment) in
   let est = Engine.estimate ?par ?budget:(engine_budget budget) ?cancel ~input_probs mapped in

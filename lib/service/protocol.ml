@@ -10,7 +10,6 @@ type budget_opts = {
   max_bdd_nodes : int option;
   deadline_s : float option;
   fallback : Engine.fallback;
-  sim_backend : Dpa_sim.Backend.t;
 }
 
 type request =
@@ -82,10 +81,6 @@ let budget_fields = function
       | Some s -> [ ("deadline_s", Jsonlite.Num s) ]
       | None -> [])
     @ [ ("fallback", Jsonlite.Str (Engine.fallback_to_string b.fallback)) ]
-    (* emitted only when non-default, so pre-existing recorded request
-       lines stay byte-identical *)
-    @ (if b.sim_backend = Dpa_sim.Backend.default then []
-       else [ ("sim_backend", Jsonlite.Str (Dpa_sim.Backend.to_string b.sim_backend)) ])
 
 let request_to_json { id; request; cache } =
   let base = [ ("id", Jsonlite.Num (float_of_int id)); ("cmd", Jsonlite.Str (cmd_name request)) ] in
@@ -185,18 +180,8 @@ let budget_of json =
       | None -> invalid (Printf.sprintf "unknown fallback %S (none|reorder|sim)" s))
     | Some _ -> invalid "field \"fallback\" must be a string"
   in
-  let* sim_backend =
-    match Jsonlite.member_opt "sim_backend" json with
-    | None -> Ok Dpa_sim.Backend.default
-    | Some (Jsonlite.Str s) -> (
-      match Dpa_sim.Backend.of_string s with
-      | Some b -> Ok b
-      | None -> invalid (Printf.sprintf "unknown sim_backend %S (interp|compiled)" s))
-    | Some _ -> invalid "field \"sim_backend\" must be a string"
-  in
-  if max_bdd_nodes = None && deadline_s = None && sim_backend = Dpa_sim.Backend.default
-  then Ok None
-  else Ok (Some { max_bdd_nodes; deadline_s; fallback; sim_backend })
+  if max_bdd_nodes = None && deadline_s = None then Ok None
+  else Ok (Some { max_bdd_nodes; deadline_s; fallback })
 
 let input_prob_of json =
   let* p = field_float ~default:0.5 json "input_prob" in

@@ -14,17 +14,18 @@
      "input_prob": 0.5, "phases": "+-+",
      "max_bdd_nodes": 20000, "deadline_s": 1.5,
      "fallback": "none" | "reorder" | "sim",
-     "sim_backend": "interp" | "compiled",
      "seed": 1,                              -- optimize / compare
      "cache": "use" | "bypass"}              -- result-cache control
     v}
     [cmd] is one of [ping], [info], [estimate], [optimize], [compare],
-    [stats], [shutdown]. Responses are [{"id": n, "ok": true, "cmd": c,
-    "result": {...}}] or [{"id": n, "ok": false, "error": {"kind": k,
-    "message": m, "exit_code": c}}] with [kind]/[exit_code] following
-    the {!Dpa_util.Dpa_error} taxonomy — a malformed or unexecutable
-    request produces a structured error response, never a dead worker.
-    An [overloaded] error additionally carries [retry_after_ms].
+    [stats], [shutdown]. Fields outside the schema are ignored, so a
+    field an older client still sends never fails a request. Responses
+    are [{"id": n, "ok": true, "cmd": c, "result": {...}}] or
+    [{"id": n, "ok": false, "error": {"kind": k, "message": m,
+    "exit_code": c}}] with [kind]/[exit_code] following the
+    {!Dpa_util.Dpa_error} taxonomy — a malformed or unexecutable request
+    produces a structured error response, never a dead worker. An
+    [overloaded] error additionally carries [retry_after_ms].
 
     [cache] (default ["use"]) controls the server's result cache
     ([Rescache]): ["bypass"] forces the cold execution path — the cache
@@ -43,15 +44,12 @@ type source =
   | File of string
   | Inline of { text : string; format : [ `Blif | `Dln ] }
 
+(** A request's resource budget; [None] in a request when it names
+    neither [max_bdd_nodes] nor [deadline_s]. *)
 type budget_opts = {
   max_bdd_nodes : int option;
   deadline_s : float option;
   fallback : Dpa_power.Engine.fallback;
-  sim_backend : Dpa_sim.Backend.t;
-      (** Monte-Carlo rung backend; wire field [sim_backend]
-          (["interp"] | ["compiled"]), omitted when equal to
-          {!Dpa_sim.Backend.default} so default-budget request lines are
-          unchanged from earlier protocol revisions *)
 }
 
 type request =

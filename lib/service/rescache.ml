@@ -220,12 +220,11 @@ let key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget =
   | Some s -> Buffer.add_string b (Printf.sprintf "|seed:%d" s));
   (match (budget : Protocol.budget_opts option) with
   | None -> Buffer.add_string b "|b:-"
-  | Some { Protocol.max_bdd_nodes; deadline_s = _; fallback; sim_backend } ->
+  | Some { Protocol.max_bdd_nodes; deadline_s = _; fallback } ->
     Buffer.add_string b
-      (Printf.sprintf "|b:%s:%s:%s"
+      (Printf.sprintf "|b:%s:%s"
          (match max_bdd_nodes with None -> "-" | Some n -> string_of_int n)
-         (Dpa_power.Engine.fallback_to_string fallback)
-         (Dpa_sim.Backend.to_string sim_backend)));
+         (Dpa_power.Engine.fallback_to_string fallback)));
   Buffer.contents b
 
 let key (request : Protocol.request) =

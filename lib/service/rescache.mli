@@ -14,8 +14,7 @@
     - the netlist {e name}, for [compare] only (its response echoes the
       name as [circuit]; [estimate]/[optimize] responses do not);
     - the request parameters: command, [input_prob] (exact float bits),
-      [phases], [seed], and the budget's [max_bdd_nodes] / [fallback] /
-      [sim_backend].
+      [phases], [seed], and the budget's [max_bdd_nodes] / [fallback].
 
     The worker's intra-request pool width is {e not} part of the key:
     the engine answers byte-identically with no pool and at every

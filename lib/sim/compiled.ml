@@ -206,13 +206,15 @@ let exec code regs ~mask =
 (* Bit-parallel measurement                                            *)
 (* ------------------------------------------------------------------ *)
 
+let default_cycles = 10_000
+
 type counts = {
   fire : int array;  (** cycles each node evaluated to 1 *)
   source_toggles : int array;  (** toggles per original primary input *)
   cycles : int;
 }
 
-let measure_counts ?(cycles = Backend.default_cycles) ?(cancel = Dpa_util.Cancel.none) rng
+let measure_counts ?(cycles = default_cycles) ?(cancel = Dpa_util.Cancel.none) rng
     ~input_probs prog =
   if cycles <= 0 then invalid_arg "Compiled.measure_counts: cycles must be positive";
   let n_pi = Array.length input_probs in

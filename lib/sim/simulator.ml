@@ -13,17 +13,9 @@ type activity = {
 }
 
 (* eager registration — forcing a [lazy] cell from two domains races *)
-let g_interp_cps =
-  Metrics.gauge ~help:"interpreter backend throughput, simulated cycles per second"
-    "sim.interp.cycles_per_sec"
-
 let g_compiled_cps =
-  Metrics.gauge ~help:"compiled backend throughput, simulated cycles per second"
+  Metrics.gauge ~help:"compiled simulator throughput, simulated cycles per second"
     "sim.compiled.cycles_per_sec"
-
-let publish_cps gauge ~cycles ~since =
-  let dt = Clock.elapsed_ns ~since in
-  if dt > 0 then Metrics.set gauge (float_of_int cycles *. 1e9 /. float_of_int dt)
 
 let literal_vector lits pi_vec =
   Array.map
@@ -33,15 +25,34 @@ let literal_vector lits pi_vec =
       | Inverterless.Neg -> not pi_vec.(opos))
     lits
 
-let interp_measure ~cycles ~cancel rng ~input_probs mapped =
+let activity_of_counts ~cycles ~fire_counts ~pi_toggles =
+  let fc = float_of_int cycles in
+  let node_probs = Array.map (fun c -> float_of_int c /. fc) fire_counts in
+  let input_toggles = Array.map (fun c -> float_of_int c /. fc) pi_toggles in
+  { node_probs; input_toggles; cycles; fire_counts }
+
+let measure ?(cycles = Compiled.default_cycles) ?(cancel = Dpa_util.Cancel.none) rng
+    ~input_probs mapped =
+  if cycles <= 0 then invalid_arg "Simulator.measure: cycles must be positive";
+  let prog = Compiled.of_block mapped in
+  Trace.with_span "sim.run"
+    ~args:[ ("cycles", Trace.Int cycles); ("nodes", Trace.Int (Compiled.n_nodes prog)) ]
+  @@ fun () ->
+  let since = Clock.now_ns () in
+  let counts = Compiled.measure_counts ~cycles ~cancel rng ~input_probs prog in
+  let dt = Clock.elapsed_ns ~since in
+  if dt > 0 then Metrics.set g_compiled_cps (float_of_int cycles *. 1e9 /. float_of_int dt);
+  activity_of_counts ~cycles ~fire_counts:counts.Compiled.fire
+    ~pi_toggles:counts.Compiled.source_toggles
+
+let measure_reference ?(cycles = Compiled.default_cycles) rng ~input_probs mapped =
+  if cycles <= 0 then invalid_arg "Simulator.measure_reference: cycles must be positive";
   let net = Mapped.net mapped in
   let lits = Mapped.literals mapped in
-  let n = Netlist.size net in
-  let fire_counts = Array.make n 0 in
+  let fire_counts = Array.make (Netlist.size net) 0 in
   let pi_toggles = Array.make (Array.length input_probs) 0 in
   let prev_pi = ref None in
-  for cycle = 1 to cycles do
-    if cycle land 63 = 0 then Dpa_util.Cancel.check cancel;
+  for _ = 1 to cycles do
     let pi_vec = Array.map (fun p -> Dpa_util.Rng.bernoulli rng p) input_probs in
     (match !prev_pi with
     | Some prev ->
@@ -51,44 +62,7 @@ let interp_measure ~cycles ~cancel rng ~input_probs mapped =
     let values = Dpa_logic.Eval.all_nodes net (literal_vector lits pi_vec) in
     Array.iteri (fun i v -> if v then fire_counts.(i) <- fire_counts.(i) + 1) values
   done;
-  (fire_counts, pi_toggles)
-
-let activity_of_counts ~cycles ~fire_counts ~pi_toggles =
-  let fc = float_of_int cycles in
-  let node_probs = Array.map (fun c -> float_of_int c /. fc) fire_counts in
-  let input_toggles = Array.map (fun c -> float_of_int c /. fc) pi_toggles in
-  { node_probs; input_toggles; cycles; fire_counts }
-
-let measure_compiled ?(cycles = Backend.default_cycles) ?(cancel = Dpa_util.Cancel.none) rng
-    ~input_probs prog =
-  Trace.with_span "sim.run"
-    ~args:
-      [
-        ("backend", Trace.Str "compiled");
-        ("cycles", Trace.Int cycles);
-        ("nodes", Trace.Int (Compiled.n_nodes prog));
-      ]
-  @@ fun () ->
-  let since = Clock.now_ns () in
-  let counts = Compiled.measure_counts ~cycles ~cancel rng ~input_probs prog in
-  publish_cps g_compiled_cps ~cycles ~since;
-  activity_of_counts ~cycles ~fire_counts:counts.Compiled.fire
-    ~pi_toggles:counts.Compiled.source_toggles
-
-let measure ?(backend = Backend.default) ?(cycles = Backend.default_cycles)
-    ?(cancel = Dpa_util.Cancel.none) rng ~input_probs mapped =
-  if cycles <= 0 then invalid_arg "Simulator.measure: cycles must be positive";
-  match backend with
-  | Backend.Compiled ->
-    measure_compiled ~cycles ~cancel rng ~input_probs (Compiled.of_block mapped)
-  | Backend.Interp ->
-    Trace.with_span "sim.run"
-      ~args:[ ("backend", Trace.Str "interp"); ("cycles", Trace.Int cycles) ]
-    @@ fun () ->
-    let since = Clock.now_ns () in
-    let fire_counts, pi_toggles = interp_measure ~cycles ~cancel rng ~input_probs mapped in
-    publish_cps g_interp_cps ~cycles ~since;
-    activity_of_counts ~cycles ~fire_counts ~pi_toggles
+  activity_of_counts ~cycles ~fire_counts ~pi_toggles
 
 type evaluate_trace = {
   rises : int array;

@@ -23,7 +23,6 @@ type activity = {
 }
 
 val measure :
-  ?backend:Backend.t ->
   ?cycles:int ->
   ?cancel:Dpa_util.Cancel.t ->
   Dpa_util.Rng.t ->
@@ -31,21 +30,27 @@ val measure :
   Dpa_domino.Mapped.t ->
   activity
 (** Drives the block with Bernoulli vectors over the {e original} primary
-    inputs (default {!Backend.default_cycles} cycles). The measured
+    inputs (default {!Compiled.default_cycles} cycles). The measured
     activity uses the same per-node indexing as the BDD estimator, so
     the two are directly comparable once priced with the same model.
 
-    [backend] (default {!Backend.default}) selects the interpreter or
-    the bit-parallel {!Compiled} tape; both consume the same random
-    stream in the same order, so [fire_counts], [input_toggles] and the
-    derived probabilities are bit-identical across backends for equal
-    seeds. Emits a [sim.run] trace span tagged with the backend and
-    publishes a [sim.<backend>.cycles_per_sec] gauge.
+    Lowers the block to the bit-parallel {!Compiled} tape and runs it;
+    [fire_counts], [input_toggles] and the derived probabilities are
+    bit-identical to {!measure_reference} for equal seeds. Emits a
+    [sim.run] trace span and publishes the
+    [sim.compiled.cycles_per_sec] gauge.
 
-    [cancel] is polled every 64 cycles (interpreter) or once per 63-cycle
-    tape pass (compiled); a fired token raises
+    [cancel] is polled once per 63-cycle tape pass; a fired token raises
     [Dpa_error.Error (Cancelled _)]. The checks never perturb the random
-    stream, so cancellation does not break backend bit-identity. *)
+    stream. *)
+
+val measure_reference :
+  ?cycles:int -> Dpa_util.Rng.t -> input_probs:float array -> Dpa_domino.Mapped.t -> activity
+(** The executable specification of {!measure}: a cycle-at-a-time
+    interpreter, one {!Dpa_logic.Eval.all_nodes} walk per cycle over the
+    same random stream (one draw per input per cycle, inputs in
+    ascending order). The test suite and [bench sim] hold {!measure} to
+    bit-identical counts against it; no production path calls it. *)
 
 type evaluate_trace = {
   rises : int array;  (** 0→1 transitions per node during one evaluate *)

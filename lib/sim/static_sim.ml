@@ -8,8 +8,7 @@ type measurement = {
   cycles : int;
 }
 
-let measure ?(backend = Backend.default) ?(cycles = Backend.default_cycles) rng ~input_probs
-    net =
+let measure ?(cycles = Compiled.default_cycles) rng ~input_probs net =
   if cycles <= 0 then invalid_arg "Static_sim.measure: cycles must be positive";
   let ins = Netlist.inputs net in
   if Array.length input_probs <> Array.length ins then
@@ -61,20 +60,9 @@ let measure ?(backend = Backend.default) ?(cycles = Backend.default_cycles) rng 
       order;
     (* Final settled values must equal the zero-delay evaluation: the
        network is acyclic and every change re-touches its readers, so
-       quiescence is the unique fixpoint [Eval.all_nodes] computes. The
-       interpreter backend recomputes it and asserts the equality; the
-       compiled backend relies on the invariant and skips the O(n)
-       re-evaluation — the one part of this glitch model that {e can} be
-       elided without perturbing the random stream (the per-cycle
-       draw/shuffle interleaving rules out lane batching here). *)
-    let settled =
-      match backend with
-      | Backend.Compiled -> current
-      | Backend.Interp ->
-        let settled = Dpa_logic.Eval.all_nodes net next_vec in
-        assert (settled = current);
-        settled
-    in
+       quiescence is the unique fixpoint [Eval.all_nodes] computes. *)
+    let settled = Dpa_logic.Eval.all_nodes net next_vec in
+    assert (settled = current);
     Array.iteri
       (fun i v -> if is_gate.(i) && v <> !values.(i) then incr zero_delay)
       settled;

@@ -19,18 +19,17 @@ type measurement = {
 }
 
 val measure :
-  ?backend:Backend.t ->
   ?cycles:int ->
   Dpa_util.Rng.t ->
   input_probs:float array ->
   Dpa_logic.Netlist.t ->
   measurement
-(** Default {!Backend.default_cycles} cycles. Inputs are independent
+(** Default {!Compiled.default_cycles} cycles. Inputs are independent
     Bernoulli streams; each cycle the changed inputs are applied in a
     fresh random order. The network may contain any gate type.
 
-    [backend] keeps the measurement bit-identical either way: the hazard
-    model interleaves Bernoulli draws with per-cycle shuffles, which
-    rules out the lane-packed tape, so [Compiled] instead elides the
-    per-cycle zero-delay re-evaluation (the event propagation already
-    settles to the same fixpoint, asserted under [Interp]). *)
+    The hazard model interleaves Bernoulli draws with per-cycle
+    shuffles, which rules out the lane-packed tape, so this is a
+    cycle-at-a-time event walk. After each cycle it recomputes the
+    zero-delay values and asserts that the event propagation settled to
+    the same fixpoint. *)

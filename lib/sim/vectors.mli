@@ -10,7 +10,7 @@ val generate :
 
 (** {2 Bit-packed lanes}
 
-    Helpers for the {!Compiled} backend, which packs one simulation
+    Helpers for the {!Compiled} simulator, which packs one simulation
     cycle per bit ("lane") of an OCaml [int] and evaluates up to
     {!lanes} cycles per pass. *)
 

@@ -38,6 +38,15 @@ let to_string a =
   String.init (Array.length a) (fun k ->
       match a.(k) with Positive -> '+' | Negative -> '-')
 
+let of_string ~num_outputs s =
+  if String.length s <> num_outputs then
+    Error
+      (Printf.sprintf "phase string %S has %d characters for %d outputs" s (String.length s)
+         num_outputs)
+  else if String.for_all (fun c -> c = '+' || c = '-') s then
+    Ok (Array.init num_outputs (fun k -> if s.[k] = '-' then Negative else Positive))
+  else Error "phase string may contain only '+' and '-'"
+
 let equal a b = a = b
 
 let pp ppf = function

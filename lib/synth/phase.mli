@@ -33,6 +33,11 @@ val count_negative : assignment -> int
 val to_string : assignment -> string
 (** E.g. ["+-+"]. *)
 
+val of_string : num_outputs:int -> string -> (assignment, string) result
+(** Inverse of {!to_string}: one ['+'] or ['-'] per output. [Error]
+    carries a one-line message for a string of the wrong length or one
+    with any other character. *)
+
 val equal : assignment -> assignment -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -116,9 +116,9 @@ let find_spec m name =
 
 (* ---- budget merging --------------------------------------------------- *)
 
-let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback ~sim_backend =
-  match (max_bdd_nodes, deadline_s, fallback, sim_backend) with
-  | None, None, None, None -> spec.budget
+let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback =
+  match (max_bdd_nodes, deadline_s, fallback) with
+  | None, None, None -> spec.budget
   | _ ->
     let b = Option.value spec.budget ~default:Dpa_power.Engine.default_budget in
     Some
@@ -129,7 +129,6 @@ let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback ~sim_backend =
         deadline_s =
           (match deadline_s with Some _ -> deadline_s | None -> b.Dpa_power.Engine.deadline_s);
         fallback = Option.value fallback ~default:b.Dpa_power.Engine.fallback;
-        sim_backend = Option.value sim_backend ~default:b.Dpa_power.Engine.sim_backend;
       }
 
 (* ---- running one spec -------------------------------------------------- *)

@@ -65,7 +65,6 @@ val merge_budget :
   max_bdd_nodes:int option ->
   deadline_s:float option ->
   fallback:Dpa_power.Engine.fallback option ->
-  sim_backend:Dpa_sim.Backend.t option ->
   Dpa_power.Engine.budget option
 (** CLI overrides folded over the spec's own budget; all-[None] keeps the
     spec budget untouched (including [None] = unbudgeted). *)

@@ -1,11 +1,13 @@
-(* The compiled bit-parallel simulation backend. The contract under test
-   is exact equality with the interpreter — same per-node fire counts,
-   same per-input toggle counts, same probabilities — for equal seeds at
-   every cycle count, including partial final passes (cycles mod 63 ≠ 0).
-   Floats are compared through [Int64.bits_of_float]: the backends share
-   one Bernoulli stream, so "close" is not good enough. *)
+(* The compiled bit-parallel simulator. The contract under test is exact
+   equality with a cycle-at-a-time interpreter — same per-node fire
+   counts, same per-input toggle counts, same probabilities — for equal
+   seeds at every cycle count, including partial final passes
+   (cycles mod 63 ≠ 0). For mapped blocks the interpreter is
+   [Simulator.measure_reference]; for raw netlists it is a per-cycle
+   [Eval.all_nodes] walk defined here. Floats are compared through
+   [Int64.bits_of_float]: both sides share one Bernoulli stream, so
+   "close" is not good enough. *)
 
-module Backend = Dpa_sim.Backend
 module Compiled = Dpa_sim.Compiled
 module Simulator = Dpa_sim.Simulator
 module Netlist = Dpa_logic.Netlist
@@ -57,14 +59,8 @@ let prep raw =
 
 let check_identity ~name ~cycles ~seed (net, mapped) =
   let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let interp =
-    Simulator.measure ~backend:Backend.Interp ~cycles (Rng.create seed) ~input_probs
-      mapped
-  in
-  let compiled =
-    Simulator.measure ~backend:Backend.Compiled ~cycles (Rng.create seed) ~input_probs
-      mapped
-  in
+  let interp = Simulator.measure_reference ~cycles (Rng.create seed) ~input_probs mapped in
+  let compiled = Simulator.measure ~cycles (Rng.create seed) ~input_probs mapped in
   let tag = Printf.sprintf "%s@%d" name cycles in
   Alcotest.(check (array int))
     (tag ^ " fire counts")
@@ -105,6 +101,52 @@ let test_identity_many_seeds () =
   List.iter
     (fun seed -> check_identity ~name:"frg1" ~cycles:200 ~seed prepped)
     [ 1; 2; 3; 17; 123456 ]
+
+let test_engine_sim_stream () =
+  (* the exact stream the engine's sim rung consumes (budgeted
+     [estimate], [validate] and [run] alike): the budget's cycle count
+     from its seed *)
+  let budget = Engine.bounded ~max_bdd_nodes:50 () in
+  let cycles = Engine.sim_cycles_of budget in
+  List.iter
+    (fun path ->
+      check_identity ~name:(Filename.basename path) ~cycles ~seed:budget.Engine.sim_seed
+        (prep (load_blif path)))
+    [ "../data/apex7_synthetic.blif"; "../data/frg1_synthetic.blif" ]
+
+(* ---- netlist tape vs a per-cycle interpreter ---------------------- *)
+
+(* one [Eval.all_nodes] walk per cycle, drawing the inputs in ascending
+   order within the cycle — the stream order the tape packs into lanes *)
+let interp_node_probabilities ~cycles rng ~input_probs net =
+  let counts = Array.make (Netlist.size net) 0 in
+  for _ = 1 to cycles do
+    let vec = Array.map (fun p -> Rng.bernoulli rng p) input_probs in
+    Array.iteri
+      (fun i v -> if v then counts.(i) <- counts.(i) + 1)
+      (Dpa_logic.Eval.all_nodes net vec)
+  done;
+  Array.map (fun c -> float_of_int c /. float_of_int cycles) counts
+
+let test_netlist_probabilities () =
+  (* [Compiled.node_probabilities] over [of_netlist] is the sim rung of
+     [Engine.node_probabilities] (phase-search base probabilities) *)
+  List.iter
+    (fun path ->
+      let net, _ = prep (load_blif path) in
+      let prog = Compiled.of_netlist net in
+      List.iter
+        (fun p ->
+          let input_probs = Array.make (Netlist.num_inputs net) p in
+          List.iter
+            (fun cycles ->
+              check_bits_array
+                (Printf.sprintf "%s@%d p=%g" (Filename.basename path) cycles p)
+                (interp_node_probabilities ~cycles (Rng.create 11) ~input_probs net)
+                (Compiled.node_probabilities ~cycles (Rng.create 11) ~input_probs prog))
+            [ 1; 62; 63; 64; 1000 ])
+        [ 0.5; 0.3 ])
+    data_files
 
 (* ---- tape lowering ------------------------------------------------ *)
 
@@ -193,21 +235,17 @@ let test_measure_counts_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* ---- engine integration: jobs invariance and backend equality ----- *)
+(* ---- engine integration: jobs invariance -------------------------- *)
 
 let test_engine_jobs_invariance () =
   (* a node budget tight enough that cones fall through to the
-     Monte-Carlo rung, on the compiled backend: jobs=1 and jobs=4 must
-     price every node bit-identically (one whole-block stream from the
-     budget's seed). The cap bounds each shard's manager, so it must be
-     smaller than any nontrivial cone *)
+     Monte-Carlo rung: jobs=1 and jobs=4 must price every node
+     bit-identically (one whole-block stream from the budget's seed).
+     The cap bounds each shard's manager, so it must be smaller than any
+     nontrivial cone *)
   let net, mapped = prep (load_blif "../data/frg1_synthetic.blif") in
   let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let budget =
-    { Engine.default_budget with
-      Engine.max_bdd_nodes = Some 2;
-      sim_backend = Backend.Compiled }
-  in
+  let budget = Engine.bounded ~max_bdd_nodes:2 () in
   let run jobs =
     Dpa_util.Par.with_pool ~jobs (fun pool ->
         Engine.estimate ~par:pool ~budget ~input_probs mapped)
@@ -220,90 +258,33 @@ let test_engine_jobs_invariance () =
   check_bits_array "node probs" r1.Engine.report.Dpa_power.Estimate.node_probs
     r4.Engine.report.Dpa_power.Estimate.node_probs
 
-let test_engine_backend_equality () =
-  (* the ladder's answers cannot depend on which backend simulated the
-     fallback cones — counts are bit-identical, so totals must be too *)
-  let net, mapped = prep (load_blif "../data/frg1_synthetic.blif") in
-  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let run backend =
-    let budget =
-      { Engine.default_budget with
-        Engine.max_bdd_nodes = Some 2;
-        sim_backend = backend }
-    in
-    Dpa_util.Par.with_pool ~jobs:2 (fun pool ->
-        Engine.estimate ~par:pool ~budget ~input_probs mapped)
-  in
-  let ri = run Backend.Interp and rc = run Backend.Compiled in
-  check_bits "total" ri.Engine.report.Dpa_power.Estimate.total
-    rc.Engine.report.Dpa_power.Estimate.total;
-  check_bits_array "node probs" ri.Engine.report.Dpa_power.Estimate.node_probs
-    rc.Engine.report.Dpa_power.Estimate.node_probs
-
-(* ---- static sim backend equality ---------------------------------- *)
-
-let test_static_sim_backend_equality () =
-  (* the reconvergent circuit from the static-sim tests: the Compiled
-     mode elides the per-cycle zero-delay recomputation, which must not
-     change a single count *)
-  let t = Netlist.create () in
-  let a = Netlist.add_input t in
-  let b = Netlist.add_input t in
-  let na = Netlist.add_gate t (Gate.Not a) in
-  let t1 = Netlist.add_gate t (Gate.And [| a; b |]) in
-  let t2 = Netlist.add_gate t (Gate.And [| na; b |]) in
-  let f = Netlist.add_gate t (Gate.Or [| t1; t2 |]) in
-  Netlist.add_output t "f" f;
-  let run backend =
-    Dpa_sim.Static_sim.measure ~backend ~cycles:4000 (Rng.create 5)
-      ~input_probs:[| 0.5; 0.9 |] t
-  in
-  let i = run Backend.Interp and c = run Backend.Compiled in
-  check_bits "zero_delay" i.Dpa_sim.Static_sim.zero_delay c.Dpa_sim.Static_sim.zero_delay;
-  check_bits "with_glitches" i.Dpa_sim.Static_sim.with_glitches
-    c.Dpa_sim.Static_sim.with_glitches;
-  check_bits "glitch_ratio" i.Dpa_sim.Static_sim.glitch_ratio
-    c.Dpa_sim.Static_sim.glitch_ratio;
-  Alcotest.(check int) "cycles" i.Dpa_sim.Static_sim.cycles c.Dpa_sim.Static_sim.cycles
-
 (* ---- unified cycle default ---------------------------------------- *)
 
 let test_default_cycles () =
-  Alcotest.(check int) "shared constant" 10_000 Backend.default_cycles;
+  Alcotest.(check int) "shared constant" 10_000 Compiled.default_cycles;
   let _, mapped = prep (Dpa_workload.Examples.fig5 ()) in
   let a = Simulator.measure (Rng.create 1) ~input_probs:(Array.make 4 0.5) mapped in
-  Alcotest.(check int) "Simulator.measure default" Backend.default_cycles
+  Alcotest.(check int) "Simulator.measure default" Compiled.default_cycles
     a.Simulator.cycles;
   let t = Netlist.create () in
   let x = Netlist.add_input t in
   let y = Netlist.add_gate t (Gate.Not x) in
   Netlist.add_output t "f" y;
   let m = Dpa_sim.Static_sim.measure (Rng.create 1) ~input_probs:[| 0.5 |] t in
-  Alcotest.(check int) "Static_sim.measure default" Backend.default_cycles
+  Alcotest.(check int) "Static_sim.measure default" Compiled.default_cycles
     m.Dpa_sim.Static_sim.cycles
-
-let test_backend_strings () =
-  List.iter
-    (fun b ->
-      Alcotest.(check bool)
-        (Backend.to_string b ^ " roundtrip")
-        true
-        (Backend.of_string (Backend.to_string b) = Some b))
-    Backend.all;
-  Alcotest.(check bool) "unknown rejected" true (Backend.of_string "fast" = None)
 
 let suite =
   [ Alcotest.test_case "identity on data circuits" `Quick test_identity_data_circuits;
     Alcotest.test_case "identity on workload profiles" `Quick
       test_identity_workload_profiles;
     Alcotest.test_case "identity across seeds" `Quick test_identity_many_seeds;
+    Alcotest.test_case "engine sim stream = reference" `Quick test_engine_sim_stream;
+    Alcotest.test_case "netlist tape = per-cycle interpreter" `Quick
+      test_netlist_probabilities;
     Alcotest.test_case "lowering: constants" `Quick test_lowering_constants;
     Alcotest.test_case "lowering: single gates" `Quick test_lowering_single_gates;
     Alcotest.test_case "lowering: xor chain" `Quick test_lowering_xor_chain;
     Alcotest.test_case "measure_counts validation" `Quick test_measure_counts_validation;
     Alcotest.test_case "engine jobs invariance" `Quick test_engine_jobs_invariance;
-    Alcotest.test_case "engine backend equality" `Quick test_engine_backend_equality;
-    Alcotest.test_case "static sim backend equality" `Quick
-      test_static_sim_backend_equality;
-    Alcotest.test_case "unified cycle default" `Quick test_default_cycles;
-    Alcotest.test_case "backend strings" `Quick test_backend_strings ]
+    Alcotest.test_case "unified cycle default" `Quick test_default_cycles ]

@@ -101,7 +101,6 @@ let test_key_composition () =
               Protocol.max_bdd_nodes = Some 4096;
               deadline_s = None;
               fallback = Dpa_power.Engine.Simulate;
-              sim_backend = Dpa_sim.Backend.default;
             }
           dln_base))
 
@@ -119,7 +118,6 @@ let test_key_refusals () =
            Protocol.max_bdd_nodes = None;
            deadline_s = Some 1.0;
            fallback = Dpa_power.Engine.No_fallback;
-           sim_backend = Dpa_sim.Backend.default;
          }
        dln_base);
   uncacheable "an unloadable source yields no key (cold path reports it)"

@@ -50,7 +50,6 @@ let test_roundtrip_estimate () =
               Protocol.max_bdd_nodes = Some 4096;
               deadline_s = Some 1.5;
               fallback = Dpa_power.Engine.No_fallback;
-              sim_backend = Dpa_sim.Backend.Interp;
             };
       }
   in
@@ -63,11 +62,10 @@ let test_roundtrip_estimate () =
     Alcotest.(check (float 0.0)) "input_prob" 0.25 input_prob;
     Alcotest.(check (option string)) "phases" (Some "+-") phases;
     (match budget with
-    | Some { Protocol.max_bdd_nodes; deadline_s; fallback; sim_backend } ->
+    | Some { Protocol.max_bdd_nodes; deadline_s; fallback } ->
       Alcotest.(check (option int)) "max_bdd_nodes" (Some 4096) max_bdd_nodes;
       Alcotest.(check (option (float 0.0))) "deadline_s" (Some 1.5) deadline_s;
-      Alcotest.(check bool) "fallback" true (fallback = Dpa_power.Engine.No_fallback);
-      Alcotest.(check bool) "sim_backend" true (sim_backend = Dpa_sim.Backend.Interp)
+      Alcotest.(check bool) "fallback" true (fallback = Dpa_power.Engine.No_fallback)
     | None -> Alcotest.fail "budget dropped")
   | _ -> Alcotest.fail "request changed kind"
 
@@ -132,6 +130,33 @@ let test_validation_errors () =
   invalid {|{"cmd":"estimate","file":"a","max_bdd_nodes":-3}|};
   invalid {|{"cmd":"estimate","file":"a","fallback":"maybe"}|};
   invalid {|{"cmd":"estimate","netlist":"in a\nout y = a\n","format":"vhdl"}|}
+
+let test_retired_wire_field_ignored () =
+  (* the simulator selector older clients still send is an unknown
+     field like any other: whatever it says, the line parses to the
+     request without it and shares its cache key — budgeted or not *)
+  let parse line =
+    match Protocol.parse_request line with
+    | Ok env -> env
+    | Error e -> Alcotest.failf "%s: %s" line (Dpa_error.to_string e)
+  in
+  List.iter
+    (fun budget ->
+      let line extra =
+        Printf.sprintf {|{"id":3,"cmd":"estimate","file":"%s"%s%s}|} frg1 budget extra
+      in
+      let expected = parse (line "") in
+      let key = Dpa_service.Rescache.key expected.Protocol.request in
+      Alcotest.(check bool) "cacheable" true (key <> None);
+      List.iter
+        (fun value ->
+          let env = parse (line (Printf.sprintf {|,"sim_backend":"%s"|} value)) in
+          Alcotest.(check bool) (value ^ ": same request") true (env = expected);
+          Alcotest.(check (option string))
+            (value ^ ": same key") key
+            (Dpa_service.Rescache.key env.Protocol.request))
+        [ "interp"; "compiled"; "bogus" ])
+    [ ""; {|,"max_bdd_nodes":50|} ]
 
 let test_error_response_shape () =
   let line = Protocol.error_response ~id:5 (Dpa_error.Invalid_input "nope") in
@@ -416,7 +441,6 @@ let test_server_deadline_enforced () =
           Protocol.max_bdd_nodes = None;
           deadline_s = Some 0.05;
           fallback = Dpa_power.Engine.No_fallback;
-          sim_backend = Dpa_sim.Backend.default;
         }
       in
       let t0 = Unix.gettimeofday () in
@@ -620,6 +644,8 @@ let suite =
     Alcotest.test_case "malformed JSON is a parse error" `Quick
       test_malformed_json_is_parse_error;
     Alcotest.test_case "validation errors" `Quick test_validation_errors;
+    Alcotest.test_case "retired wire field is ignored" `Quick
+      test_retired_wire_field_ignored;
     Alcotest.test_case "error response shape" `Quick test_error_response_shape;
     Alcotest.test_case "float encode round-trip" `Quick test_encode_floats_roundtrip;
     Alcotest.test_case "jobqueue: fifo + close drains" `Quick test_jobqueue_fifo_and_close;

@@ -23,6 +23,23 @@ let test_phase_enumerate_limit () =
       let (_ : Phase.assignment Seq.t) = Phase.enumerate ~num_outputs:25 in
       ())
 
+let test_phase_of_string () =
+  let parse n s = Phase.of_string ~num_outputs:n s in
+  Seq.iter
+    (fun a ->
+      match parse 4 (Phase.to_string a) with
+      | Ok a' -> Alcotest.(check bool) (Phase.to_string a ^ " round trip") true (Phase.equal a a')
+      | Error msg -> Alcotest.fail msg)
+    (Phase.enumerate ~num_outputs:4);
+  Alcotest.(check (result string string))
+    "wrong length" (Error "phase string \"+-\" has 2 characters for 3 outputs")
+    (Result.map Phase.to_string (parse 3 "+-"));
+  Alcotest.(check (result string string))
+    "bad character" (Error "phase string may contain only '+' and '-'")
+    (Result.map Phase.to_string (parse 3 "+x-"));
+  Alcotest.(check (result string string))
+    "zero outputs" (Ok "") (Result.map Phase.to_string (parse 0 ""))
+
 let test_optimize_removes_double_inverters () =
   let t = Netlist.create () in
   let a = Netlist.add_input ~name:"a" t in
@@ -328,6 +345,7 @@ let prop_min_area_local_minimum =
 let suite =
   [ Alcotest.test_case "phase helpers" `Quick test_phase_helpers;
     Alcotest.test_case "phase enumerate limit" `Quick test_phase_enumerate_limit;
+    Alcotest.test_case "phase of_string" `Quick test_phase_of_string;
     Alcotest.test_case "optimize double inverters" `Quick test_optimize_removes_double_inverters;
     Alcotest.test_case "optimize xor decomposition" `Quick test_optimize_decomposes_xor;
     Alcotest.test_case "optimize keeps interface" `Quick test_optimize_preserves_interface;
