@@ -58,8 +58,10 @@ let default_config =
     cancel = Dpa_util.Cancel.none;
   }
 
-(* Map an assignment, optionally resize to the clock, and price it. *)
-let realize_and_price config net ~input_probs ~clock ~measurements
+(* Map an assignment, optionally resize to the clock, and price it —
+   unless [priced] already holds this block's power and degradation.
+   Returns the mapped block and its estimate when one was run. *)
+let realize_and_price ?priced config net ~input_probs ~clock ~measurements
     ?(degraded_measurements = 0) ~strategy assignment =
   Trace.with_span "flow.realize" ~args:[ ("strategy", Trace.Str strategy) ]
   @@ fun () ->
@@ -76,11 +78,18 @@ let realize_and_price config net ~input_probs ~clock ~measurements
     | None, _ ->
       (true, (Dpa_timing.Sta.analyze mapped).Dpa_timing.Sta.critical_delay)
   in
-  let est =
-    Dpa_power.Engine.estimate ?par:config.par ?budget:config.budget ~cancel:config.cancel
-      ~input_probs mapped
+  let power, degradation, est =
+    match priced with
+    | Some (power, degradation) -> (power, degradation, None)
+    | None ->
+      let est =
+        Dpa_power.Engine.estimate ?par:config.par ?budget:config.budget
+          ~cancel:config.cancel ~input_probs mapped
+      in
+      ( est.Dpa_power.Engine.report.Dpa_power.Estimate.total,
+        est.Dpa_power.Engine.degradation,
+        Some (mapped, est) )
   in
-  let report = est.Dpa_power.Engine.report in
   (* Under the timed flow, resizing replaces cells by larger drive
      variants: area is the drive-weighted cell count (a 2× cell occupies
      roughly twice the silicon), matching how the paper's Table 2 sizes
@@ -101,17 +110,18 @@ let realize_and_price config net ~input_probs ~clock ~measurements
            +. float_of_int (Mapped.input_inverters mapped + Mapped.output_inverters mapped)))
     | Some _, None | None, (Some _ | None) -> Mapped.size mapped
   in
-  {
-    assignment;
-    size;
-    power = report.Dpa_power.Estimate.total;
-    critical_delay = delay;
-    met;
-    measurements;
-    strategy;
-    degradation = est.Dpa_power.Engine.degradation;
-    degraded_measurements;
-  }
+  ( {
+      assignment;
+      size;
+      power;
+      critical_delay = delay;
+      met;
+      measurements;
+      strategy;
+      degradation;
+      degraded_measurements;
+    },
+    est )
 
 let compare_ma_mp_probs ?(config = default_config) ~input_probs raw =
   Trace.with_span "flow.compare" ~args:[ ("circuit", Trace.Str (Netlist.name raw)) ]
@@ -121,7 +131,7 @@ let compare_ma_mp_probs ?(config = default_config) ~input_probs raw =
   if Array.length input_probs <> n_pi then
     invalid_arg "Flow.compare_ma_mp_probs: input_probs length mismatch";
   (* --- minimum-area baseline ------------------------------------- *)
-  let ma, clock =
+  let (ma, ma_est), clock =
     Trace.with_span "flow.min_area" @@ fun () ->
     let ma_assignment =
       Dpa_synth.Min_area.best ~exhaustive_limit:config.exhaustive_limit net
@@ -163,11 +173,36 @@ let compare_ma_mp_probs ?(config = default_config) ~input_probs raw =
         cancel = config.cancel;
       }
     in
-    let opt = Dpa_phase.Optimizer.minimize_power opt_config net in
-    realize_and_price config net ~input_probs ~clock
-      ~measurements:opt.Dpa_phase.Optimizer.measurements
-      ~degraded_measurements:opt.Dpa_phase.Optimizer.degraded_measurements
-      ~strategy:opt.Dpa_phase.Optimizer.strategy_used opt.Dpa_phase.Optimizer.assignment
+    (* Each distinct assignment is estimated once. Untimed, the search's
+       bounded-engine price of a block is the final estimate's, bit for
+       bit: MA's estimate seeds the search, and MP's comes from it. The
+       unbudgeted search prices on an incremental env that differs from
+       a from-scratch estimate in the last ulp, and the timed flow prices
+       resized blocks, so those estimate MP unless it is MA. *)
+    let untimed = Option.is_none config.timing in
+    let measure = Dpa_phase.Optimizer.measure opt_config net in
+    if untimed then
+      Option.iter
+        (fun (mapped, est) -> Dpa_phase.Measure.prime measure ma.assignment mapped est)
+        ma_est;
+    let opt = Dpa_phase.Optimizer.minimize_power_with measure opt_config net in
+    let assignment = opt.Dpa_phase.Optimizer.assignment in
+    let measurements = opt.Dpa_phase.Optimizer.measurements
+    and degraded_measurements = opt.Dpa_phase.Optimizer.degraded_measurements
+    and strategy = opt.Dpa_phase.Optimizer.strategy_used in
+    if Phase.equal assignment ma.assignment then
+      { ma with measurements; degraded_measurements; strategy }
+    else
+      let priced =
+        if untimed then
+          Option.map
+            (fun (s, d) -> (s.Dpa_phase.Measure.power, d))
+            (Dpa_phase.Measure.priced measure assignment)
+        else None
+      in
+      fst
+        (realize_and_price ?priced config net ~input_probs ~clock ~measurements
+           ~degraded_measurements ~strategy assignment)
   in
   {
     circuit = Netlist.name raw;

@@ -90,6 +90,24 @@ let record_degradation t (d : Dpa_power.Engine.degradation) =
     | Some w -> if more_degraded d w then t.worst <- Some d
   end
 
+(* The budget when candidates are priced by the built-in bounded engine. *)
+let engine_budget t =
+  match t.custom_pricer, t.budget with
+  | None, Some budget when not (Dpa_power.Engine.is_unbounded budget) -> Some budget
+  | None, (Some _ | None) | Some _, _ -> None
+
+let engine_entry mapped (r : Dpa_power.Engine.result) =
+  let report = r.Dpa_power.Engine.report in
+  {
+    sample =
+      {
+        power = report.Dpa_power.Estimate.total;
+        size = Dpa_domino.Mapped.size mapped;
+        domino_switching = report.Dpa_power.Estimate.domino_switching;
+      };
+    degradation = Some r.Dpa_power.Engine.degradation;
+  }
+
 (* Price one candidate on the calling domain. Safe to run concurrently
    from pool workers: the only shared state it touches is the env table
    (mutex-guarded, one slot per domain). *)
@@ -97,27 +115,16 @@ let price t mapped =
   match t.custom_pricer with
   | Some f -> { sample = f t mapped; degradation = None }
   | None -> (
-    match t.budget with
-    | Some budget when not (Dpa_power.Engine.is_unbounded budget) ->
+    match engine_budget t with
+    | Some budget ->
       (* Every candidate is priced under the same budget policy with a
          deterministic simulator seed, so comparisons between candidates
          stay consistent and greedy descent stays monotone even when some
          cones fall back to simulation. *)
-      let r =
-        Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs
-          mapped
-      in
-      let report = r.Dpa_power.Engine.report in
-      {
-        sample =
-          {
-            power = report.Dpa_power.Estimate.total;
-            size = Dpa_domino.Mapped.size mapped;
-            domino_switching = report.Dpa_power.Estimate.domino_switching;
-          };
-        degradation = Some r.Dpa_power.Engine.degradation;
-      }
-    | Some _ | None ->
+      engine_entry mapped
+        (Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs
+           mapped)
+    | None ->
       let report = Dpa_power.Estimate.of_mapped_env (env_of t) mapped in
       {
         sample =
@@ -224,6 +231,16 @@ let prefetch t assignments =
       Metrics.add c_prefetched (Array.length work);
       Array.iteri (fun i e -> Hashtbl.replace t.cache (fst work.(i)) e) entries
     end
+
+let prime t assignment mapped result =
+  let key = Phase.to_string assignment in
+  if engine_budget t <> None && not (Hashtbl.mem t.cache key) then
+    Hashtbl.replace t.cache key (engine_entry mapped result)
+
+let priced t assignment =
+  match Hashtbl.find_opt t.cache (Phase.to_string assignment) with
+  | Some { sample; degradation = Some d } -> Some (sample, d)
+  | Some { degradation = None; _ } | None -> None
 
 let evaluations t = t.misses
 

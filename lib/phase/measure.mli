@@ -74,6 +74,26 @@ val prefetch : t -> Dpa_synth.Phase.assignment list -> unit
     touch {!evaluations} or the degradation tallies — those track the
     search trajectory, which speculation must not perturb. *)
 
+val prime :
+  t -> Dpa_synth.Phase.assignment -> Dpa_domino.Mapped.t -> Dpa_power.Engine.result -> unit
+(** [prime t a mapped r] stores [r], an {!Dpa_power.Engine.estimate} of
+    [a]'s mapped block under this measure's budget and cancellation
+    token, as the price of [a], the way {!prefetch} stores a speculative
+    one: [a] counts as an evaluation, and its degradation is tallied,
+    only when the search visits it. The engine's answer is the same with
+    or without a pool, so the caller may have estimated with one. A no-op
+    unless candidates are priced by the bounded engine (a non-unbounded
+    [budget] and no custom [pricer]): the incremental env's price differs
+    from a from-scratch estimate in the last ulp. An assignment already
+    priced keeps its entry. *)
+
+val priced :
+  t -> Dpa_synth.Phase.assignment -> (sample * Dpa_power.Engine.degradation) option
+(** The bounded engine's sample and degradation for an assignment this
+    measure has priced (visited, prefetched or primed); [None] for an
+    assignment it has not priced, and always [None] when candidates are
+    not priced by the bounded engine. *)
+
 val parallel_jobs : t -> int
 (** How wide a search built on this measure should speculate: the pool's
     job count when {!prefetch} is operational, [1] otherwise (no pool, or

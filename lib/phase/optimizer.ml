@@ -42,15 +42,15 @@ type result = {
   degradation : Dpa_power.Engine.degradation option;
 }
 
-let minimize_power config net =
+let measure config net =
+  Measure.create ~library:config.library ?budget:config.budget ~cancel:config.cancel
+    ?par:config.par ~input_probs:config.input_probs net
+
+let minimize_power_with measure config net =
   let n = Netlist.num_outputs net in
   if n = 0 then invalid_arg "Optimizer.minimize_power: network has no outputs";
   Dpa_obs.Trace.with_span "phase.optimize" ~args:[ ("outputs", Dpa_obs.Trace.Int n) ]
   @@ fun () ->
-  let measure =
-    Measure.create ~library:config.library ?budget:config.budget ~cancel:config.cancel
-      ?par:config.par ~input_probs:config.input_probs net
-  in
   let run_exhaustive () =
     (* Exhaustive search visits every assignment anyway, so speculation
        is free of waste: price the enumeration across the pool in
@@ -142,3 +142,5 @@ let minimize_power config net =
     degraded_measurements = Measure.degraded_evaluations measure;
     degradation = Measure.worst_degradation measure;
   }
+
+let minimize_power config net = minimize_power_with (measure config net) config net

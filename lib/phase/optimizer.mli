@@ -54,3 +54,12 @@ type result = {
 val minimize_power : config -> Dpa_logic.Netlist.t -> result
 (** The netlist must be domino-ready (run {!Dpa_synth.Opt.optimize}
     first). *)
+
+val measure : config -> Dpa_logic.Netlist.t -> Measure.t
+(** The measure {!minimize_power} prices candidates with: [config]'s
+    library, budget, cancellation token, pool and input probabilities. *)
+
+val minimize_power_with : Measure.t -> config -> Dpa_logic.Netlist.t -> result
+(** {!minimize_power} pricing with [measure config net], made and
+    possibly primed ({!Measure.prime}) by the caller, who can then read
+    the search's prices ({!Measure.priced}). *)

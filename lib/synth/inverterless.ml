@@ -3,17 +3,20 @@ module Gate = Dpa_logic.Gate
 
 type polarity = Pos | Neg
 
-let flip_pol = function
-  | Pos -> Neg
-  | Neg -> Pos
+let bit = function
+  | Pos -> 0
+  | Neg -> 1
+
+let pol_of_bit b = if b = 0 then Pos else Neg
 
 type t = {
+  original : Netlist.t;
+  pis : int array;  (* original PI ids, by position *)
   blk : Netlist.t;
   assignment : Phase.assignment;
-  (* original PI position, polarity → block input id *)
-  literal_ids : (int * polarity, int) Hashtbl.t;
-  (* block node id → original node id, polarity *)
-  origin : (int, int * polarity) Hashtbl.t;
+  (* original node [i] demanded in polarity bit [b] → block node at index
+     [2i+b]; -1 where never demanded *)
+  slots : int array;
   (* per block-input position: original PI position, polarity *)
   literal_info : (int * polarity) array;
   duplicated : int;
@@ -24,93 +27,93 @@ let realize original assignment =
   if Array.length assignment <> Array.length outs then
     invalid_arg "Inverterless.realize: assignment length mismatch";
   let blk = Netlist.create ~name:(Netlist.name original ^ "_domino") () in
-  let literal_ids = Hashtbl.create 32 in
-  let origin = Hashtbl.create 64 in
+  let pis = Netlist.inputs original in
+  let pi_position = Array.make (Netlist.size original) (-1) in
+  Array.iteri (fun pos id -> pi_position.(id) <- pos) pis;
+  let slots = Array.make (2 * Netlist.size original) (-1) in
   let literal_info = ref [] in
-  let pi_position = Hashtbl.create 32 in
-  Array.iteri (fun pos id -> Hashtbl.replace pi_position id pos) (Netlist.inputs original);
-  let memo : (int * polarity, int) Hashtbl.t = Hashtbl.create 64 in
-  (* Demand original node [i] in polarity [pol]; returns the block node that
-     realizes it. Inverters flip the demanded polarity and vanish; AND/OR in
-     negative polarity materialize as their DeMorgan dual over negative
-     fanins. *)
-  let rec build i pol =
-    match Hashtbl.find_opt memo (i, pol) with
-    | Some id -> id
-    | None ->
+  let duplicated = ref 0 in
+  (* Demand original node [i] in polarity bit [b] (1 = negative); returns
+     the block node that realizes it. Inverters flip the demanded polarity
+     and vanish; AND/OR in negative polarity materialize as their DeMorgan
+     dual over negative fanins. *)
+  let rec build i b =
+    let s = (2 * i) + b in
+    let known = slots.(s) in
+    if known >= 0 then known
+    else begin
       let id =
         match Netlist.gate original i with
         | Gate.Input ->
-          let pos = Hashtbl.find pi_position i in
-          let key = (pos, pol) in
-          (match Hashtbl.find_opt literal_ids key with
-          | Some id -> id
-          | None ->
-            let base =
-              match Netlist.node_name original i with
-              | Some n -> n
-              | None -> Printf.sprintf "x%d" pos
-            in
-            let name = match pol with Pos -> base | Neg -> "~" ^ base in
-            let id = Netlist.add_input ~name blk in
-            Hashtbl.replace literal_ids key id;
-            literal_info := key :: !literal_info;
-            id)
-        | Gate.Const b ->
-          let v = match pol with Pos -> b | Neg -> not b in
-          Netlist.add_gate blk (Gate.Const v)
-        | Gate.Buf x -> build x pol
-        | Gate.Not x -> build x (flip_pol pol)
+          let pos = pi_position.(i) in
+          let base =
+            match Netlist.node_name original i with
+            | Some n -> n
+            | None -> Printf.sprintf "x%d" pos
+          in
+          let name = if b = 0 then base else "~" ^ base in
+          literal_info := (pos, pol_of_bit b) :: !literal_info;
+          Netlist.add_input ~name blk
+        | Gate.Const v -> Netlist.add_gate blk (Gate.Const (if b = 0 then v else not v))
+        | Gate.Buf x -> build x b
+        | Gate.Not x -> build x (1 - b)
         | Gate.And xs ->
-          let fis = Array.map (fun x -> build x pol) xs in
-          let g = match pol with Pos -> Gate.And fis | Neg -> Gate.Or fis in
-          Netlist.add_gate blk g
+          let fis = Array.map (fun x -> build x b) xs in
+          Netlist.add_gate blk (if b = 0 then Gate.And fis else Gate.Or fis)
         | Gate.Or xs ->
-          let fis = Array.map (fun x -> build x pol) xs in
-          let g = match pol with Pos -> Gate.Or fis | Neg -> Gate.And fis in
-          Netlist.add_gate blk g
+          let fis = Array.map (fun x -> build x b) xs in
+          Netlist.add_gate blk (if b = 0 then Gate.Or fis else Gate.And fis)
         | Gate.Xor _ ->
           invalid_arg "Inverterless.realize: XOR present; run Opt.optimize first"
       in
-      Hashtbl.replace memo (i, pol) id;
+      (* a duplicated node is an original AND/OR realized in both
+         polarities: counted when its second polarity is demanded *)
       (match Netlist.gate original i with
-      | Gate.And _ | Gate.Or _ | Gate.Const _ -> Hashtbl.replace origin id (i, pol)
-      | Gate.Input | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ());
+      | Gate.And _ | Gate.Or _ -> if slots.(s lxor 1) >= 0 then incr duplicated
+      | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ());
+      slots.(s) <- id;
       id
+    end
   in
   Array.iteri
     (fun k (po, driver) ->
-      let pol = match assignment.(k) with Phase.Positive -> Pos | Phase.Negative -> Neg in
-      Netlist.add_output blk po (build driver pol))
+      let b = match assignment.(k) with Phase.Positive -> 0 | Phase.Negative -> 1 in
+      Netlist.add_output blk po (build driver b))
     outs;
-  (* A duplicated node is an original AND/OR realized in both polarities. *)
-  let duplicated =
-    let seen = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun (i, _) _ ->
-        match Netlist.gate original i with
-        | Gate.And _ | Gate.Or _ ->
-          Hashtbl.replace seen i (1 + Option.value ~default:0 (Hashtbl.find_opt seen i))
-        | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ())
-      memo;
-    Hashtbl.fold (fun _ count acc -> if count > 1 then acc + 1 else acc) seen 0
-  in
   {
+    original;
+    pis;
     blk;
     assignment = Array.copy assignment;
-    literal_ids;
-    origin;
+    slots;
     literal_info = Array.of_list (List.rev !literal_info);
-    duplicated;
+    duplicated = !duplicated;
   }
 
 let block t = t.blk
 
 let phases t = Array.copy t.assignment
 
-let block_literal t ~pi_position pol = Hashtbl.find_opt t.literal_ids (pi_position, pol)
+let block_literal t ~pi_position pol =
+  if pi_position < 0 || pi_position >= Array.length t.pis then None
+  else
+    let id = t.slots.((2 * t.pis.(pi_position)) + bit pol) in
+    if id >= 0 then Some id else None
 
-let original_of_block_node t id = Hashtbl.find_opt t.origin id
+(* The slot that created block node [id]: an AND/OR/constant's own. A
+   buffer's or inverter's slot shares its fanin's node, and a literal has
+   no original gate. *)
+let original_of_block_node t id =
+  let found = ref None in
+  if id >= 0 then
+    Array.iteri
+      (fun s b ->
+        if b = id then
+          match Netlist.gate t.original (s / 2) with
+          | Gate.And _ | Gate.Or _ | Gate.Const _ -> found := Some (s / 2, pol_of_bit (s land 1))
+          | Gate.Input | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ())
+      t.slots;
+  !found
 
 let literals t = Array.copy t.literal_info
 

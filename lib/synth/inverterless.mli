@@ -36,8 +36,9 @@ val literals : t -> (int * polarity) array
 
 val original_of_block_node : t -> int -> (int * polarity) option
 (** Which (original node, polarity) a block node implements. [None] for
-    nodes without an original counterpart (does not occur today, reserved
-    for mapper-introduced nodes). *)
+    literals, ids outside the block, and nodes without an original
+    counterpart (does not occur today, reserved for mapper-introduced
+    nodes). Linear in the original network's size. *)
 
 (** Cost summary. [area] is the paper-level pre-mapping proxy:
     domino gates + static inverters at both boundaries. *)

@@ -22,7 +22,10 @@ type region = {
   run : int -> unit;  (* never raises; failures land in the region's arrays *)
   ranges : int Atomic.t array;
   remaining : int Atomic.t;
-  abandon : bool Atomic.t;  (* a task failed: drain without executing *)
+  lowest_failure : int Atomic.t;
+      (* lowest failed index so far ([max_int]: none); tasks above it are
+         drained without executing, tasks below it still run, so the
+         lowest failing index is found whatever the schedule *)
   region_steals : int Atomic.t;
 }
 
@@ -121,7 +124,7 @@ let finish_task pool r =
 let rec participate pool r w =
   let i = take_own r w in
   if i >= 0 then begin
-    if not (Atomic.get r.abandon) then r.run i;
+    if i < Atomic.get r.lowest_failure then r.run i;
     finish_task pool r;
     participate pool r w
   end
@@ -233,13 +236,17 @@ let map pool n f =
     else begin
       Mutex.lock pool.submit_mutex;
       Fun.protect ~finally:(fun () -> Mutex.unlock pool.submit_mutex) @@ fun () ->
-      let abandon = Atomic.make false in
+      let lowest_failure = Atomic.make max_int in
       let run i =
         match f i with
         | v -> results.(i) <- Some v
         | exception e ->
           failures.(i) <- Some (e, Printexc.get_raw_backtrace ());
-          Atomic.set abandon true
+          let rec lower () =
+            let cur = Atomic.get lowest_failure in
+            if i < cur && not (Atomic.compare_and_set lowest_failure cur i) then lower ()
+          in
+          lower ()
       in
       let j = pool.jobs in
       let ranges =
@@ -251,7 +258,7 @@ let map pool n f =
           run;
           ranges;
           remaining = Atomic.make n;
-          abandon;
+          lowest_failure;
           region_steals = Atomic.make 0;
         }
       in

@@ -44,9 +44,11 @@ val map : t -> int -> (int -> 'a) -> 'a array
     and returns [[| f 0; …; f (n-1) |]] — results in index order
     regardless of execution order.
 
-    If one or more tasks raise, remaining tasks are abandoned
-    (best-effort) and the exception of the {e lowest-indexed} failed
-    task is re-raised in the submitting domain with its backtrace.
+    If one or more tasks raise, the exception of the {e lowest-indexed}
+    failing task is re-raised in the submitting domain with its
+    backtrace, whatever the schedule: once a task fails, tasks with a
+    higher index are abandoned (best-effort) and tasks with a lower one
+    still run.
 
     Nested use is rejected: calling [map] (on any pool) from inside a
     task raises [Invalid_argument] — tasks must be leaves. One region

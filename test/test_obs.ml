@@ -273,6 +273,33 @@ let test_flow_emits_expected_spans () =
   Alcotest.(check bool) "measurements tagged" true
     (List.mem_assoc "measurements" opt.Trace.args)
 
+let test_flow_estimates_each_assignment_once () =
+  let run ?budget net =
+    with_trace @@ fun () ->
+    let r = Flow.compare_ma_mp ~config:{ Flow.default_config with Flow.budget } net in
+    (r, List.length (List.filter (String.equal "engine.estimate") (span_names ())))
+  in
+  let phases (r : Flow.realization) = Dpa_synth.Phase.to_string r.Flow.assignment in
+  (* budgeted: MA's final estimate seeds the exhaustive search, which
+     prices the 7 other assignments, and MP's price is the search's *)
+  let r, spans =
+    run ~budget:(Engine.bounded ~max_bdd_nodes:50 ())
+      (Testkit.load_blif "../data/frg1_synthetic.blif")
+  in
+  Alcotest.(check string) "frg1 MA" "+++" (phases r.Flow.ma);
+  Alcotest.(check string) "frg1 MP" "---" (phases r.Flow.mp);
+  Alcotest.(check int) "frg1 measurements" 8 r.Flow.mp.Flow.measurements;
+  Alcotest.(check int) "frg1 engine.estimate spans" 8 spans;
+  (* unbudgeted, MP = MA: MP reuses MA's realization *)
+  let net = Dpa_logic.Netlist.create () in
+  let a = Dpa_logic.Netlist.add_input net and b = Dpa_logic.Netlist.add_input net in
+  Dpa_logic.Netlist.add_output net "y"
+    (Dpa_logic.Netlist.add_gate net (Dpa_logic.Gate.And [| a; b |]));
+  let r, spans = run net in
+  Alcotest.(check string) "and2 MA" "+" (phases r.Flow.ma);
+  Alcotest.(check string) "and2 MP" "+" (phases r.Flow.mp);
+  Alcotest.(check int) "and2 engine.estimate spans" 1 spans
+
 let test_budgeted_estimate_tags_ladder_method () =
   with_trace @@ fun () ->
   let net = Dpa_synth.Opt.optimize (Dpa_workload.Examples.fig5 ()) in
@@ -360,6 +387,8 @@ let suite =
       test_profile_bridges_spans_to_metrics;
     Alcotest.test_case "flow emits expected spans" `Quick
       test_flow_emits_expected_spans;
+    Alcotest.test_case "flow estimates each assignment once" `Quick
+      test_flow_estimates_each_assignment_once;
     Alcotest.test_case "budgeted estimate tags ladder method" `Quick
       test_budgeted_estimate_tags_ladder_method;
     Alcotest.test_case "blif.parse span args" `Quick test_blif_parse_span ]

@@ -8,31 +8,9 @@ module Par = Dpa_util.Par
 module Engine = Dpa_power.Engine
 module Optimizer = Dpa_phase.Optimizer
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let load_blif = Testkit.load_blif
 
-(* combinational designs parse directly; sequential ones contribute
-   their combinational core (latch outputs become PIs), as the flow
-   does *)
-let load_blif path =
-  let text = read_file path in
-  match Dpa_logic.Blif.of_string text with
-  | Ok net -> net
-  | Error _ -> (
-    match Dpa_logic.Blif.sequential_of_string text with
-    | Ok s -> s.Dpa_logic.Blif.comb
-    | Error msg -> Alcotest.failf "%s failed to parse: %s" path msg)
-
-let data_files =
-  [
-    "../data/apex7_synthetic.blif";
-    "../data/frg1_synthetic.blif";
-    "../data/seq_controller.blif";
-  ]
+let data_files = Testkit.data_files
 
 let check_bits msg a b =
   if Int64.bits_of_float a <> Int64.bits_of_float b then
@@ -89,6 +67,25 @@ let test_exception_lowest_index () =
   in
   (* the lowest failing index wins, deterministically *)
   Alcotest.(check (option int)) "lowest failure" (Some 37) saw;
+  (* even when a higher failure lands first: slow tasks below 50 put
+     index 53's failure ahead of index 37's on any schedule where two
+     domains run *)
+  let spin () =
+    let x = ref 0 in
+    for k = 1 to 2_000_000 do
+      x := Sys.opaque_identity (!x + k)
+    done
+  in
+  let saw =
+    try
+      ignore
+        (Par.map pool 100 (fun i ->
+             if i < 50 then spin ();
+             if i = 37 || i = 53 then raise (Boom i) else i));
+      None
+    with Boom i -> Some i
+  in
+  Alcotest.(check (option int)) "lowest failure behind a faster one" (Some 37) saw;
   (* the pool survives a failed region *)
   let r = Par.map pool 8 (fun i -> i + 1) in
   Alcotest.(check int) "pool alive after failure" 8 r.(7)
@@ -215,24 +212,48 @@ let test_optimize_identity_multistart () =
   optimize_identity ~strategy:(Optimizer.Multi_start 3) "../data/frg1_synthetic.blif"
 
 let test_full_flow_identity () =
-  (* the whole compare flow (MA + MP + final pricing) through Flow.config *)
+  (* the whole compare flow (MA + MP + final pricing) through Flow.config,
+     unbudgeted and budgeted: under a budget the final prices come from
+     pooled estimates and the search's pool-free entries *)
   let module Flow = Dpa_core.Flow in
+  let check_same what (seq : Flow.result) (par : Flow.result) =
+    check_bits (what ^ " mp power") seq.Flow.mp.Flow.power par.Flow.mp.Flow.power;
+    check_bits (what ^ " ma power") seq.Flow.ma.Flow.power par.Flow.ma.Flow.power;
+    Alcotest.(check string)
+      (what ^ " mp phases")
+      (Dpa_synth.Phase.to_string seq.Flow.mp.Flow.assignment)
+      (Dpa_synth.Phase.to_string par.Flow.mp.Flow.assignment);
+    Alcotest.(check int) (what ^ " mp size") seq.Flow.mp.Flow.size par.Flow.mp.Flow.size;
+    Alcotest.(check int)
+      (what ^ " measurements")
+      seq.Flow.mp.Flow.measurements par.Flow.mp.Flow.measurements;
+    Alcotest.(check int)
+      (what ^ " degraded measurements")
+      seq.Flow.mp.Flow.degraded_measurements par.Flow.mp.Flow.degraded_measurements;
+    List.iter
+      (fun (side, (s : Flow.realization), (p : Flow.realization)) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s degradation" what side)
+          (Engine.degradation_label s.Flow.degradation)
+          (Engine.degradation_label p.Flow.degradation))
+      [ ("ma", seq.Flow.ma, par.Flow.ma); ("mp", seq.Flow.mp, par.Flow.mp) ]
+  in
   List.iter
     (fun path ->
       let net = load_blif path in
-      let run par = Flow.compare_ma_mp ~config:{ Flow.default_config with Flow.par } net in
-      let seq = run None in
-      let par4 = Par.with_pool ~jobs:4 (fun pool -> run (Some pool)) in
-      check_bits (path ^ " mp power") seq.Flow.mp.Flow.power par4.Flow.mp.Flow.power;
-      check_bits (path ^ " ma power") seq.Flow.ma.Flow.power par4.Flow.ma.Flow.power;
-      Alcotest.(check string)
-        (path ^ " mp phases")
-        (Dpa_synth.Phase.to_string seq.Flow.mp.Flow.assignment)
-        (Dpa_synth.Phase.to_string par4.Flow.mp.Flow.assignment);
-      Alcotest.(check int) (path ^ " mp size") seq.Flow.mp.Flow.size par4.Flow.mp.Flow.size;
-      Alcotest.(check int)
-        (path ^ " measurements")
-        seq.Flow.mp.Flow.measurements par4.Flow.mp.Flow.measurements)
+      let run ?budget par =
+        Flow.compare_ma_mp ~config:{ Flow.default_config with Flow.par; budget } net
+      in
+      check_same path (run None) (Par.with_pool ~jobs:4 (fun pool -> run (Some pool)));
+      let budget = Engine.bounded ~max_bdd_nodes:50 () in
+      let seq = run ~budget None in
+      List.iter
+        (fun jobs ->
+          check_same
+            (Printf.sprintf "%s budgeted, jobs %d" path jobs)
+            seq
+            (Par.with_pool ~jobs (fun pool -> run ~budget (Some pool))))
+        [ 1; 4 ])
     data_files
 
 let suite =

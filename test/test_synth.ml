@@ -342,6 +342,316 @@ let prop_min_area_local_minimum =
       in
       ok 0)
 
+(* ---- min-area closure index vs realize-per-candidate ---------------- *)
+
+(* The searches as they were before the closure index: realize every
+   candidate and read its area. *)
+let exhaustive_reference t =
+  let n = Netlist.num_outputs t in
+  let best = ref (Phase.all_positive n) in
+  let best_area = ref (Min_area.area_of t !best) in
+  Seq.iter
+    (fun a ->
+      let area = Min_area.area_of t a in
+      if area < !best_area then begin
+        best := a;
+        best_area := area
+      end)
+    (Phase.enumerate ~num_outputs:n);
+  !best
+
+let local_search_reference ?start t =
+  let n = Netlist.num_outputs t in
+  let current = ref (match start with Some a -> Array.copy a | None -> Phase.all_positive n) in
+  let current_area = ref (Min_area.area_of t !current) in
+  let improved = ref true in
+  while !improved do
+    improved := false;
+    let best_k = ref (-1) and best_area = ref !current_area in
+    for k = 0 to n - 1 do
+      let area = Min_area.area_of t (Phase.flip_at !current k) in
+      if area < !best_area then begin
+        best_area := area;
+        best_k := k
+      end
+    done;
+    if !best_k >= 0 then begin
+      current := Phase.flip_at !current !best_k;
+      current_area := !best_area;
+      improved := true
+    end
+  done;
+  !current
+
+(* Testkit's random netlists with 1 to 6 outputs, optimized, plus a
+   seed for the walks. *)
+let gen_wide_netlist =
+  let open QCheck2.Gen in
+  let* n_gates, _, seeds, _, n_inputs = Testkit.gen_netlist ~max_gates:20 () in
+  let* n_outputs = int_range 1 6 in
+  let* out_seeds = list_repeat n_outputs (int_bound 1_000_000) in
+  let* seed = int_bound 1_000_000 in
+  return
+    ( Opt.optimize
+        (Testkit.build_netlist (n_gates, n_outputs, seeds, Array.of_list out_seeds, n_inputs)),
+      seed )
+
+let print_case (net, seed) =
+  Printf.sprintf "%d nodes, %d outputs, seed %d" (Netlist.size net) (Netlist.num_outputs net)
+    seed
+
+let prop_min_area_index_is_area =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~print:print_case
+       ~name:"min-area index area = realized area" gen_wide_netlist (fun (net, seed) ->
+         let n = Netlist.num_outputs net in
+         let every =
+           Seq.for_all
+             (fun a -> Min_area.area (Min_area.index net a) = Min_area.area_of net a)
+             (Phase.enumerate ~num_outputs:n)
+         in
+         (* a walk of single flips from a random start keeps the counts *)
+         let rng = Dpa_util.Rng.create seed in
+         let a = Phase.random rng ~num_outputs:n in
+         let ix = Min_area.index net a in
+         let walk =
+           List.for_all
+             (fun _ ->
+               let k = Dpa_util.Rng.int rng n in
+               Min_area.flip ix k;
+               a.(k) <- Phase.flip a.(k);
+               Min_area.area ix = Min_area.area_of net a)
+             (List.init 40 Fun.id)
+         in
+         every && walk))
+
+let prop_min_area_searches_match_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~print:print_case
+       ~name:"min-area searches = realize-per-candidate searches" gen_wide_netlist
+       (fun (net, seed) ->
+         let n = Netlist.num_outputs net in
+         let start = Phase.random (Dpa_util.Rng.create seed) ~num_outputs:n in
+         Phase.equal (Min_area.exhaustive net) (exhaustive_reference net)
+         && Phase.equal (Min_area.local_search net) (local_search_reference net)
+         && Phase.equal (Min_area.local_search ~start net) (local_search_reference ~start net)))
+
+let test_min_area_exhaustive_limit () =
+  let t = Netlist.create () in
+  let a = Netlist.add_input t in
+  for k = 0 to 24 do
+    Netlist.add_output t (Printf.sprintf "o%d" k) a
+  done;
+  match Min_area.exhaustive t with
+  | _ -> Alcotest.fail "25 outputs enumerated"
+  | exception Invalid_argument _ -> ()
+
+let test_min_area_start_length () =
+  let net = fig5_opt () in
+  match Min_area.local_search ~start:(Phase.all_positive 3) net with
+  | _ -> Alcotest.fail "a 3-phase start accepted for 2 outputs"
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (msg ^ " names Min_area.local_search")
+      true
+      (Testkit.contains_substring msg "Min_area.local_search")
+
+(* Two outputs share the complement of a 3-input AND: all positive costs
+   one OR gate and three input inverters (4), flipping one output adds
+   the AND and an output inverter (6), flipping both leaves the AND and
+   two output inverters (3). Nine more outputs are single ANDs that only
+   grow when flipped. Local search from all positive is stuck at 13;
+   exhaustive search finds 12. *)
+let local_minimum_net () =
+  let t = Netlist.create () in
+  let inputs () = Array.init 3 (fun _ -> Netlist.add_input t) in
+  let g = Netlist.add_gate t (Gate.Not (Netlist.add_gate t (Gate.And (inputs ())))) in
+  Netlist.add_output t "o0" g;
+  Netlist.add_output t "o1" g;
+  for k = 2 to 10 do
+    Netlist.add_output t (Printf.sprintf "o%d" k) (Netlist.add_gate t (Gate.And (inputs ())))
+  done;
+  t
+
+let test_min_area_best_default () =
+  let net = local_minimum_net () in
+  let exhaustive = Min_area.exhaustive net and local = Min_area.local_search net in
+  Alcotest.(check string) "exhaustive" "--+++++++++" (Phase.to_string exhaustive);
+  Alcotest.(check int) "exhaustive area" 12 (Min_area.area_of net exhaustive);
+  Alcotest.(check string) "local search" "+++++++++++" (Phase.to_string local);
+  (* 11 outputs exceed the default threshold of 10, Flow's and the
+     optimizer's *)
+  Alcotest.(check string) "best" (Phase.to_string local) (Phase.to_string (Min_area.best net));
+  Alcotest.(check string)
+    "best at limit 11" (Phase.to_string exhaustive)
+    (Phase.to_string (Min_area.best ~exhaustive_limit:11 net))
+
+(* ---- realization identity against the hash-table realizer ----------- *)
+
+type reference = {
+  blk : Netlist.t;
+  literal_ids : (int * Inverterless.polarity, int) Hashtbl.t;
+  origin : (int, int * Inverterless.polarity) Hashtbl.t;
+  literal_info : (int * Inverterless.polarity) array;
+  duplicated : int;
+}
+
+(* Inverterless.realize before its array memo: memoized on
+   (node, polarity) in a hash table, with a per-gate origin table. *)
+let realize_reference original assignment =
+  let open Inverterless in
+  let flip_pol = function Pos -> Neg | Neg -> Pos in
+  let outs = Netlist.outputs original in
+  let blk = Netlist.create ~name:(Netlist.name original ^ "_domino") () in
+  let literal_ids = Hashtbl.create 32 in
+  let origin = Hashtbl.create 64 in
+  let literal_info = ref [] in
+  let pi_position = Hashtbl.create 32 in
+  Array.iteri (fun pos id -> Hashtbl.replace pi_position id pos) (Netlist.inputs original);
+  let memo : (int * polarity, int) Hashtbl.t = Hashtbl.create 64 in
+  let rec build i pol =
+    match Hashtbl.find_opt memo (i, pol) with
+    | Some id -> id
+    | None ->
+      let id =
+        match Netlist.gate original i with
+        | Gate.Input ->
+          let pos = Hashtbl.find pi_position i in
+          let key = (pos, pol) in
+          (match Hashtbl.find_opt literal_ids key with
+          | Some id -> id
+          | None ->
+            let base =
+              match Netlist.node_name original i with
+              | Some n -> n
+              | None -> Printf.sprintf "x%d" pos
+            in
+            let name = match pol with Pos -> base | Neg -> "~" ^ base in
+            let id = Netlist.add_input ~name blk in
+            Hashtbl.replace literal_ids key id;
+            literal_info := key :: !literal_info;
+            id)
+        | Gate.Const b ->
+          let v = match pol with Pos -> b | Neg -> not b in
+          Netlist.add_gate blk (Gate.Const v)
+        | Gate.Buf x -> build x pol
+        | Gate.Not x -> build x (flip_pol pol)
+        | Gate.And xs ->
+          let fis = Array.map (fun x -> build x pol) xs in
+          Netlist.add_gate blk (match pol with Pos -> Gate.And fis | Neg -> Gate.Or fis)
+        | Gate.Or xs ->
+          let fis = Array.map (fun x -> build x pol) xs in
+          Netlist.add_gate blk (match pol with Pos -> Gate.Or fis | Neg -> Gate.And fis)
+        | Gate.Xor _ -> invalid_arg "realize_reference: XOR present"
+      in
+      Hashtbl.replace memo (i, pol) id;
+      (match Netlist.gate original i with
+      | Gate.And _ | Gate.Or _ | Gate.Const _ -> Hashtbl.replace origin id (i, pol)
+      | Gate.Input | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ());
+      id
+  in
+  Array.iteri
+    (fun k (po, driver) ->
+      let pol = match assignment.(k) with Phase.Positive -> Pos | Phase.Negative -> Neg in
+      Netlist.add_output blk po (build driver pol))
+    outs;
+  let duplicated =
+    let seen = Hashtbl.create 64 in
+    Hashtbl.iter
+      (fun (i, _) _ ->
+        match Netlist.gate original i with
+        | Gate.And _ | Gate.Or _ ->
+          Hashtbl.replace seen i (1 + Option.value ~default:0 (Hashtbl.find_opt seen i))
+        | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ())
+      memo;
+    Hashtbl.fold (fun _ count acc -> if count > 1 then acc + 1 else acc) seen 0
+  in
+  { blk; literal_ids; origin; literal_info = Array.of_list (List.rev !literal_info); duplicated }
+
+(* [None] when the realizations agree node for node, else what differs. *)
+let realization_mismatch original assignment =
+  let r = realize_reference original assignment in
+  let inv = Inverterless.realize original assignment in
+  let b = Inverterless.block inv in
+  let size = Netlist.size r.blk in
+  let differs = ref [] in
+  let expect what ok = if not ok then differs := what :: !differs in
+  expect "name" (Netlist.name r.blk = Netlist.name b);
+  expect "size" (size = Netlist.size b);
+  expect "inputs" (Netlist.inputs r.blk = Netlist.inputs b);
+  expect "outputs" (Netlist.outputs r.blk = Netlist.outputs b);
+  if size = Netlist.size b then
+    for i = 0 to size - 1 do
+      expect (Printf.sprintf "node %d" i)
+        (Gate.equal (Netlist.gate r.blk i) (Netlist.gate b i)
+        && Netlist.node_name r.blk i = Netlist.node_name b i)
+    done;
+  expect "literals" (r.literal_info = Inverterless.literals inv);
+  let s = Inverterless.stats inv in
+  let input_inverters =
+    Array.fold_left
+      (fun n (_, pol) -> if pol = Inverterless.Neg then n + 1 else n)
+      0 r.literal_info
+  in
+  expect "stats"
+    (s.Inverterless.domino_gates = Netlist.gate_count r.blk
+    && s.Inverterless.input_inverters = input_inverters
+    && s.Inverterless.output_inverters = Phase.count_negative assignment
+    && s.Inverterless.duplicated_nodes = r.duplicated
+    && s.Inverterless.area
+       = Netlist.gate_count r.blk + input_inverters + Phase.count_negative assignment);
+  List.iter
+    (fun id ->
+      expect
+        (Printf.sprintf "origin of %d" id)
+        (Hashtbl.find_opt r.origin id = Inverterless.original_of_block_node inv id))
+    ([ -1; size; size + 7 ] @ List.init size Fun.id);
+  List.iter
+    (fun pos ->
+      List.iter
+        (fun pol ->
+          expect
+            (Printf.sprintf "literal %d" pos)
+            (Hashtbl.find_opt r.literal_ids (pos, pol)
+            = Inverterless.block_literal inv ~pi_position:pos pol))
+        [ Inverterless.Pos; Inverterless.Neg ])
+    (List.init (Netlist.num_inputs original + 2) (fun k -> k - 1));
+  match !differs with
+  | [] -> None
+  | d -> Some (String.concat ", " (List.rev d))
+
+let identity_assignments net seed =
+  let n = Netlist.num_outputs net in
+  [
+    Phase.all_positive n;
+    Array.make n Phase.Negative;
+    Phase.random (Dpa_util.Rng.create seed) ~num_outputs:n;
+  ]
+
+let prop_realize_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~print:print_case
+       ~name:"realize = hash-table reference, node for node" gen_wide_netlist
+       (fun (net, seed) ->
+         List.for_all
+           (fun a ->
+             match realization_mismatch net a with
+             | None -> true
+             | Some d -> QCheck2.Test.fail_reportf "%s: %s" (Phase.to_string a) d)
+           (identity_assignments net seed)))
+
+let test_realize_matches_reference_on_data () =
+  List.iter
+    (fun path ->
+      let net = Opt.optimize (Testkit.load_blif path) in
+      List.iter
+        (fun a ->
+          match realization_mismatch net a with
+          | None -> ()
+          | Some d -> Alcotest.failf "%s at %s: %s" path (Phase.to_string a) d)
+        (identity_assignments net 7))
+    Testkit.data_files
+
 let suite =
   [ Alcotest.test_case "phase helpers" `Quick test_phase_helpers;
     Alcotest.test_case "phase enumerate limit" `Quick test_phase_enumerate_limit;
@@ -368,4 +678,12 @@ let suite =
     prop_optimize_shrinks;
     prop_inverterless_equivalent;
     prop_inverterless_area_positive;
-    prop_min_area_local_minimum ]
+    prop_min_area_local_minimum;
+    prop_min_area_index_is_area;
+    prop_min_area_searches_match_reference;
+    Alcotest.test_case "min-area exhaustive limit" `Quick test_min_area_exhaustive_limit;
+    Alcotest.test_case "min-area start length" `Quick test_min_area_start_length;
+    Alcotest.test_case "min-area best default" `Quick test_min_area_best_default;
+    prop_realize_matches_reference;
+    Alcotest.test_case "realize = reference on data" `Quick
+      test_realize_matches_reference_on_data ]

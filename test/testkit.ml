@@ -74,3 +74,30 @@ let contains_substring haystack needle =
 
 let probs_gen n =
   QCheck2.Gen.(map Array.of_list (list_repeat n (float_bound_inclusive 1.0)))
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(* combinational designs parse directly; sequential ones contribute
+   their combinational core (latch outputs become PIs), as the flow
+   does *)
+let load_blif path =
+  let text = read_file path in
+  match Dpa_logic.Blif.of_string text with
+  | Ok net -> net
+  | Error _ -> (
+    match Dpa_logic.Blif.sequential_of_string text with
+    | Ok s -> s.Dpa_logic.Blif.comb
+    | Error msg -> Alcotest.failf "%s failed to parse: %s" path msg)
+
+(* every checked-in circuit (test/dune lists them as deps) *)
+let data_files =
+  [
+    "../data/apex7_synthetic.blif";
+    "../data/frg1_synthetic.blif";
+    "../data/seq_controller.blif";
+  ]
