@@ -583,137 +583,6 @@ let validate () =
      accurate."
 
 (* ------------------------------------------------------------------ *)
-(* Compiled simulation: reference interpreter vs bit-parallel tape      *)
-(* ------------------------------------------------------------------ *)
-
-(* Cycles/second of the compiled tape (Simulator.measure) against its
-   reference interpreter (Simulator.measure_reference) on every data/
-   circuit plus a generated Table 1 profile, same seed for both. The
-   activity counts are compared first — a speedup for different answers
-   would be meaningless, so the bench aborts on any mismatch (the
-   determinism contract of Dpa_sim.Compiled). With [json] the rows land
-   in BENCH_sim_compile.json for CI trend tracking. *)
-let sim_compile ?(quick = false) ?(json = false) () =
-  section "Compiled simulation — interpreter vs bit-parallel tape";
-  let cycles = if quick then 2_000 else 20_000 in
-  let repeats = if quick then 1 else 3 in
-  let data_circuits =
-    if Sys.file_exists "data" then
-      Sys.readdir "data" |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".blif")
-      |> List.sort compare
-      |> List.filter_map (fun f ->
-             (* sequential designs contribute their combinational core
-                (latch outputs become PIs), as the flow does *)
-             let text =
-               let ic = open_in_bin (Filename.concat "data" f) in
-               let s = really_input_string ic (in_channel_length ic) in
-               close_in ic;
-               s
-             in
-             let net =
-               match Dpa_logic.Blif.of_string text with
-               | Ok net -> Some net
-               | Error _ -> (
-                 match Dpa_logic.Blif.sequential_of_string text with
-                 | Ok s -> Some s.Dpa_logic.Blif.comb
-                 | Error _ -> None)
-             in
-             Option.map (fun net -> (Filename.chop_suffix f ".blif", net)) net)
-    else []
-  in
-  let generated =
-    match Dpa_workload.Profiles.find "industry2" with
-    | Some p ->
-      [ ( p.Dpa_workload.Profiles.name,
-          Dpa_workload.Profiles.build_comb p ) ]
-    | None -> []
-  in
-  let measure (name, raw) =
-    let net = Dpa_synth.Opt.optimize raw in
-    let mapped =
-      Mapped.map (Inverterless.realize net (Phase.all_positive (Netlist.num_outputs net)))
-    in
-    let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-    let run measure =
-      let best = ref infinity and result = ref None in
-      for _ = 1 to repeats do
-        let rng = Dpa_util.Rng.create 2024 in
-        let t0 = Unix.gettimeofday () in
-        let a = measure rng in
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt;
-        result := Some a
-      done;
-      (Option.get !result, float_of_int cycles /. Float.max !best 1e-9)
-    in
-    let ai, interp_cps =
-      run (fun rng -> Dpa_sim.Simulator.measure_reference ~cycles rng ~input_probs mapped)
-    in
-    let ac, compiled_cps =
-      run (fun rng -> Dpa_sim.Simulator.measure ~cycles rng ~input_probs mapped)
-    in
-    let identical =
-      ai.Dpa_sim.Simulator.fire_counts = ac.Dpa_sim.Simulator.fire_counts
-      && ai.Dpa_sim.Simulator.input_toggles = ac.Dpa_sim.Simulator.input_toggles
-      && ai.Dpa_sim.Simulator.node_probs = ac.Dpa_sim.Simulator.node_probs
-    in
-    if not identical then begin
-      Printf.eprintf
-        "sim bench: %s: tape disagrees with the reference at seed 2024 — speedup would be \
-         meaningless\n"
-        name;
-      exit 1
-    end;
-    (name, Netlist.size (Mapped.net mapped), interp_cps, compiled_cps)
-  in
-  let rows = List.map measure (data_circuits @ generated) in
-  let t =
-    Table.create
-      ~columns:
-        [ ("Ckt", Table.Left); ("nodes", Table.Right); ("interp cyc/s", Table.Right);
-          ("compiled cyc/s", Table.Right); ("speedup", Table.Right) ]
-  in
-  List.iter
-    (fun (name, nodes, icps, ccps) ->
-      Table.add_row t
-        [ name; string_of_int nodes;
-          Printf.sprintf "%.0f" icps;
-          Printf.sprintf "%.0f" ccps;
-          Printf.sprintf "%.1fx" (ccps /. Float.max icps 1e-9) ])
-    rows;
-  Table.print t;
-  Printf.printf "\nall circuits bit-identical to the reference (%d cycles, seed 2024)\n"
-    cycles;
-  if json then begin
-    let json_float f =
-      if Float.is_nan f then "null"
-      else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-      else Printf.sprintf "%.6g" f
-    in
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n  \"bench\": \"sim_compile\",\n  \"unit\": \"cycles/s\",\n";
-    Buffer.add_string b
-      (Printf.sprintf "  \"quick\": %b,\n  \"cycles\": %d,\n  \"results\": [\n" quick cycles);
-    let n = List.length rows in
-    List.iteri
-      (fun k (name, nodes, icps, ccps) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"circuit\": \"%s\", \"nodes\": %d, \"interp_cps\": %s, \
-              \"compiled_cps\": %s, \"speedup\": %s, \"identical\": true}%s\n"
-             name nodes (json_float icps) (json_float ccps)
-             (json_float (ccps /. Float.max icps 1e-9))
-             (if k = n - 1 then "" else ",")))
-      rows;
-    Buffer.add_string b "  ]\n}\n";
-    let oc = open_out "BENCH_sim_compile.json" in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote BENCH_sim_compile.json\n"
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -980,131 +849,3 @@ let ablation () =
       (Dpa_util.Stats.relative_error ~expected:est.Estimate.total
          ~actual:meas.Estimate.total
       *. 100.0))
-
-(* ------------------------------------------------------------------ *)
-(* Reorder rung: sift vs none                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* What the degradation ladder's rung 2 buys: the rung disabled
-   ([reorder_passes = 0]) against the in-place sift and retry. Node caps
-   are half the exact shared build (fig5, apex7) or the corpus cap
-   (parity_deep), so rung 1 always fails and rung 2 must engage. No
-   deadlines: a budget deadline bounds the whole estimate including the
-   Monte-Carlo rung, which would turn a slow variant into a crash
-   instead of a measurement. Variants slower than a minute are measured
-   once — repeats exist to beat timer noise, which minute-scale runs
-   don't have. *)
-let reorder ?(quick = false) ?(json = false) () =
-  let module Engine = Dpa_power.Engine in
-  section "Reorder rung — in-place sift vs none";
-  let repeats = if quick then 1 else 3 in
-  let prep raw =
-    let net = Dpa_synth.Opt.optimize raw in
-    let mapped =
-      Mapped.map (Inverterless.realize net (Phase.all_positive (Netlist.num_outputs net)))
-    in
-    let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-    (mapped, input_probs)
-  in
-  let half_exact (mapped, input_probs) =
-    let r = Engine.estimate ~input_probs mapped in
-    max 8 (r.Engine.report.Estimate.bdd_nodes / 2)
-  in
-  let circuits =
-    let fig5 =
-      let c = prep (Dpa_workload.Examples.fig5 ()) in
-      ("fig5", c, half_exact c, None)
-    in
-    let apex7 =
-      if not (Sys.file_exists "data/apex7_synthetic.blif") then []
-      else begin
-        let text =
-          let ic = open_in_bin "data/apex7_synthetic.blif" in
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          s
-        in
-        match Dpa_logic.Blif.of_string text with
-        | Error _ -> []
-        | Ok raw ->
-          let c = prep raw in
-          [ ("apex7", c, half_exact c, None) ]
-      end
-    in
-    let parity_deep =
-      match Dpa_workload.Profiles.find "parity_deep" with
-      | None -> []
-      | Some p ->
-        let c = prep (Dpa_workload.Profiles.build_comb p) in
-        (* the corpus CI target — the default 1% half-width would make
-           the unavoidable Monte-Carlo rung dominate both variants *)
-        [ ("parity_deep", c, 120_000, Some 0.02) ]
-    in
-    (fig5 :: apex7) @ parity_deep
-  in
-  let variants = [ "none"; "sift" ] in
-  let run (name, (mapped, input_probs), cap, halfwidth) variant =
-    let budget =
-      let b = Engine.bounded ~max_bdd_nodes:cap ~fallback:Engine.Simulate () in
-      let b =
-        match halfwidth with
-        | Some h -> { b with Engine.sim_halfwidth = h }
-        | None -> b
-      in
-      if variant = "none" then { b with Engine.reorder_passes = 0 } else b
-    in
-    let best = ref infinity and result = ref None in
-    for i = 1 to repeats do
-      if i = 1 || !best < 60.0 then begin
-        let t0 = Unix.gettimeofday () in
-        let r = Engine.estimate ~budget ~input_probs mapped in
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best then best := dt;
-        result := Some r
-      end
-    done;
-    let r = Option.get !result in
-    ( name,
-      variant,
-      cap,
-      !best,
-      Engine.degradation_label r.Engine.degradation,
-      r.Engine.degradation.Engine.bdd_nodes,
-      Engine.simulated_cones r.Engine.degradation )
-  in
-  let rows = List.concat_map (fun c -> List.map (run c) variants) circuits in
-  let t =
-    Table.create
-      ~columns:
-        [ ("Ckt", Table.Left); ("strategy", Table.Left); ("cap", Table.Right);
-          ("wall s", Table.Right); ("ladder", Table.Left); ("bdd nodes", Table.Right);
-          ("sim cones", Table.Right) ]
-  in
-  List.iter
-    (fun (name, variant, cap, wall, ladder, nodes, sim) ->
-      Table.add_row t
-        [ name; variant; string_of_int cap; Printf.sprintf "%.3f" wall; ladder;
-          string_of_int nodes; string_of_int sim ])
-    rows;
-  Table.print t;
-  if json then begin
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n  \"bench\": \"reorder\",\n  \"unit\": \"s\",\n";
-    Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n  \"results\": [\n" quick);
-    let n = List.length rows in
-    List.iteri
-      (fun k (name, variant, cap, wall, ladder, nodes, sim) ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"circuit\": \"%s\", \"strategy\": \"%s\", \"cap\": %d, \
-              \"wall_s\": %.6f, \"ladder\": \"%s\", \"bdd_nodes\": %d, \
-              \"simulated_cones\": %d}%s\n"
-             name variant cap wall ladder nodes sim
-             (if k = n - 1 then "" else ",")))
-      rows;
-    Buffer.add_string b "  ]\n}\n";
-    let oc = open_out "BENCH_reorder.json" in
-    output_string oc (Buffer.contents b);
-    close_out oc;
-    Printf.printf "wrote BENCH_reorder.json\n"
-  end

@@ -11,13 +11,15 @@ open Cmdliner
 module Flow = Dpa_core.Flow
 module Netlist = Dpa_logic.Netlist
 module Phase = Dpa_synth.Phase
+module Engine = Dpa_power.Engine
+module Par = Dpa_util.Par
 module Dpa_error = Dpa_util.Dpa_error
 
-(* Every action runs under [guard]: recognized failures — parse errors,
-   missing files, blown budgets with fallback disabled, internal invariant
-   violations — become one clean line on stderr and a documented
-   sysexits-style code (65 data, 66 io, 69 unsupported, 70 internal,
-   75 budget), never a raw backtrace. *)
+(* Recognized failures — parse errors, missing files, blown budgets with
+   fallback disabled, internal invariant violations — become one clean
+   line on stderr and a documented sysexits-style code (65 data, 66 io,
+   69 unsupported, 70 internal, 75 budget), never a raw backtrace. Every
+   command runs under [guard] (see [command] below). *)
 let die e =
   prerr_endline ("dominoflow: " ^ Dpa_error.to_string e);
   exit (Dpa_error.exit_code e)
@@ -30,7 +32,56 @@ let guard f =
    exception-safe reads, one place for the .blif/.dln dispatch *)
 let read_file = Dpa_logic.Io.read_file
 
-let netlist_of_source ~file ~profile =
+(* ---- value parsers ---- *)
+
+(* [conv] narrowed to the values [ok] accepts: an out-of-range flag is a
+   usage error (exit 124) before any work starts, on every command that
+   takes it. Probabilities and budgets get the ranges the wire protocol
+   enforces. *)
+let restrict conv ~ok ~expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive = restrict Arg.int ~ok:(fun n -> n >= 1) ~expected:"a positive integer"
+
+let non_negative = restrict Arg.int ~ok:(fun n -> n >= 0) ~expected:"a non-negative integer"
+
+let positive_seconds = restrict Arg.float ~ok:(fun s -> s > 0.0) ~expected:"a positive number"
+
+(* NaN fails both comparisons *)
+let probability =
+  restrict Arg.float ~ok:(fun p -> p >= 0.0 && p <= 1.0) ~expected:"a probability in [0,1]"
+
+let fallback_conv =
+  Arg.conv
+    ( (fun s ->
+        match Engine.fallback_of_string s with
+        | Some f -> Ok f
+        | None -> Error (`Msg (Printf.sprintf "invalid fallback %S (none|reorder|sim)" s))),
+      fun fmt f -> Format.pp_print_string fmt (Engine.fallback_to_string f) )
+
+(* ---- the circuit: --file or --profile ---- *)
+
+let file_arg =
+  let doc = "Netlist file; .blif is parsed as BLIF, anything else as the .dln text format." in
+  Arg.(value & opt (some string) None & info [ "file"; "f" ] ~docv:"FILE" ~doc)
+
+let source_arg =
+  let profile_arg =
+    let doc =
+      "Named benchmark profile (industry1-3, apex7, frg1, x1, x3, or any corpus \
+       profile; `dominoflow workload` lists them all)."
+    in
+    Arg.(value & opt (some string) None & info [ "profile"; "p" ] ~docv:"NAME" ~doc)
+  in
+  Term.product file_arg profile_arg
+
+let netlist_of_source (file, profile) =
   match file, profile with
   | Some path, None -> Ok (Dpa_logic.Io.load_file path)
   | None, Some name -> (
@@ -58,20 +109,13 @@ let pair_limit_of ~profile =
 
 (* ---- common options ---- *)
 
-let file_arg =
-  let doc = "Netlist file; .blif is parsed as BLIF, anything else as the .dln text format." in
-  Arg.(value & opt (some string) None & info [ "file"; "f" ] ~docv:"FILE" ~doc)
-
-let profile_arg =
-  let doc =
-    "Named benchmark profile (industry1-3, apex7, frg1, x1, x3, or any corpus \
-     profile; `dominoflow workload` lists them all)."
-  in
-  Arg.(value & opt (some string) None & info [ "profile"; "p" ] ~docv:"NAME" ~doc)
-
 let input_prob_arg =
   let doc = "Uniform signal probability of the primary inputs." in
-  Arg.(value & opt float 0.5 & info [ "input-prob" ] ~docv:"P" ~doc)
+  Arg.(value & opt probability 0.5 & info [ "input-prob" ] ~docv:"P" ~doc)
+
+let phases_arg =
+  let doc = "Explicit phase string, e.g. \"+-+\" (default all positive)." in
+  Arg.(value & opt (some string) None & info [ "phases" ] ~docv:"PHASES" ~doc)
 
 let timed_arg =
   let doc = "Run the Table 2 flow: derive a clock constraint and resize." in
@@ -81,24 +125,65 @@ let seed_arg =
   let doc = "Seed for randomized search strategies." in
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
-let jobs_arg =
+(* the optimized netlist's phase assignment: all positive, or the
+   --phases string *)
+let assignment_of ~net = function
+  | None -> Ok (Phase.all_positive (Netlist.num_outputs net))
+  | Some s -> Phase.of_string ~num_outputs:(Netlist.num_outputs net) s
+
+(* ---- resource budget options ---- *)
+
+let max_bdd_nodes_arg =
   let doc =
-    "Domains used for intra-request parallelism: per-cone BDD estimation fans \
-     out across $(docv) domains and the phase search prices candidate moves \
-     speculatively. Results are bit-identical at any value (including 1). \
-     Default: the machine's recommended domain count."
+    "Cap the BDD manager at $(docv) nodes; estimation degrades per the \
+     --fallback policy instead of exhausting memory."
   in
-  Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive) None & info [ "max-bdd-nodes" ] ~docv:"N" ~doc)
 
-(* One pool per command invocation, created before the work and shut down
-   after. The width is a performance hint, never a semantic knob, so an
-   out-of-range request is clamped to what Par.create accepts rather than
-   rejected. *)
-let with_par ~jobs f =
-  let requested = match jobs with Some j -> j | None -> Dpa_util.Par.default_jobs () in
-  Dpa_util.Par.with_pool ~jobs:(max 1 (min 126 requested)) f
+let deadline_arg =
+  let doc = "Wall-clock deadline in seconds for each power estimate." in
+  Arg.(value & opt (some positive_seconds) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
 
-(* ---- observability options ---- *)
+(* The budget of run/estimate/validate; submit and batch take it without
+   --reorder-passes, because the wire protocol does not carry passes and
+   the server estimates under the engine default. Neither a cap nor a
+   deadline means no budget. *)
+let budget_arg ~passes =
+  let fallback_arg =
+    let doc =
+      "What to do when a budget runs out: $(b,none) fails with exit code 75, \
+       $(b,reorder) sifts the BDD variable order in place and retries the failed \
+       cones, $(b,sim) (default) additionally falls back to Monte-Carlo simulation."
+    in
+    Arg.(value & opt fallback_conv Engine.Simulate & info [ "fallback" ] ~docv:"POLICY" ~doc)
+  in
+  let reorder_passes_arg =
+    let doc =
+      "Reorder-rung sift passes; $(b,0) disables the rung entirely, so exhausted \
+       cones fall straight through to the $(b,--fallback) policy."
+    in
+    Arg.(
+      value
+      & opt non_negative Engine.default_budget.Engine.reorder_passes
+      & info [ "reorder-passes" ] ~docv:"N" ~doc)
+  in
+  let budget max_bdd_nodes deadline_s fallback reorder_passes =
+    match max_bdd_nodes, deadline_s with
+    | None, None -> None
+    | _ ->
+      Some
+        { Engine.default_budget with
+          Engine.max_bdd_nodes;
+          deadline_s;
+          fallback;
+          reorder_passes }
+  in
+  Term.(
+    const budget $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
+    $ if passes then reorder_passes_arg
+      else const Engine.default_budget.Engine.reorder_passes)
+
+(* ---- the command wrapper: error guard, trace/metrics output, pool ---- *)
 
 let trace_arg =
   let doc =
@@ -115,75 +200,58 @@ let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 (* Runs [f] with tracing/profiling switched on as requested and writes the
-   output files even when [f] raises — the exception continues on to [guard],
-   so recognized failures still produce a (partial) trace for diagnosis. *)
-let with_obs ~trace ~metrics f =
-  if trace = None && metrics = None then f ()
-  else begin
-    if trace <> None then Dpa_obs.Trace.start ();
-    if metrics <> None then Dpa_obs.Profile.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        (match trace with Some path -> Dpa_obs.Trace.save path | None -> ());
-        match metrics with Some path -> Dpa_obs.Metrics.save_json path | None -> ())
-      f
-  end
-
-(* ---- resource budget options ---- *)
-
-let max_bdd_nodes_arg =
-  let doc =
-    "Cap the BDD manager at $(docv) nodes; estimation degrades per the \
-     --fallback policy instead of exhausting memory."
+   output files after it — also when [f] fails, so a recognized failure
+   still leaves a (partial) trace for diagnosis. The command's own error
+   wins: a failed write is reported only when the command succeeded. *)
+let with_obs (trace, metrics) f =
+  if trace <> None then Dpa_obs.Trace.start ();
+  if metrics <> None then Dpa_obs.Profile.enable ();
+  let save () =
+    Option.iter Dpa_obs.Trace.save trace;
+    Option.iter Dpa_obs.Metrics.save_json metrics
   in
-  Arg.(value & opt (some int) None & info [ "max-bdd-nodes" ] ~docv:"N" ~doc)
+  let save_after_failure () = try save () with Sys_error _ | Fun.Finally_raised _ -> () in
+  match f () with
+  | `Ok () ->
+    save ();
+    `Ok ()
+  | failed ->
+    save_after_failure ();
+    failed
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    save_after_failure ();
+    Printexc.raise_with_backtrace e bt
 
-let deadline_arg =
-  let doc = "Wall-clock deadline in seconds for each power estimate." in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"SECONDS" ~doc)
+(* Every subcommand is built here, so every one runs under [guard]; unless
+   [~obs:false] it also takes --trace and --metrics. [body] evaluates to
+   the command's action. *)
+let command ?(obs = true) name ~doc body =
+  let obs_arg = if obs then Term.product trace_arg metrics_arg else Term.const (None, None) in
+  let run obs f = guard (fun () -> with_obs obs f) in
+  Cmd.v (Cmd.info name ~doc) Term.(ret (const run $ obs_arg $ body))
 
-let fallback_arg =
-  let doc =
-    "What to do when a budget runs out: $(b,none) fails with exit code 75, \
-     $(b,reorder) sifts the BDD variable order in place and retries the failed \
-     cones, $(b,sim) (default) additionally falls back to Monte-Carlo simulation."
+(* The pool width is a performance hint, never a semantic knob, so an
+   out-of-range request is clamped to what Par.create accepts rather than
+   rejected. *)
+let clamp_jobs j = max 1 (min 126 j)
+
+(* [pooled body] adds --jobs and runs [body]'s action on one pool per
+   invocation, created before the work and shut down after. *)
+let pooled body =
+  let jobs_arg =
+    let doc =
+      "Domains used for intra-request parallelism: per-cone BDD estimation fans \
+       out across $(docv) domains and the phase search prices candidate moves \
+       speculatively. Results are bit-identical at any value (including 1). \
+       Default: the machine's recommended domain count."
+    in
+    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
-  let fb_conv =
-    Arg.conv
-      ( (fun s ->
-          match Dpa_power.Engine.fallback_of_string s with
-          | Some f -> Ok f
-          | None -> Error (`Msg (Printf.sprintf "invalid fallback %S (none|reorder|sim)" s))),
-        fun fmt f -> Format.pp_print_string fmt (Dpa_power.Engine.fallback_to_string f) )
+  let run jobs f () =
+    Par.with_pool ~jobs:(clamp_jobs (Option.value jobs ~default:(Par.default_jobs ()))) f
   in
-  Arg.(value & opt fb_conv Dpa_power.Engine.Simulate & info [ "fallback" ] ~docv:"POLICY" ~doc)
-
-let reorder_passes_arg =
-  let doc =
-    "Reorder-rung sift passes; $(b,0) disables the rung entirely, so exhausted \
-     cones fall straight through to the $(b,--fallback) policy."
-  in
-  Arg.(
-    value
-    & opt int Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
-    & info [ "reorder-passes" ] ~docv:"N" ~doc)
-
-let budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes =
-  match max_bdd_nodes, deadline with
-  | None, None -> None
-  | _ ->
-    Some
-      { Dpa_power.Engine.default_budget with
-        Dpa_power.Engine.max_bdd_nodes;
-        deadline_s = deadline;
-        fallback;
-        reorder_passes }
-
-(* the optimized netlist's phase assignment: all positive, or the
-   --phases string *)
-let assignment_of ~net = function
-  | None -> Ok (Phase.all_positive (Netlist.num_outputs net))
-  | Some s -> Phase.of_string ~num_outputs:(Netlist.num_outputs net) s
+  Term.(const run $ jobs_arg $ body)
 
 (* ---- run ---- *)
 
@@ -199,162 +267,135 @@ let run_cmd =
     let doc = "Collapse narrow output cones to irredundant two-level form (ISOP) first." in
     Arg.(value & flag & info [ "two-level" ] ~doc)
   in
-  let action file profile input_prob timed seed sequential two_level max_bdd_nodes
-      deadline fallback reorder_passes jobs trace metrics =
-    if input_prob < 0.0 || input_prob > 1.0 then
-      `Error (false, "--input-prob must lie in [0,1]")
-    else begin
-      guard @@ fun () ->
-      with_obs ~trace ~metrics @@ fun () ->
-      with_par ~jobs @@ fun pool ->
-      let config =
-        { Flow.default_config with
-          Flow.input_prob;
-          seed;
-          pair_limit = pair_limit_of ~profile;
-          timing = (if timed then Some Flow.default_timing else None);
-          budget = budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes;
-          par = Some pool }
-      in
-      if sequential then begin
-        match file with
-        | Some path when Filename.check_suffix path ".blif" -> (
-          match Dpa_logic.Blif.sequential_of_string (read_file path) with
-          | Error msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
-          | Ok parsed ->
-            let sn = Dpa_seq.Seq_netlist.of_blif parsed in
-            let r = Dpa_core.Seq_flow.compare_ma_mp ~config sn in
-            Printf.printf
-              "sequential design: %d flip-flops, MFVS cut {%s}, %d symmetry group(s)\n"
-              (Dpa_seq.Seq_netlist.n_ffs sn)
-              (String.concat "," (List.map string_of_int r.Dpa_core.Seq_flow.fvs))
-              r.Dpa_core.Seq_flow.supervertices;
-            Array.iteri
-              (fun k p -> Printf.printf "  ff%d steady P(Q) = %.3f\n" k p)
-              r.Dpa_core.Seq_flow.ff_probs;
-            print_newline ();
-            print_string
-              (Dpa_core.Report.table ~title:"MA vs MP (combinational core):"
-                 [ ("", r.Dpa_core.Seq_flow.comb) ]);
-            `Ok ())
-        | Some _ -> `Error (false, "--sequential requires a .blif file")
-        | None -> `Error (false, "--sequential requires --file")
-      end
-      else
-        match netlist_of_source ~file ~profile with
-        | Error msg -> `Error (false, msg)
-        | Ok net ->
-          let net =
-            if two_level then begin
-              let flat, stats =
-                Dpa_synth.Resynth.two_level (Dpa_synth.Opt.optimize net)
-              in
-              Printf.printf "two-level resynthesis: %d/%d cones collapsed (%d cubes)\n"
-                stats.Dpa_synth.Resynth.collapsed_outputs
-                (stats.Dpa_synth.Resynth.collapsed_outputs
-                + stats.Dpa_synth.Resynth.kept_outputs)
-                stats.Dpa_synth.Resynth.cubes;
-              flat
-            end
-            else net
-          in
-          let r = Flow.compare_ma_mp ~config net in
-          print_string (Dpa_core.Report.table ~title:"MA vs MP:" [ ("", r) ]);
+  let action (file, profile) input_prob timed seed sequential two_level budget pool =
+    let config =
+      { Flow.default_config with
+        Flow.input_prob;
+        seed;
+        pair_limit = pair_limit_of ~profile;
+        timing = (if timed then Some Flow.default_timing else None);
+        budget;
+        par = Some pool }
+    in
+    if sequential then begin
+      match file with
+      | Some path when Filename.check_suffix path ".blif" -> (
+        match Dpa_logic.Blif.sequential_of_string (read_file path) with
+        | Error msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
+        | Ok parsed ->
+          let sn = Dpa_seq.Seq_netlist.of_blif parsed in
+          let r = Dpa_core.Seq_flow.compare_ma_mp ~config sn in
+          Printf.printf
+            "sequential design: %d flip-flops, MFVS cut {%s}, %d symmetry group(s)\n"
+            (Dpa_seq.Seq_netlist.n_ffs sn)
+            (String.concat "," (List.map string_of_int r.Dpa_core.Seq_flow.fvs))
+            r.Dpa_core.Seq_flow.supervertices;
+          Array.iteri
+            (fun k p -> Printf.printf "  ff%d steady P(Q) = %.3f\n" k p)
+            r.Dpa_core.Seq_flow.ff_probs;
           print_newline ();
-          print_endline (Dpa_core.Report.summary r);
-          `Ok ()
+          print_string
+            (Dpa_core.Report.table ~title:"MA vs MP (combinational core):"
+               [ ("", r.Dpa_core.Seq_flow.comb) ]);
+          `Ok ())
+      | Some _ -> `Error (false, "--sequential requires a .blif file")
+      | None -> `Error (false, "--sequential requires --file")
     end
+    else
+      match netlist_of_source (file, profile) with
+      | Error msg -> `Error (false, msg)
+      | Ok net ->
+        let net =
+          if two_level then begin
+            let flat, stats =
+              Dpa_synth.Resynth.two_level (Dpa_synth.Opt.optimize net)
+            in
+            Printf.printf "two-level resynthesis: %d/%d cones collapsed (%d cubes)\n"
+              stats.Dpa_synth.Resynth.collapsed_outputs
+              (stats.Dpa_synth.Resynth.collapsed_outputs
+              + stats.Dpa_synth.Resynth.kept_outputs)
+              stats.Dpa_synth.Resynth.cubes;
+            flat
+          end
+          else net
+        in
+        let r = Flow.compare_ma_mp ~config net in
+        print_string (Dpa_core.Report.table ~title:"MA vs MP:" [ ("", r) ]);
+        print_newline ();
+        print_endline (Dpa_core.Report.summary r);
+        `Ok ()
   in
   let doc = "Compare minimum-area and minimum-power phase assignment on a circuit." in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      ret
-        (const action $ file_arg $ profile_arg $ input_prob_arg $ timed_arg $ seed_arg
-        $ sequential_arg $ two_level_arg $ max_bdd_nodes_arg $ deadline_arg
-        $ fallback_arg $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
+  command "run" ~doc
+    (pooled
+       Term.(
+         const action $ source_arg $ input_prob_arg $ timed_arg $ seed_arg $ sequential_arg
+         $ two_level_arg $ budget_arg ~passes:true))
 
-(* ---- estimate ---- *)
+(* ---- estimate / validate ---- *)
+
+(* Both commands price one phase assignment the same way — load, optimize,
+   realize, map, [Engine.estimate] — and open with the same header; [k]
+   prints the rest from the input probabilities, the mapped block and the
+   estimate. *)
+let price ~pool ~source ~input_prob ~phases ~budget k =
+  match netlist_of_source source with
+  | Error msg -> `Error (false, msg)
+  | Ok raw -> (
+    let net = Dpa_synth.Opt.optimize raw in
+    match assignment_of ~net phases with
+    | Error msg -> `Error (false, msg)
+    | Ok assignment ->
+      let input_probs = Array.make (Netlist.num_inputs net) input_prob in
+      let mapped = Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net assignment) in
+      let est = Engine.estimate ~par:pool ?budget ~input_probs mapped in
+      Printf.printf "phases %s: %d cells\n" (Phase.to_string assignment)
+        (Dpa_domino.Mapped.size mapped);
+      if not (Engine.all_exact est.Engine.degradation) then
+        Printf.printf "  estimate degraded: %s\n"
+          (Engine.degradation_to_string est.Engine.degradation);
+      k ~input_probs mapped est.Engine.report;
+      `Ok ())
 
 let estimate_cmd =
-  let phases_arg =
-    let doc = "Explicit phase string, e.g. \"+-+\" (default all positive)." in
-    Arg.(value & opt (some string) None & info [ "phases" ] ~docv:"PHASES" ~doc)
-  in
   let cycles_arg =
     let doc = "Also simulate this many cycles and report measured power." in
     Arg.(value & opt (some int) None & info [ "simulate" ] ~docv:"CYCLES" ~doc)
   in
-  let action file profile input_prob phases cycles max_bdd_nodes deadline fallback
-      reorder_passes jobs trace metrics =
-    guard @@ fun () ->
-    with_obs ~trace ~metrics @@ fun () ->
-    with_par ~jobs @@ fun pool ->
-    match netlist_of_source ~file ~profile with
-    | Error msg -> `Error (false, msg)
-    | Ok raw ->
-      let net = Dpa_synth.Opt.optimize raw in
-      (match assignment_of ~net phases with
-      | Error msg -> `Error (false, msg)
-      | Ok assignment ->
-        let input_probs = Array.make (Netlist.num_inputs net) input_prob in
-        let mapped =
-          Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net assignment)
-        in
-        let est =
-          Dpa_power.Engine.estimate ~par:pool
-            ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes)
-            ~input_probs mapped
-        in
-        let r = est.Dpa_power.Engine.report in
-        Printf.printf "phases %s: %d cells\n" (Phase.to_string assignment)
-          (Dpa_domino.Mapped.size mapped);
-        if not (Dpa_power.Engine.all_exact est.Dpa_power.Engine.degradation) then
-          Printf.printf "  estimate degraded: %s\n"
-            (Dpa_power.Engine.degradation_to_string est.Dpa_power.Engine.degradation);
-        Printf.printf "  domino block power   %10.4f\n" r.Dpa_power.Estimate.domino_power;
-        Printf.printf "  input inverters      %10.4f\n"
-          r.Dpa_power.Estimate.input_inverter_power;
-        Printf.printf "  output inverters     %10.4f\n"
-          r.Dpa_power.Estimate.output_inverter_power;
-        Printf.printf "  total                %10.4f\n" r.Dpa_power.Estimate.total;
-        print_endline "  by cell type:";
-        List.iter
-          (fun (cname, count, power) ->
-            Printf.printf "    %-10s x%-4d %10.4f\n" cname count power)
-          (Dpa_power.Estimate.by_cell_type
-             ~input_toggle:(fun pos -> Dpa_power.Model.static_switching input_probs.(pos))
-             mapped ~node_probs:r.Dpa_power.Estimate.node_probs);
-        (match cycles with
-        | Some c when c > 0 ->
-          let rng = Dpa_util.Rng.create 1 in
-          let m =
-            Dpa_power.Estimate.of_activity mapped
-              (Dpa_sim.Simulator.measure ~cycles:c rng ~input_probs mapped)
-          in
-          Printf.printf "  simulated (%d cycles) %9.4f\n" c
-            m.Dpa_power.Estimate.total
-        | Some _ | None -> ());
-        `Ok ())
+  let action source input_prob phases cycles budget pool =
+    price ~pool ~source ~input_prob ~phases ~budget @@ fun ~input_probs mapped r ->
+    Printf.printf "  domino block power   %10.4f\n" r.Dpa_power.Estimate.domino_power;
+    Printf.printf "  input inverters      %10.4f\n" r.Dpa_power.Estimate.input_inverter_power;
+    Printf.printf "  output inverters     %10.4f\n" r.Dpa_power.Estimate.output_inverter_power;
+    Printf.printf "  total                %10.4f\n" r.Dpa_power.Estimate.total;
+    print_endline "  by cell type:";
+    List.iter
+      (fun (cname, count, power) -> Printf.printf "    %-10s x%-4d %10.4f\n" cname count power)
+      (Dpa_power.Estimate.by_cell_type
+         ~input_toggle:(fun pos -> Dpa_power.Model.static_switching input_probs.(pos))
+         mapped ~node_probs:r.Dpa_power.Estimate.node_probs);
+    match cycles with
+    | Some c when c > 0 ->
+      let rng = Dpa_util.Rng.create 1 in
+      let m =
+        Dpa_power.Estimate.of_activity mapped
+          (Dpa_sim.Simulator.measure ~cycles:c rng ~input_probs mapped)
+      in
+      Printf.printf "  simulated (%d cycles) %9.4f\n" c m.Dpa_power.Estimate.total
+    | Some _ | None -> ()
   in
   let doc = "Estimate (and optionally simulate) domino power for a phase assignment." in
-  Cmd.v (Cmd.info "estimate" ~doc)
-    Term.(
-      ret
-        (const action $ file_arg $ profile_arg $ input_prob_arg $ phases_arg $ cycles_arg
-        $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
-        $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
-
-(* ---- validate ---- *)
+  command "estimate" ~doc
+    (pooled
+       Term.(
+         const action $ source_arg $ input_prob_arg $ phases_arg $ cycles_arg
+         $ budget_arg ~passes:true))
 
 (* Cross-check the analytic engine estimate against a Monte-Carlo
    measurement of the same mapped block. The simulated number is the
    ground truth the whole estimation stack approximates, so this is the
    end-to-end validation path for the engine. *)
 let validate_cmd =
-  let phases_arg =
-    let doc = "Explicit phase string, e.g. \"+-+\" (default all positive)." in
-    Arg.(value & opt (some string) None & info [ "phases" ] ~docv:"PHASES" ~doc)
-  in
   let cycles_arg =
     let doc =
       "Monte-Carlo cycles for the simulated measurement (default: the shared \
@@ -362,75 +403,43 @@ let validate_cmd =
     in
     Arg.(
       value
-      & opt int Dpa_sim.Compiled.default_cycles
+      & opt positive Dpa_sim.Compiled.default_cycles
       & info [ "cycles" ] ~docv:"N" ~doc)
   in
-  let action file profile input_prob phases cycles seed max_bdd_nodes deadline fallback
-      reorder_passes jobs trace metrics =
-    if cycles < 1 then `Error (false, "--cycles must be >= 1")
-    else begin
-      guard @@ fun () ->
-      with_obs ~trace ~metrics @@ fun () ->
-      with_par ~jobs @@ fun pool ->
-      match netlist_of_source ~file ~profile with
-      | Error msg -> `Error (false, msg)
-      | Ok raw ->
-        let net = Dpa_synth.Opt.optimize raw in
-        (match assignment_of ~net phases with
-        | Error msg -> `Error (false, msg)
-        | Ok assignment ->
-          let input_probs = Array.make (Netlist.num_inputs net) input_prob in
-          let mapped =
-            Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net assignment)
-          in
-          let est =
-            Dpa_power.Engine.estimate ~par:pool
-              ?budget:(budget_of ~max_bdd_nodes ~deadline ~fallback ~reorder_passes)
-              ~input_probs mapped
-          in
-          let estimated = est.Dpa_power.Engine.report.Dpa_power.Estimate.total in
-          let rng = Dpa_util.Rng.create seed in
-          let measured =
-            Dpa_power.Estimate.of_activity mapped
-              (Dpa_sim.Simulator.measure ~cycles rng ~input_probs mapped)
-          in
-          let simulated = measured.Dpa_power.Estimate.total in
-          let rel =
-            if Float.abs estimated > 1e-12 then
-              100.0 *. Float.abs (simulated -. estimated) /. estimated
-            else 0.0
-          in
-          Printf.printf "phases %s: %d cells\n" (Phase.to_string assignment)
-            (Dpa_domino.Mapped.size mapped);
-          if not (Dpa_power.Engine.all_exact est.Dpa_power.Engine.degradation) then
-            Printf.printf "  estimate degraded: %s\n"
-              (Dpa_power.Engine.degradation_to_string
-                 est.Dpa_power.Engine.degradation);
-          Printf.printf "  estimated total      %10.4f\n" estimated;
-          Printf.printf "  simulated total      %10.4f   (%d cycles, seed %d)\n" simulated
-            cycles seed;
-          Printf.printf "  relative gap         %9.2f%%\n" rel;
-          `Ok ())
-    end
+  let action source input_prob phases cycles seed budget pool =
+    price ~pool ~source ~input_prob ~phases ~budget @@ fun ~input_probs mapped r ->
+    let estimated = r.Dpa_power.Estimate.total in
+    let rng = Dpa_util.Rng.create seed in
+    let measured =
+      Dpa_power.Estimate.of_activity mapped
+        (Dpa_sim.Simulator.measure ~cycles rng ~input_probs mapped)
+    in
+    let simulated = measured.Dpa_power.Estimate.total in
+    let rel =
+      if Float.abs estimated > 1e-12 then
+        100.0 *. Float.abs (simulated -. estimated) /. estimated
+      else 0.0
+    in
+    Printf.printf "  estimated total      %10.4f\n" estimated;
+    Printf.printf "  simulated total      %10.4f   (%d cycles, seed %d)\n" simulated
+      cycles seed;
+    Printf.printf "  relative gap         %9.2f%%\n" rel
   in
   let doc =
     "Validate the analytic power estimate against a Monte-Carlo simulation of the \
      mapped block (deterministic seed)."
   in
-  Cmd.v (Cmd.info "validate" ~doc)
-    Term.(
-      ret
-        (const action $ file_arg $ profile_arg $ input_prob_arg $ phases_arg $ cycles_arg
-        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg
-        $ reorder_passes_arg $ jobs_arg $ trace_arg $ metrics_arg))
+  command "validate" ~doc
+    (pooled
+       Term.(
+         const action $ source_arg $ input_prob_arg $ phases_arg $ cycles_arg $ seed_arg
+         $ budget_arg ~passes:true))
 
 (* ---- info ---- *)
 
 let info_cmd =
-  let action file profile trace metrics =
-    guard @@ fun () ->
-    with_obs ~trace ~metrics @@ fun () ->
-    match netlist_of_source ~file ~profile with
+  let action source () =
+    match netlist_of_source source with
     | Error msg -> `Error (false, msg)
     | Ok net ->
       print_string (Dpa_logic.Netstats.to_string (Dpa_logic.Netstats.compute net));
@@ -443,51 +452,46 @@ let info_cmd =
       `Ok ()
   in
   let doc = "Print structural statistics and the domino/static power ratio." in
-  Cmd.v (Cmd.info "info" ~doc)
-    Term.(ret (const action $ file_arg $ profile_arg $ trace_arg $ metrics_arg))
+  command "info" ~doc Term.(const action $ source_arg)
 
 (* ---- equiv ---- *)
 
 let equiv_cmd =
-  let action file_a file_b =
-    guard @@ fun () ->
+  let action file_a file_b () =
     let a = Dpa_logic.Io.load_file file_a and b = Dpa_logic.Io.load_file file_b in
-    (
-      match Dpa_bdd.Equiv.check a b with
-      | Dpa_bdd.Equiv.Equivalent ->
-        print_endline "EQUIVALENT";
-        `Ok ()
-      | Dpa_bdd.Equiv.Interface_mismatch msg ->
-        Printf.printf "INTERFACE MISMATCH: %s\n" msg;
-        exit 2
-      | Dpa_bdd.Equiv.Differ { output; witness } ->
-        let po_name =
-          match Array.to_list (Dpa_logic.Netlist.outputs a) with
-          | outs when output < List.length outs -> fst (List.nth outs output)
-          | _ -> string_of_int output
-        in
-        Printf.printf "DIFFER at output %s; witness inputs:\n" po_name;
-        Array.iteri
-          (fun pos id ->
-            let name =
-              Option.value ~default:(Printf.sprintf "pi%d" pos)
-                (Dpa_logic.Netlist.node_name a id)
-            in
-            Printf.printf "  %s = %d\n" name (Bool.to_int witness.(pos)))
-          (Dpa_logic.Netlist.inputs a);
-        exit 1)
+    match Dpa_bdd.Equiv.check a b with
+    | Dpa_bdd.Equiv.Equivalent ->
+      print_endline "EQUIVALENT";
+      `Ok ()
+    | Dpa_bdd.Equiv.Interface_mismatch msg ->
+      Printf.printf "INTERFACE MISMATCH: %s\n" msg;
+      exit 2
+    | Dpa_bdd.Equiv.Differ { output; witness } ->
+      let po_name =
+        match Array.to_list (Dpa_logic.Netlist.outputs a) with
+        | outs when output < List.length outs -> fst (List.nth outs output)
+        | _ -> string_of_int output
+      in
+      Printf.printf "DIFFER at output %s; witness inputs:\n" po_name;
+      Array.iteri
+        (fun pos id ->
+          let name =
+            Option.value ~default:(Printf.sprintf "pi%d" pos)
+              (Dpa_logic.Netlist.node_name a id)
+          in
+          Printf.printf "  %s = %d\n" name (Bool.to_int witness.(pos)))
+        (Dpa_logic.Netlist.inputs a);
+      exit 1
   in
   let file_a = Arg.(required & pos 0 (some string) None & info [] ~docv:"A") in
   let file_b = Arg.(required & pos 1 (some string) None & info [] ~docv:"B") in
   let doc = "Check two netlists for combinational equivalence (BDD-based)." in
-  Cmd.v (Cmd.info "equiv" ~doc) Term.(ret (const action $ file_a $ file_b))
+  command ~obs:false "equiv" ~doc Term.(const action $ file_a $ file_b)
 
 (* ---- mfvs ---- *)
 
 let mfvs_cmd =
-  let action file trace metrics =
-    guard @@ fun () ->
-    with_obs ~trace ~metrics @@ fun () ->
+  let action file () =
     if not (Filename.check_suffix file ".blif") then
       `Error (false, "mfvs requires a sequential .blif file")
     else
@@ -524,8 +528,7 @@ let mfvs_cmd =
   in
   let file_pos = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE.blif") in
   let doc = "Analyze a sequential design: s-graph, enhanced and exact MFVS, probabilities." in
-  Cmd.v (Cmd.info "mfvs" ~doc)
-    Term.(ret (const action $ file_pos $ trace_arg $ metrics_arg))
+  command "mfvs" ~doc Term.(const action $ file_pos)
 
 (* ---- serve / submit / batch (the resident service) ---- *)
 
@@ -553,7 +556,7 @@ let workers_arg =
   let doc = "Worker domains executing requests in parallel." in
   Arg.(
     value
-    & opt int (max 1 (min 4 (Domain.recommended_domain_count () - 1)))
+    & opt positive (max 1 (min 4 (Domain.recommended_domain_count () - 1)))
     & info [ "workers"; "j" ] ~docv:"N" ~doc)
 
 (* Fault-injection plumbing shared by serve and chaos: an explicit
@@ -590,7 +593,7 @@ let max_request_bytes_arg =
   in
   Arg.(
     value
-    & opt int Server.default_max_request_bytes
+    & opt positive Server.default_max_request_bytes
     & info [ "max-request-bytes" ] ~docv:"BYTES" ~doc)
 
 let serve_cmd =
@@ -600,7 +603,10 @@ let serve_cmd =
        structured $(b,overloaded) response carrying a retry_after_ms hint \
        instead of buffering without limit."
     in
-    Arg.(value & opt int Server.default_queue_capacity & info [ "queue-capacity" ] ~docv:"N" ~doc)
+    Arg.(
+      value
+      & opt positive Server.default_queue_capacity
+      & info [ "queue-capacity" ] ~docv:"N" ~doc)
   in
   let serve_jobs_arg =
     let doc =
@@ -608,7 +614,7 @@ let serve_cmd =
        most workers × $(docv) domains are ever busy. Default: the machine's \
        cores spread evenly across the workers."
     in
-    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some positive) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let cache_mb_arg =
     let doc =
@@ -616,12 +622,15 @@ let serve_cmd =
        optimize and compare responses keyed by canonical structure); 0 \
        disables caching."
     in
-    Arg.(value & opt int Server.default_cache_mb & info [ "cache-mb" ] ~docv:"MB" ~doc)
+    Arg.(
+      value & opt non_negative Server.default_cache_mb & info [ "cache-mb" ] ~docv:"MB" ~doc)
   in
   let cache_entries_arg =
     let doc = "Entry bound of the result cache." in
     Arg.(
-      value & opt int Server.default_cache_entries & info [ "cache-entries" ] ~docv:"N" ~doc)
+      value
+      & opt positive Server.default_cache_entries
+      & info [ "cache-entries" ] ~docv:"N" ~doc)
   in
   let cache_snapshot_arg =
     let doc =
@@ -632,58 +641,43 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "cache-snapshot" ] ~docv:"PATH" ~doc)
   in
   let action socket workers jobs queue_capacity max_request_bytes cache_mb cache_entries
-      cache_snapshot fault fault_seed trace metrics =
-    if workers < 1 then `Error (false, "--workers must be >= 1")
-    else if queue_capacity < 1 then `Error (false, "--queue-capacity must be >= 1")
-    else if max_request_bytes < 1 then `Error (false, "--max-request-bytes must be >= 1")
-    else if cache_mb < 0 then `Error (false, "--cache-mb must be >= 0")
-    else if cache_entries < 1 then `Error (false, "--cache-entries must be >= 1")
-    else if (match jobs with Some j -> j < 1 | None -> false) then
-      `Error (false, "--jobs must be >= 1")
-    else begin
-      match arm_faults ~fault ~fault_seed with
-      | Error msg -> `Error (false, msg)
-      | Ok () ->
-        guard @@ fun () ->
-        with_obs ~trace ~metrics @@ fun () ->
-        let jobs =
-          match jobs with
-          | Some j -> min 126 j
-          | None -> max 1 (min 126 (Dpa_util.Par.default_jobs () / workers))
-        in
-        (* a signal drains like a shutdown request instead of killing
-           in-flight work; the exit code records which signal it was *)
-        let caught_signal = ref None in
-        Server.run
-          ~on_ready:(fun h ->
-            let drain_on signum =
-              Sys.set_signal signum
-                (Sys.Signal_handle
-                   (fun _ ->
-                     caught_signal := Some signum;
-                     Server.stop h))
-            in
-            drain_on Sys.sigint;
-            drain_on Sys.sigterm;
-            Printf.printf "dominoflow: serving on %s (workers=%d, jobs=%d, queue=%d)\n%!"
-              socket workers jobs queue_capacity)
-          {
-            Server.socket_path = socket;
-            workers;
-            jobs;
-            queue_capacity;
-            max_request_bytes;
-            cache_mb;
-            cache_entries;
-            cache_snapshot;
-          };
-        print_endline "dominoflow: server drained, bye";
-        (match !caught_signal with
-        | Some s when s = Sys.sigterm -> exit (128 + 15)
-        | Some s when s = Sys.sigint -> exit (128 + 2)
-        | Some _ | None -> ());
-        `Ok ()
-    end
+      cache_snapshot fault fault_seed () =
+    match arm_faults ~fault ~fault_seed with
+    | Error msg -> `Error (false, msg)
+    | Ok () ->
+      let jobs = clamp_jobs (Option.value jobs ~default:(Par.default_jobs () / workers)) in
+      (* a signal drains like a shutdown request instead of killing
+         in-flight work; the exit code records which signal it was *)
+      let caught_signal = ref None in
+      Server.run
+        ~on_ready:(fun h ->
+          let drain_on signum =
+            Sys.set_signal signum
+              (Sys.Signal_handle
+                 (fun _ ->
+                   caught_signal := Some signum;
+                   Server.stop h))
+          in
+          drain_on Sys.sigint;
+          drain_on Sys.sigterm;
+          Printf.printf "dominoflow: serving on %s (workers=%d, jobs=%d, queue=%d)\n%!"
+            socket workers jobs queue_capacity)
+        {
+          Server.socket_path = socket;
+          workers;
+          jobs;
+          queue_capacity;
+          max_request_bytes;
+          cache_mb;
+          cache_entries;
+          cache_snapshot;
+        };
+      print_endline "dominoflow: server drained, bye";
+      (match !caught_signal with
+      | Some s when s = Sys.sigterm -> exit (128 + 15)
+      | Some s when s = Sys.sigint -> exit (128 + 2)
+      | Some _ | None -> ());
+      `Ok ()
   in
   let doc =
     "Run the resident phase-assignment server: newline-delimited JSON requests \
@@ -691,12 +685,11 @@ let serve_cmd =
      socket, executed by a pool of worker domains under a watchdog. SIGINT and \
      SIGTERM drain gracefully (exit 130 / 143)."
   in
-  Cmd.v (Cmd.info "serve" ~doc)
+  command "serve" ~doc
     Term.(
-      ret
-        (const action $ socket_req_arg $ workers_arg $ serve_jobs_arg $ queue_arg
-       $ max_request_bytes_arg $ cache_mb_arg $ cache_entries_arg $ cache_snapshot_arg
-       $ fault_arg $ fault_seed_arg $ trace_arg $ metrics_arg))
+      const action $ socket_req_arg $ workers_arg $ serve_jobs_arg $ queue_arg
+      $ max_request_bytes_arg $ cache_mb_arg $ cache_entries_arg $ cache_snapshot_arg
+      $ fault_arg $ fault_seed_arg)
 
 (* Request construction shared by submit and batch: one CLI-side source
    of truth for turning flags into protocol envelopes. *)
@@ -719,9 +712,9 @@ let build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cach
     Option.map
       (fun b ->
         {
-          Protocol.max_bdd_nodes = b.Dpa_power.Engine.max_bdd_nodes;
-          deadline_s = b.Dpa_power.Engine.deadline_s;
-          fallback = b.Dpa_power.Engine.fallback;
+          Protocol.max_bdd_nodes = b.Engine.max_bdd_nodes;
+          deadline_s = b.Engine.deadline_s;
+          fallback = b.Engine.fallback;
         })
       budget
   in
@@ -778,15 +771,7 @@ let submit_cmd =
     let doc = "Request id echoed in the response." in
     Arg.(value & opt int 0 & info [ "id" ] ~docv:"N" ~doc)
   in
-  let action socket cmd id file inline input_prob phases seed max_bdd_nodes deadline
-      fallback cache =
-    guard @@ fun () ->
-    (* the wire protocol does not carry reorder passes; the server
-       estimates under the engine default *)
-    let budget =
-      budget_of ~max_bdd_nodes ~deadline ~fallback
-        ~reorder_passes:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
-    in
+  let action socket cmd id file inline input_prob phases seed budget cache () =
     match build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cache with
     | Error msg -> `Error (false, msg)
     | Ok envelope ->
@@ -809,16 +794,10 @@ let submit_cmd =
       | Error msg -> die (Dpa_error.Internal ("unparseable response: " ^ msg)))
   in
   let doc = "Send one request to a running server and print the response line." in
-  Cmd.v (Cmd.info "submit" ~doc)
+  command ~obs:false "submit" ~doc
     Term.(
-      ret
-        (const action $ socket_req_arg $ cmd_pos $ id_arg $ file_arg
-       $ inline_arg $ input_prob_arg
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "phases" ] ~docv:"PHASES" ~doc:"Explicit phase string (estimate).")
-        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ cache_arg))
+      const action $ socket_req_arg $ cmd_pos $ id_arg $ file_arg $ inline_arg
+      $ input_prob_arg $ phases_arg $ seed_arg $ budget_arg ~passes:false $ cache_arg)
 
 let batch_cmd =
   let jobs_arg =
@@ -857,12 +836,7 @@ let batch_cmd =
     Arg.(value & opt int 3 & info [ "retries" ] ~docv:"K" ~doc)
   in
   let action socket workers request_jobs retries jobs files cmd repeat inline input_prob
-      phases seed max_bdd_nodes deadline fallback cache =
-    guard @@ fun () ->
-    let budget =
-      budget_of ~max_bdd_nodes ~deadline ~fallback
-        ~reorder_passes:Dpa_power.Engine.default_budget.Dpa_power.Engine.reorder_passes
-    in
+      phases seed budget cache () =
     let with_id i json =
       match Dpa_util.Jsonlite.member_opt "id" json with
       | Some _ -> json
@@ -931,8 +905,7 @@ let batch_cmd =
         match socket with
         | Some s -> run ~socket:s
         | None ->
-          Client.with_self_hosted ~workers
-            ~jobs:(max 1 (min 126 request_jobs))
+          Client.with_self_hosted ~workers ~jobs:(clamp_jobs request_jobs)
             (fun ~socket -> run ~socket)
       in
       (* responses arrive in completion order; print them in request
@@ -984,21 +957,16 @@ let batch_cmd =
      in request order and report aggregate throughput. Without --socket, a \
      private in-process server with --workers domains handles the batch."
   in
-  Cmd.v (Cmd.info "batch" ~doc)
+  command ~obs:false "batch" ~doc
     Term.(
-      ret
-        (const action $ socket_opt_arg $ workers_arg $ request_jobs_arg $ retries_arg
-       $ jobs_arg $ files_pos $ cmd_arg $ repeat_arg $ inline_arg $ input_prob_arg
-        $ Arg.(
-            value
-            & opt (some string) None
-            & info [ "phases" ] ~docv:"PHASES" ~doc:"Explicit phase string (estimate).")
-        $ seed_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_arg $ cache_arg))
+      const action $ socket_opt_arg $ workers_arg $ request_jobs_arg $ retries_arg $ jobs_arg
+      $ files_pos $ cmd_arg $ repeat_arg $ inline_arg $ input_prob_arg $ phases_arg $ seed_arg
+      $ budget_arg ~passes:false $ cache_arg)
 
 let chaos_cmd =
   let requests_arg =
     let doc = "Requests in the soak batch." in
-    Arg.(value & opt int 120 & info [ "requests" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 120 & info [ "requests" ] ~docv:"N" ~doc)
   in
   let garbage_arg =
     let doc = "Garbage probe lines (each must get a structured error back)." in
@@ -1010,7 +978,7 @@ let chaos_cmd =
   in
   let chaos_queue_arg =
     let doc = "Job-queue bound (small on purpose, so overload shedding triggers)." in
-    Arg.(value & opt int 8 & info [ "queue-capacity" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive 8 & info [ "queue-capacity" ] ~docv:"N" ~doc)
   in
   let chaos_jobs_arg =
     let doc = "Intra-request domains per worker." in
@@ -1020,38 +988,31 @@ let chaos_cmd =
     let doc = "Also write the report JSON to $(docv) (the CI metrics artifact)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let action workers jobs requests garbage deadline_every queue_capacity fault seed out
-      trace metrics =
-    if workers < 1 then `Error (false, "--workers must be >= 1")
-    else if requests < 1 then `Error (false, "--requests must be >= 1")
-    else begin
-      let faults =
-        match fault with
-        | None -> Ok None
-        | Some spec -> Result.map Option.some (Dpa_util.Fault.parse_config spec)
+  let action workers jobs requests garbage deadline_every queue_capacity fault seed out () =
+    let faults =
+      match fault with
+      | None -> Ok None
+      | Some spec -> Result.map Option.some (Dpa_util.Fault.parse_config spec)
+    in
+    match faults with
+    | Error msg -> `Error (false, "--fault: " ^ msg)
+    | Ok faults ->
+      let r =
+        Dpa_service.Chaos.soak ~seed ~workers ~jobs:(clamp_jobs jobs) ~queue_capacity
+          ~requests ~deadline_every ~garbage ?faults ()
       in
-      match faults with
-      | Error msg -> `Error (false, "--fault: " ^ msg)
-      | Ok faults ->
-        guard @@ fun () ->
-        with_obs ~trace ~metrics @@ fun () ->
-        let r =
-          Dpa_service.Chaos.soak ~seed ~workers ~jobs:(max 1 (min 126 jobs))
-            ~queue_capacity ~requests ~deadline_every ~garbage ?faults ()
-        in
-        let json = Dpa_util.Jsonlite.encode (Dpa_service.Chaos.report_json r) in
-        print_endline json;
-        (match out with
-        | Some path ->
-          Out_channel.with_open_text path (fun oc -> output_string oc (json ^ "\n"))
-        | None -> ());
-        if r.Dpa_service.Chaos.strength < r.Dpa_service.Chaos.workers then
-          die
-            (Dpa_error.Internal
-               (Printf.sprintf "pool not at full strength after soak: %d/%d workers"
-                  r.Dpa_service.Chaos.strength r.Dpa_service.Chaos.workers))
-        else `Ok ()
-    end
+      let json = Dpa_util.Jsonlite.encode (Dpa_service.Chaos.report_json r) in
+      print_endline json;
+      (match out with
+      | Some path ->
+        Out_channel.with_open_text path (fun oc -> output_string oc (json ^ "\n"))
+      | None -> ());
+      if r.Dpa_service.Chaos.strength < r.Dpa_service.Chaos.workers then
+        die
+          (Dpa_error.Internal
+             (Printf.sprintf "pool not at full strength after soak: %d/%d workers"
+                r.Dpa_service.Chaos.strength r.Dpa_service.Chaos.workers))
+      else `Ok ()
   in
   let doc =
     "Chaos soak: run a self-hosted server under injected faults (stalled cones, \
@@ -1060,12 +1021,10 @@ let chaos_cmd =
      structured error, and the worker pool ends at full strength. Prints a JSON \
      report; exits non-zero when an invariant fails."
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
+  command "chaos" ~doc
     Term.(
-      ret
-        (const action $ workers_arg $ chaos_jobs_arg $ requests_arg $ garbage_arg
-       $ deadline_every_arg $ chaos_queue_arg $ fault_arg $ seed_arg $ out_arg
-       $ trace_arg $ metrics_arg))
+      const action $ workers_arg $ chaos_jobs_arg $ requests_arg $ garbage_arg
+      $ deadline_every_arg $ chaos_queue_arg $ fault_arg $ seed_arg $ out_arg)
 
 (* ---- workload ---- *)
 
@@ -1130,7 +1089,7 @@ let workload_cmd =
           Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text));
         `Ok ())
   in
-  let action emit_name format out =
+  let action emit_name format out () =
     match emit_name with
     | None ->
       list_profiles ();
@@ -1156,8 +1115,7 @@ let workload_cmd =
     "List workload profiles (tables + corpus) or emit one as BLIF/.dln for use \
      with validate/serve/submit."
   in
-  Cmd.v (Cmd.info "workload" ~doc)
-    Term.(ret (const action $ emit_arg $ format_arg $ out_arg))
+  command ~obs:false "workload" ~doc Term.(const action $ emit_arg $ format_arg $ out_arg)
 
 (* ---- corpus ---- *)
 
@@ -1167,17 +1125,7 @@ let corpus_cmd =
      flags) so "flag absent" leaves the per-spec manifest budget alone *)
   let fallback_opt_arg =
     let doc = "Override every spec's budget fallback policy (none|reorder|sim)." in
-    let fb_conv =
-      Arg.conv
-        ( (fun s ->
-            match Dpa_power.Engine.fallback_of_string s with
-            | Some f -> Ok f
-            | None ->
-              Error (`Msg (Printf.sprintf "invalid fallback %S (none|reorder|sim)" s))),
-          fun fmt f ->
-            Format.pp_print_string fmt (Dpa_power.Engine.fallback_to_string f) )
-    in
-    Arg.(value & opt (some fb_conv) None & info [ "fallback" ] ~docv:"POLICY" ~doc)
+    Arg.(value & opt (some fallback_conv) None & info [ "fallback" ] ~docv:"POLICY" ~doc)
   in
   let manifest_arg =
     let doc = "Manifest to sweep: $(b,full) (default) or $(b,smoke) (CI-size)." in
@@ -1207,8 +1155,7 @@ let corpus_cmd =
     Arg.(value & opt float 10.0 & info [ "perf-slack" ] ~docv:"X" ~doc)
   in
   let action manifest only update baseline_dir out perf_slack max_bdd_nodes deadline
-      fallback jobs trace metrics =
-    guard @@ fun () ->
+      fallback pool =
     match C.manifest_of_string manifest with
     | None ->
       prerr_endline (Printf.sprintf "unknown manifest %S (full|smoke)" manifest);
@@ -1227,11 +1174,6 @@ let corpus_cmd =
                     (List.map (fun s -> s.C.profile.Dpa_workload.Profiles.name) m.C.specs)));
             exit 64)
       in
-      let jobs_n =
-        max 1 (min 126 (match jobs with Some j -> j | None -> Dpa_util.Par.default_jobs ()))
-      in
-      with_obs ~trace ~metrics @@ fun () ->
-      with_par ~jobs @@ fun pool ->
       let problems = ref [] in
       let outcomes =
         List.map
@@ -1264,7 +1206,7 @@ let corpus_cmd =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () ->
-          output_string oc (C.bench_json ~manifest:m.C.name ~jobs:jobs_n outcomes);
+          output_string oc (C.bench_json ~manifest:m.C.name ~jobs:(Par.jobs pool) outcomes);
           output_char oc '\n');
       (match !problems with
       | [] ->
@@ -1278,17 +1220,18 @@ let corpus_cmd =
           (List.rev ps);
         Printf.eprintf "corpus: %d/%d circuits regressed\n" (List.length ps)
           (List.length outcomes);
-        exit 65)
+        exit 65);
+      `Ok ()
   in
   let doc =
     "Sweep a corpus manifest through the MA-vs-MP flows and diff every circuit \
      against its stored baseline (non-zero exit on regression)."
   in
-  Cmd.v (Cmd.info "corpus" ~doc)
-    Term.(
-      const action $ manifest_arg $ only_arg $ update_arg $ baseline_dir_arg $ out_arg
-      $ perf_slack_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_opt_arg $ jobs_arg
-      $ trace_arg $ metrics_arg)
+  command "corpus" ~doc
+    (pooled
+       Term.(
+         const action $ manifest_arg $ only_arg $ update_arg $ baseline_dir_arg $ out_arg
+         $ perf_slack_arg $ max_bdd_nodes_arg $ deadline_arg $ fallback_opt_arg))
 
 (* ---- tables ---- *)
 
@@ -1297,9 +1240,7 @@ let table_cmd name doc profiles timed =
     let d = "Emit machine-readable CSV instead of the formatted table." in
     Arg.(value & flag & info [ "csv" ] ~doc:d)
   in
-  let action csv jobs trace metrics =
-    with_obs ~trace ~metrics @@ fun () ->
-    with_par ~jobs @@ fun pool ->
+  let action csv pool =
     let rows =
       List.map
         (fun p ->
@@ -1314,9 +1255,10 @@ let table_cmd name doc profiles timed =
         profiles
     in
     if csv then print_string (Dpa_core.Report.csv rows)
-    else print_string (Dpa_core.Report.table ~title:(String.uppercase_ascii name ^ ":") rows)
+    else print_string (Dpa_core.Report.table ~title:(String.uppercase_ascii name ^ ":") rows);
+    `Ok ()
   in
-  Cmd.v (Cmd.info name ~doc) Term.(const action $ csv_arg $ jobs_arg $ trace_arg $ metrics_arg)
+  command name ~doc (pooled Term.(const action $ csv_arg))
 
 let table1_cmd =
   table_cmd "table1" "Reproduce Table 1 (untimed synthesis, input probability 0.5)."

@@ -196,29 +196,6 @@ let to_json () =
   Buffer.add_string b "\n}\n";
   Buffer.contents b
 
-let dump () =
-  Mutex.protect guard @@ fun () ->
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | C c -> Buffer.add_string b (Printf.sprintf "counter %s %d\n" name c.c)
-      | G g -> Buffer.add_string b (Printf.sprintf "gauge %s %g\n" name g.g)
-      | H h ->
-        Buffer.add_string b
-          (Printf.sprintf "histogram %s count=%d sum=%g" name h.total h.sum);
-        Array.iteri
-          (fun i bound ->
-            if h.counts.(i) > 0 then
-              Buffer.add_string b (Printf.sprintf " le%g=%d" bound h.counts.(i)))
-          h.bounds;
-        if h.counts.(Array.length h.bounds) > 0 then
-          Buffer.add_string b
-            (Printf.sprintf " inf=%d" h.counts.(Array.length h.bounds));
-        Buffer.add_char b '\n')
-    (sorted_entries_unlocked ());
-  Buffer.contents b
-
 let save_json path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_json ()))

@@ -8,11 +8,10 @@
     coordinate initialization order. Registering one name as two
     different kinds raises [Invalid_argument].
 
-    The registry exports as JSON (machines) and a flat sorted text dump
-    (humans); see DESIGN.md §9 for the naming conventions. Cells are
-    plain mutable records — updates are a handful of loads and stores
-    under one uncontended mutex, cheap enough to leave on
-    unconditionally. Domain-safe: registration, updates and snapshot
+    The registry exports as JSON; see DESIGN.md §9 for the naming
+    conventions. Cells are plain mutable records — updates are a handful
+    of loads and stores under one uncontended mutex, cheap enough to leave
+    on unconditionally. Domain-safe: registration, updates and snapshot
     export may run concurrently from service worker domains; exports see
     a consistent point-in-time snapshot. *)
 
@@ -83,9 +82,5 @@ val to_json : unit -> string
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] with
     histograms as [{"buckets": [{"le": b, "count": n}, ...],
     "overflow": n, "sum": s, "count": n}]. *)
-
-val dump : unit -> string
-(** Flat text, one metric per line, sorted by name:
-    [counter bdd.unique.probes 4232]. *)
 
 val save_json : string -> unit

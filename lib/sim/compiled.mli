@@ -13,9 +13,9 @@
     order (cycle-major, input-minor) and packs cycle [c] of a pass into
     lane [c], so every per-node fire count and per-input toggle count
     comes out equal for equal seeds — at any cycle count, including
-    partial final passes ([cycles mod 63 ≠ 0]). The test suite and
-    [bench sim] hold the tape to that equality; DESIGN.md §12 documents
-    the tape format. *)
+    partial final passes ([cycles mod 63 ≠ 0]). The test suite holds
+    the tape to that equality; DESIGN.md §12 documents the tape
+    format. *)
 
 type t
 (** A compiled program: the tape, plus the literal map from block-input

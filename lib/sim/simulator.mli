@@ -49,8 +49,8 @@ val measure_reference :
 (** The executable specification of {!measure}: a cycle-at-a-time
     interpreter, one {!Dpa_logic.Eval.all_nodes} walk per cycle over the
     same random stream (one draw per input per cycle, inputs in
-    ascending order). The test suite and [bench sim] hold {!measure} to
-    bit-identical counts against it; no production path calls it. *)
+    ascending order). The test suite holds {!measure} to bit-identical
+    counts against it; no production path calls it. *)
 
 type evaluate_trace = {
   rises : int array;  (** 0→1 transitions per node during one evaluate *)

@@ -83,12 +83,13 @@ let exit_code = function
   | Io _ -> 66
   | Internal _ -> 70
 
-let of_exn = function
+let rec of_exn = function
   | Error t -> Some t
   | Budget_exceeded b -> Some (Budget b)
   | Sys_error msg -> Some (Io msg)
   | Invalid_argument msg -> Some (Invalid_input msg)
   | Failure msg -> Some (Internal msg)
+  | Fun.Finally_raised e -> of_exn e
   | _ -> None
 
 let protect f =

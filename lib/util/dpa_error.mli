@@ -65,7 +65,8 @@ val exit_code : t -> int
 val of_exn : exn -> t option
 (** Structured view of an exception: {!Error} and {!Budget_exceeded}
     verbatim; [Sys_error], [Invalid_argument] and [Failure] are folded into
-    {!Io}, {!Invalid_input} and {!Internal}; anything else is [None]. *)
+    {!Io}, {!Invalid_input} and {!Internal}; [Fun.Finally_raised e] is
+    viewed as [e]; anything else is [None]. *)
 
 val protect : (unit -> 'a) -> ('a, t) result
 (** Runs [f], converting any exception {!of_exn} recognizes into

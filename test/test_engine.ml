@@ -238,6 +238,9 @@ let test_of_exn_folding () =
   (match of_exn (Failure "bug") with
   | Some (Internal _) -> ()
   | _ -> Alcotest.fail "Failure should fold to Internal");
+  (match of_exn (Fun.Finally_raised (Sys_error "t.json: No such file or directory")) with
+  | Some (Io _) -> ()
+  | _ -> Alcotest.fail "a Sys_error raised by a finalizer should fold to Io");
   match of_exn Not_found with
   | None -> ()
   | Some _ -> Alcotest.fail "unrelated exceptions must not be claimed"

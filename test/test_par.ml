@@ -151,7 +151,8 @@ let check_reports_equal msg (a : Engine.result) (b : Engine.result) =
 
 (* One estimation path: the estimate without a pool is the reference,
    and every pool width must reproduce it bit for bit — probabilities,
-   powers, bdd_nodes and the degradation report alike. *)
+   powers, bdd_nodes and the degradation report alike — on the pool's
+   first estimate and again on a second one in the same pool. *)
 let check_pool_identity ?budget label =
   List.iter
     (fun path ->
@@ -159,21 +160,25 @@ let check_pool_identity ?budget label =
       let no_pool = Engine.estimate ?budget ~input_probs mapped in
       List.iter
         (fun jobs ->
-          let pooled =
-            Par.with_pool ~jobs @@ fun pool ->
-            Engine.estimate ~par:pool ?budget ~input_probs mapped
-          in
-          check_reports_equal
-            (Printf.sprintf "%s %s no pool vs jobs %d" path label jobs)
-            no_pool pooled)
-        [ 1; 4 ])
+          Par.with_pool ~jobs @@ fun pool ->
+          List.iter
+            (fun run ->
+              let pooled = Engine.estimate ~par:pool ?budget ~input_probs mapped in
+              check_reports_equal
+                (Printf.sprintf "%s %s no pool vs jobs %d, run %d" path label jobs run)
+                no_pool pooled)
+            [ 1; 2 ])
+        [ 1; 2; 4 ])
     data_files
 
 let test_estimate_identity_across_jobs () = check_pool_identity "unbudgeted"
 
 let test_budgeted_estimate_identity_across_jobs () =
-  (* a tight node cap forces the full ladder (sift retry + simulation) *)
-  check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:200 ()) "budgeted"
+  (* a tight node cap forces the full ladder (sift retry + simulation);
+     a cap no cone reaches keeps every cone exact, yet only a budgeted
+     estimate fans its shards across the pool *)
+  check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:200 ()) "budgeted";
+  check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:1_000_000 ()) "uncapped budget"
 
 (* ---- parallel identity: the phase search -------------------------- *)
 
