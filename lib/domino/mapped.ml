@@ -13,10 +13,10 @@ type t = {
 }
 
 (* Split [ids] into a balanced tree of [op] gates of width ≤ [maxw]. *)
-let rec tree_reduce net op maxw ids =
+let rec tree_reduce add op maxw ids =
   let n = Array.length ids in
   if n = 1 then ids.(0)
-  else if n <= maxw then Netlist.add_gate net (op ids)
+  else if n <= maxw then add (op ids)
   else begin
     (* chunk into ⌈n / maxw⌉ groups as evenly as possible *)
     let groups = (n + maxw - 1) / maxw in
@@ -25,15 +25,25 @@ let rec tree_reduce net op maxw ids =
           let start = g * n / groups in
           let stop = (g + 1) * n / groups in
           let chunk = Array.sub ids start (stop - start) in
-          tree_reduce net op maxw chunk)
+          tree_reduce add op maxw chunk)
     in
-    tree_reduce net op maxw parents
+    tree_reduce add op maxw parents
   end
+
+let cell_tree library ~add g =
+  match g with
+  | Gate.And xs -> tree_reduce add (fun ids -> Gate.And ids) library.Library.max_and_width xs
+  | Gate.Or xs -> tree_reduce add (fun ids -> Gate.Or ids) library.Library.max_or_width xs
+  | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
+    invalid_arg "Mapped.cell_tree: only AND/OR gates map to cells"
+
+let absorbs library = library.Library.compound_legs >= 2
 
 let map ?(library = Library.default) inv =
   let src = Inverterless.block inv in
   let net = Netlist.create ~name:(Netlist.name src ^ "_mapped") () in
   let mapping = Array.make (Netlist.size src) (-1) in
+  let add g = Netlist.add_gate net g in
   Netlist.iter_nodes
     (fun i g ->
       let remap xs = Array.map (fun x -> mapping.(x)) xs in
@@ -41,13 +51,8 @@ let map ?(library = Library.default) inv =
         (match g with
         | Gate.Input -> Netlist.add_input ?name:(Netlist.node_name src i) net
         | Gate.Const b -> Netlist.add_gate net (Gate.Const b)
-        | Gate.And xs ->
-          if Array.length xs = 1 then mapping.(xs.(0))
-          else
-            tree_reduce net (fun ids -> Gate.And ids) library.Library.max_and_width (remap xs)
-        | Gate.Or xs ->
-          if Array.length xs = 1 then mapping.(xs.(0))
-          else tree_reduce net (fun ids -> Gate.Or ids) library.Library.max_or_width (remap xs)
+        | Gate.And xs -> cell_tree library ~add (Gate.And (remap xs))
+        | Gate.Or xs -> cell_tree library ~add (Gate.Or (remap xs))
         | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
           invalid_arg "Mapped.map: inverterless block must contain only AND/OR"))
     src;
@@ -57,7 +62,7 @@ let map ?(library = Library.default) inv =
   let n = Netlist.size net in
   let absorbed = Array.make n false in
   let compound = Hashtbl.create 16 in
-  if library.Library.compound_legs >= 2 then begin
+  if absorbs library then begin
     let fanouts = Dpa_logic.Topo.fanout_counts net in
     let po_drivers = Array.make n false in
     Array.iter (fun (_, d) -> po_drivers.(d) <- true) (Netlist.outputs net);

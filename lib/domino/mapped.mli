@@ -11,6 +11,19 @@ type t
 val map : ?library:Library.t -> Dpa_synth.Inverterless.t -> t
 (** Default library: {!Library.default}. *)
 
+val cell_tree : Library.t -> add:(Dpa_logic.Gate.t -> int) -> Dpa_logic.Gate.t -> int
+(** The cell tree {!map} builds for one block AND/OR gate over fanin
+    values: [add] is called once per cell, children before parents, with
+    the cell's gate over the values [add] returned for its children (or
+    over fanins); the result is the root's value — the fanin itself for
+    a one-input gate, which needs no cell. Raises [Invalid_argument] for
+    other gates. *)
+
+val absorbs : Library.t -> bool
+(** Whether {!map} absorbs AND terms into compound cells under this
+    library. Absorption reads the block's fanout counts, so a gate's
+    cells then depend on the rest of the block. *)
+
 val net : t -> Dpa_logic.Netlist.t
 (** Width-limited monotone AND/OR network; inputs are PI literals, outputs
     carry original PO names (negative-phase POs complemented, as in

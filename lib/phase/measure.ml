@@ -33,22 +33,29 @@ type entry = {
   degradation : Dpa_power.Engine.degradation option;
 }
 
+(* How candidates are priced, fixed at creation from the request and the
+   library. *)
+type pricing =
+  | Pricer of (Dpa_domino.Mapped.t -> sample)  (* opaque, caller-supplied *)
+  | Bounded of Dpa_power.Engine.budget  (* one Engine.estimate per candidate *)
+  | Blocks
+    (* compound cells: absorption reads each block's fanout counts, so
+       every candidate's block is realized, mapped and built in the env *)
+  | Table  (* summed from the slot table *)
+
 type t = {
   net : Dpa_logic.Netlist.t;
   library : Dpa_domino.Library.t;
   input_probs : float array;
-  budget : Dpa_power.Engine.budget option;
   cancel : Dpa_util.Cancel.t;
-  custom_pricer : (t -> Dpa_domino.Mapped.t -> sample) option;
+  pricing : pricing;
   par : Par.t option;
   cache : (string, entry) Hashtbl.t;  (* priced candidates, incl. speculative *)
   seen : (string, unit) Hashtbl.t;  (* assignments the search actually visited *)
-  (* one incremental estimation env per domain: BDD managers are
-     single-domain (Robdd ownership), and each env is created inside the
-     domain that uses it. All envs share the same assignment-independent
-     variable order, so their probabilities are bitwise identical. *)
-  envs : (int, Dpa_power.Estimate.env) Hashtbl.t;
-  envs_mutex : Mutex.t;
+  (* the unbudgeted pricers' shared env and slot table, built on first
+     use on the calling domain (BDD managers are single-domain) *)
+  mutable env : Dpa_power.Estimate.env option;
+  mutable table : Dpa_power.Estimate.table option;
   mutable misses : int;
   mutable degraded : int;
   mutable worst : Dpa_power.Engine.degradation option;
@@ -57,25 +64,36 @@ type t = {
 let realize_mapped t assignment =
   Dpa_domino.Mapped.map ~library:t.library (Dpa_synth.Inverterless.realize t.net assignment)
 
-(* The shared estimation env is seeded from the all-positive realization —
-   not from whichever candidate happens to be measured first — so the
-   variable order is assignment-independent and the search deterministic.
-   Keyed by domain: the submitting domain and every pool worker get (and
-   keep) their own manager. *)
+(* The env is seeded from the all-positive realization — not from
+   whichever candidate happens to be measured first — so the variable
+   order is assignment-independent and the search deterministic. *)
 let env_of t =
-  let d = (Domain.self () :> int) in
-  let existing = Mutex.protect t.envs_mutex (fun () -> Hashtbl.find_opt t.envs d) in
-  match existing with
+  match t.env with
   | Some e -> e
   | None ->
-    let n_out = Array.length (Dpa_logic.Netlist.outputs t.net) in
-    let all_pos = Array.make n_out Phase.Positive in
+    let all_pos = Phase.all_positive (Dpa_logic.Netlist.num_outputs t.net) in
     let e =
       Dpa_power.Estimate.make_env ~cancel:t.cancel ~input_probs:t.input_probs
         (realize_mapped t all_pos)
     in
-    Mutex.protect t.envs_mutex (fun () -> Hashtbl.replace t.envs d e);
+    t.env <- Some e;
     e
+
+let table_of t =
+  match t.table with
+  | Some tb -> tb
+  | None ->
+    Trace.with_span "phase.measure.table" @@ fun () ->
+    let env = env_of t in
+    let tb = Dpa_power.Estimate.table env t.library t.net in
+    Trace.add_args
+      [
+        ("slots", Trace.Int (Dpa_power.Estimate.table_slots tb));
+        ("cells", Trace.Int (Dpa_power.Estimate.table_cells tb));
+        ("bdd_nodes", Trace.Int (Dpa_bdd.Robdd.total_nodes (Dpa_power.Estimate.env_manager env)));
+      ];
+    t.table <- Some tb;
+    tb
 
 (* Ranks degradation reports so the search can remember its worst case. *)
 let more_degraded a b =
@@ -90,12 +108,6 @@ let record_degradation t (d : Dpa_power.Engine.degradation) =
     | Some w -> if more_degraded d w then t.worst <- Some d
   end
 
-(* The budget when candidates are priced by the built-in bounded engine. *)
-let engine_budget t =
-  match t.custom_pricer, t.budget with
-  | None, Some budget when not (Dpa_power.Engine.is_unbounded budget) -> Some budget
-  | None, (Some _ | None) | Some _, _ -> None
-
 let engine_entry mapped (r : Dpa_power.Engine.result) =
   let report = r.Dpa_power.Engine.report in
   {
@@ -108,33 +120,42 @@ let engine_entry mapped (r : Dpa_power.Engine.result) =
     degradation = Some r.Dpa_power.Engine.degradation;
   }
 
-(* Price one candidate on the calling domain. Safe to run concurrently
-   from pool workers: the only shared state it touches is the env table
-   (mutex-guarded, one slot per domain). *)
-let price t mapped =
-  match t.custom_pricer with
-  | Some f -> { sample = f t mapped; degradation = None }
-  | None -> (
-    match engine_budget t with
-    | Some budget ->
-      (* Every candidate is priced under the same budget policy with a
-         deterministic simulator seed, so comparisons between candidates
-         stay consistent and greedy descent stays monotone even when some
-         cones fall back to simulation. *)
-      engine_entry mapped
-        (Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs
-           mapped)
-    | None ->
-      let report = Dpa_power.Estimate.of_mapped_env (env_of t) mapped in
-      {
-        sample =
-          {
-            power = report.Dpa_power.Estimate.total;
-            size = Dpa_domino.Mapped.size mapped;
-            domino_switching = report.Dpa_power.Estimate.domino_switching;
-          };
-        degradation = None;
-      })
+(* Price one candidate. Only the bounded engine runs on pool workers
+   (see {!prefetch}): it touches no state of [t]. *)
+let price t assignment =
+  match t.pricing with
+  | Pricer f -> { sample = f (realize_mapped t assignment); degradation = None }
+  | Bounded budget ->
+    (* Every candidate is priced under the same budget policy with a
+       deterministic simulator seed, so comparisons between candidates
+       stay consistent and greedy descent stays monotone even when some
+       cones fall back to simulation. *)
+    let mapped = realize_mapped t assignment in
+    engine_entry mapped
+      (Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs mapped)
+  | Blocks ->
+    let mapped = realize_mapped t assignment in
+    let report = Dpa_power.Estimate.of_mapped_env (env_of t) mapped in
+    {
+      sample =
+        {
+          power = report.Dpa_power.Estimate.total;
+          size = Dpa_domino.Mapped.size mapped;
+          domino_switching = report.Dpa_power.Estimate.domino_switching;
+        };
+      degradation = None;
+    }
+  | Table ->
+    let p = Dpa_power.Estimate.of_table (table_of t) assignment in
+    {
+      sample =
+        {
+          power = p.Dpa_power.Estimate.power;
+          size = p.Dpa_power.Estimate.size;
+          domino_switching = p.Dpa_power.Estimate.switching;
+        };
+      degradation = None;
+    }
 
 let create ?(library = Dpa_domino.Library.default) ?budget
     ?(cancel = Dpa_util.Cancel.none) ?pricer ?par ~input_probs net =
@@ -142,18 +163,23 @@ let create ?(library = Dpa_domino.Library.default) ?budget
     invalid_arg "Measure.create: netlist contains XOR; run Opt.optimize first";
   if Array.length input_probs <> Dpa_logic.Netlist.num_inputs net then
     invalid_arg "Measure.create: input_probs length mismatch";
+  let pricing =
+    match pricer, budget with
+    | Some f, _ -> Pricer f
+    | None, Some b when not (Dpa_power.Engine.is_unbounded b) -> Bounded b
+    | None, (Some _ | None) -> if Dpa_domino.Mapped.absorbs library then Blocks else Table
+  in
   {
     net;
     library;
     input_probs;
-    budget;
     cancel;
-    custom_pricer = Option.map (fun f t mapped -> (ignore t; f mapped)) pricer;
+    pricing;
     par;
     cache = Hashtbl.create 64;
     seen = Hashtbl.create 64;
-    envs = Hashtbl.create 4;
-    envs_mutex = Mutex.create ();
+    env = None;
+    table = None;
     misses = 0;
     degraded = 0;
     worst = None;
@@ -181,7 +207,7 @@ let eval t assignment =
         let e =
           Trace.with_span "phase.measure.eval" @@ fun () ->
           if Trace.is_enabled () then Trace.add_args [ ("phases", Trace.Str key) ];
-          price t (realize_mapped t assignment)
+          price t assignment
         in
         Hashtbl.replace t.cache key e;
         e
@@ -190,19 +216,21 @@ let eval t assignment =
     entry.sample
   end
 
-(* How wide the greedy search should speculate: the pool's job count
-   when speculative pricing is known-safe, 1 (no speculation) otherwise.
-   A custom pricer is opaque — it may close over single-domain state —
-   so it disables the fan-out but not the search itself. *)
+(* How wide a search should speculate: the pool's job count under the
+   bounded engine, whose estimates are worth spreading across domains;
+   1 (no speculation) otherwise. A table price costs too little to
+   spread, the env behind it and behind [Blocks] lives on the calling
+   domain, and a custom pricer is opaque — it may close over
+   single-domain state. *)
 let parallel_jobs t =
-  match t.par, t.custom_pricer with
-  | Some pool, None -> Par.jobs pool
-  | Some _, Some _ | None, _ -> 1
+  match t.par, t.pricing with
+  | Some pool, Bounded _ -> Par.jobs pool
+  | Some _, (Pricer _ | Blocks | Table) | None, _ -> 1
 
 let prefetch t assignments =
-  match t.par, t.custom_pricer with
-  | None, _ | Some _, Some _ -> ()
-  | Some pool, None ->
+  match t.par, t.pricing with
+  | Some _, (Pricer _ | Blocks | Table) | None, _ -> ()
+  | Some pool, Bounded _ ->
     (* dedup (two pairs can propose the same flip) and drop anything
        already priced; order is irrelevant — entries are keyed merges *)
     let todo = Hashtbl.create 16 in
@@ -213,17 +241,14 @@ let prefetch t assignments =
           Hashtbl.replace todo key a)
       assignments;
     if Hashtbl.length todo > 0 then begin
-      let work =
-        Array.of_seq (Seq.map (fun (k, a) -> (k, a)) (Hashtbl.to_seq todo))
-      in
+      let work = Array.of_seq (Hashtbl.to_seq todo) in
       let before = Par.stats pool in
       let entries =
         Par.map pool (Array.length work) (fun i ->
             let _, assignment = work.(i) in
             Trace.with_span "phase.measure.prefetch"
               ~args:[ ("domain", Trace.Int (Domain.self () :> int)) ]
-            @@ fun () ->
-            price t (realize_mapped t assignment))
+            @@ fun () -> price t assignment)
       in
       let after = Par.stats pool in
       Metrics.add c_par_tasks (after.Par.tasks - before.Par.tasks);
@@ -234,8 +259,10 @@ let prefetch t assignments =
 
 let prime t assignment mapped result =
   let key = Phase.to_string assignment in
-  if engine_budget t <> None && not (Hashtbl.mem t.cache key) then
-    Hashtbl.replace t.cache key (engine_entry mapped result)
+  match t.pricing with
+  | Bounded _ ->
+    if not (Hashtbl.mem t.cache key) then Hashtbl.replace t.cache key (engine_entry mapped result)
+  | Pricer _ | Blocks | Table -> ()
 
 let priced t assignment =
   match Hashtbl.find_opt t.cache (Phase.to_string assignment) with
@@ -249,7 +276,6 @@ let degraded_evaluations t = t.degraded
 let worst_degradation t = t.worst
 
 let publish_metrics t =
-  Mutex.protect t.envs_mutex @@ fun () ->
-  Hashtbl.iter
-    (fun _ e -> Dpa_bdd.Robdd.publish_metrics (Dpa_power.Estimate.env_manager e))
-    t.envs
+  Option.iter
+    (fun e -> Dpa_bdd.Robdd.publish_metrics (Dpa_power.Estimate.env_manager e))
+    t.env

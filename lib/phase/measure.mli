@@ -1,27 +1,33 @@
-(** Ground-truth power measurement of a candidate phase assignment:
-    realize the inverter-free block, map it onto the domino library, and
-    run the BDD power estimator. Results are memoized per assignment, so a
-    search never pays twice for the same candidate.
+(** Ground-truth power measurement of a candidate phase assignment,
+    memoized per assignment, so a search never pays twice for the same
+    candidate.
 
-    Measurement is {e incremental}: all candidates share one BDD manager
-    (variable order fixed from the all-positive realization) and one
-    per-node probability cache, so pricing a flip only builds and
-    evaluates the BDD nodes its changed cones introduce — the paper's
-    Property 4.1 observation that a phase flip complements a cone's
-    probabilities, realized structurally through BDD sharing. It is
-    exact: it agrees with a from-scratch {!Dpa_power.Estimate.of_mapped}
-    per candidate up to the last ulp (summation order over BDD nodes
-    differs), which the tests check by passing that oracle as a custom
-    [pricer].
+    How a candidate is priced follows from the request and the library:
+    - a custom [pricer] gets the candidate's realized, mapped block;
+    - under a bounded [budget], every candidate gets its own
+      {!Dpa_power.Engine.estimate};
+    - otherwise the price comes from one BDD env shared by every
+      candidate ({!Dpa_power.Estimate.make_env}, its variable order
+      fixed from the all-positive realization). Under a library without
+      compound cells the env prices a slot table once
+      ({!Dpa_power.Estimate.table}), and each candidate is summed from
+      it — no realization, mapping or BDD build per candidate; this is
+      the paper's Property 4.1 (a phase flip only complements a cone's
+      probabilities). Under compound cells, whose absorption reads each
+      block's fanout counts, each candidate's block is realized, mapped
+      and built in the env. Either way the price is bit-identical to
+      {!Dpa_power.Estimate.of_mapped_env} on the candidate's block, and
+      within the last ulp of a from-scratch
+      {!Dpa_power.Estimate.of_mapped} (its per-block order sums in
+      another order), which the tests check by passing that oracle as a
+      custom [pricer]. The env and table are built on first use, on the
+      calling domain, inside a [phase.measure.table] trace span.
 
-    With a {!Dpa_util.Par} pool the searches built on top can
-    {!prefetch} candidates speculatively across domains. Each domain owns
-    a private incremental env (BDD managers are single-domain); every env
-    uses the same assignment-independent variable order, so a price is
-    bitwise identical no matter which domain computed it, and the
-    trajectory counters ({!evaluations}, {!degraded_evaluations},
-    {!worst_degradation}) advance only when {!eval} first visits an
-    assignment — never during speculation. *)
+    Under a bounded budget and with a {!Dpa_util.Par} pool, the searches
+    built on top can {!prefetch} candidates speculatively across
+    domains; the trajectory counters ({!evaluations},
+    {!degraded_evaluations}, {!worst_degradation}) advance only when
+    {!eval} first visits an assignment — never during speculation. *)
 
 type sample = {
   power : float;  (** Estimate total: domino + boundary inverters *)
@@ -43,9 +49,7 @@ val create :
 (** The netlist must be domino-ready (no XOR). [pricer]
     overrides how a mapped block is turned into a sample — the default is
     the BDD power estimate and the plain cell count; the timing-integrated
-    optimizer substitutes a price-after-resizing pricer. A custom [pricer]
-    is opaque (it may close over single-domain state), so it disables
-    {!prefetch} but not the search.
+    optimizer substitutes a price-after-resizing pricer.
 
     A non-unbounded [budget] switches the built-in pricer to the
     resource-bounded {!Dpa_power.Engine}: every candidate is priced under
@@ -55,14 +59,15 @@ val create :
     Degradations are tallied per distinct candidate (see
     {!degraded_evaluations}, {!worst_degradation}).
 
-    [par] enables speculative parallel pricing via {!prefetch}; it never
-    changes any measured value, only where and when prices are computed.
+    [par] enables speculative parallel pricing via {!prefetch} for the
+    bounded engine; it never changes any measured value, only where and
+    when prices are computed.
 
     [cancel] makes every measurement cooperatively cancellable: the token
     is polled on each {!eval}, threaded into the bounded engine, and
-    installed on every incremental env manager, so a firing token aborts
-    a search mid-candidate with [Dpa_error.Error (Cancelled _)]. The
-    checks never change measured values. *)
+    installed on the shared env's manager, so a firing token aborts a
+    search mid-candidate with [Dpa_error.Error (Cancelled _)]. The checks
+    never change measured values. *)
 
 val eval : t -> Dpa_synth.Phase.assignment -> sample
 
@@ -70,9 +75,11 @@ val prefetch : t -> Dpa_synth.Phase.assignment list -> unit
 (** Prices the given candidates across the pool's domains and stores the
     results in the sample cache, so subsequent {!eval} calls answer
     without recomputing. Duplicates and already-priced candidates are
-    skipped. A no-op without [par] or with a custom pricer. Does {e not}
-    touch {!evaluations} or the degradation tallies — those track the
-    search trajectory, which speculation must not perturb. *)
+    skipped. A no-op unless candidates are priced by the bounded engine
+    with a pool: a table price costs too little to spread, and the
+    shared env lives on the calling domain. Does {e not} touch
+    {!evaluations} or the degradation tallies — those track the search
+    trajectory, which speculation must not perturb. *)
 
 val prime :
   t -> Dpa_synth.Phase.assignment -> Dpa_domino.Mapped.t -> Dpa_power.Engine.result -> unit
@@ -83,7 +90,7 @@ val prime :
     only when the search visits it. The engine's answer is the same with
     or without a pool, so the caller may have estimated with one. A no-op
     unless candidates are priced by the bounded engine (a non-unbounded
-    [budget] and no custom [pricer]): the incremental env's price differs
+    [budget] and no custom [pricer]): the shared env's price differs
     from a from-scratch estimate in the last ulp. An assignment already
     priced keeps its entry. *)
 
@@ -96,8 +103,8 @@ val priced :
 
 val parallel_jobs : t -> int
 (** How wide a search built on this measure should speculate: the pool's
-    job count when {!prefetch} is operational, [1] otherwise (no pool, or
-    an opaque custom pricer). *)
+    job count when {!prefetch} is operational (a pool and the bounded
+    engine), [1] otherwise. *)
 
 val evaluations : t -> int
 (** Number of {e distinct} assignments the search visited via {!eval}
@@ -116,7 +123,7 @@ val realize_mapped : t -> Dpa_synth.Phase.assignment -> Dpa_domino.Mapped.t
 (** The mapped block for an assignment (not cached). *)
 
 val publish_metrics : t -> unit
-(** Folds the kernel counters of every per-domain incremental manager
-    into the {!Dpa_obs.Metrics} registry (a no-op until the first
-    [`Incremental] evaluation). The registry is the one source of truth
-    for BDD counters; call this after a search. *)
+(** Folds the kernel counters of the shared env's manager into the
+    {!Dpa_obs.Metrics} registry (a no-op until the first unbudgeted
+    evaluation). The registry is the one source of truth for BDD
+    counters; call this after a search. *)

@@ -4,6 +4,7 @@ module Robdd = Dpa_bdd.Robdd
 module Mapped = Dpa_domino.Mapped
 module Inverterless = Dpa_synth.Inverterless
 module Int_table = Dpa_util.Int_table
+module Vec = Dpa_util.Vec
 
 type report = {
   node_probs : float array;
@@ -93,6 +94,30 @@ let block_probabilities ?(cancel = Dpa_util.Cancel.none) ~input_probs mapped =
 let probabilities_of_block ~input_probs mapped =
   fst (block_probabilities ~input_probs mapped)
 
+(* S·C·drive·(1+P) of one dynamic cell with signal probability [s]. *)
+let cell_power lib cell ~drive s =
+  s *. lib.Dpa_domino.Library.capacitance cell *. drive
+  *. (1.0 +. lib.Dpa_domino.Library.penalty cell)
+
+(* One static inverter per complemented PI literal in use: [iter_neg]
+   lists their original positions in block-input order. *)
+let input_inverter_power ~input_toggle iter_neg =
+  let complemented = Int_table.create ~capacity:32 () in
+  iter_neg (fun opos -> Int_table.replace complemented opos 0);
+  Int_table.fold (fun opos _ acc -> acc +. input_toggle opos) complemented 0.0
+
+(* One static inverter per negative-phase PO, priced from the probability
+   of the node driving PO [k]. *)
+let output_inverter_power assignment ~driver_prob =
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun k phase ->
+      match phase with
+      | Dpa_synth.Phase.Negative -> acc := !acc +. Model.inverter_after_domino (driver_prob k)
+      | Dpa_synth.Phase.Positive -> ())
+    assignment;
+  !acc
+
 let price mapped ~node_probs ~input_toggle =
   let net = Mapped.net mapped in
   let lib = Mapped.library mapped in
@@ -104,40 +129,29 @@ let price mapped ~node_probs ~input_toggle =
       | Some cell ->
         let s = node_probs.(i) in
         domino_switching := !domino_switching +. s;
-        domino_power :=
-          !domino_power
-          +. s *. lib.Dpa_domino.Library.capacitance cell *. Mapped.drive mapped i
-             *. (1.0 +. lib.Dpa_domino.Library.penalty cell))
+        domino_power := !domino_power +. cell_power lib cell ~drive:(Mapped.drive mapped i) s)
     net;
-  (* One static inverter per complemented PI literal in use. *)
-  let complemented = Int_table.create ~capacity:32 () in
-  Array.iter
-    (fun (opos, pol) ->
-      match pol with
-      | Inverterless.Neg -> Int_table.replace complemented opos 0
-      | Inverterless.Pos -> ())
-    (Mapped.literals mapped);
   let input_inverter_power =
-    Int_table.fold (fun opos _ acc -> acc +. input_toggle opos) complemented 0.0
+    input_inverter_power ~input_toggle (fun add ->
+        Array.iter
+          (fun (opos, pol) ->
+            match pol with
+            | Inverterless.Neg -> add opos
+            | Inverterless.Pos -> ())
+          (Mapped.literals mapped))
   in
-  let assignment = Mapped.assignment mapped in
   let outs = Netlist.outputs net in
-  let output_inverter_power = ref 0.0 in
-  Array.iteri
-    (fun k (_, driver) ->
-      match assignment.(k) with
-      | Dpa_synth.Phase.Negative ->
-        output_inverter_power :=
-          !output_inverter_power +. Model.inverter_after_domino node_probs.(driver)
-      | Dpa_synth.Phase.Positive -> ())
-    outs;
-  let total = !domino_power +. input_inverter_power +. !output_inverter_power in
+  let output_inverter_power =
+    output_inverter_power (Mapped.assignment mapped) ~driver_prob:(fun k ->
+        node_probs.(snd outs.(k)))
+  in
+  let total = !domino_power +. input_inverter_power +. output_inverter_power in
   {
     node_probs;
     domino_switching = !domino_switching;
     domino_power = !domino_power;
     input_inverter_power;
-    output_inverter_power = !output_inverter_power;
+    output_inverter_power;
     total;
     bdd_nodes = 0;
   }
@@ -309,6 +323,143 @@ let of_mapped_env env mapped =
   Robdd.publish_metrics env.manager;
   { report with bdd_nodes = Robdd.total_nodes env.manager }
 
+(* ------------------------------------------------------------------ *)
+(* Slot table: candidate prices without realizing a block               *)
+(* ------------------------------------------------------------------ *)
+
+type table = {
+  t_net : Netlist.t;
+  t_input_probs : float array;
+  (* per slot [2i + polarity bit]: its cells are [t_first.(s)] up to
+     [t_last.(s)] (exclusive) in the cell arrays; [t_first] is -1 for a
+     slot no phase of any PO demands *)
+  t_first : int array;
+  t_last : int array;
+  t_root_prob : float array;  (* probability of the node realizing the slot *)
+  t_neg_literal : int array;  (* PI position of a complemented literal, else -1 *)
+  t_cell_prob : float array;
+  t_cell_power : float array;
+  t_slots : int;
+}
+
+let slot i pol = (2 * i) + match pol with Inverterless.Pos -> 0 | Inverterless.Neg -> 1
+
+let table env library net =
+  if Mapped.absorbs library then
+    invalid_arg "Estimate.table: compound cells depend on the whole block";
+  let m = env.manager in
+  let n = Netlist.size net in
+  let first = Array.make (2 * n) (-1) and last = Array.make (2 * n) 0 in
+  let root = Array.make (2 * n) (-1) and root_prob = Array.make (2 * n) Float.nan in
+  let neg_literal = Array.make (2 * n) (-1) in
+  let pi_position = Array.make n (-1) in
+  Array.iteri (fun pos id -> pi_position.(id) <- pos) (Netlist.inputs net);
+  let probs = Vec.create ~dummy:0.0 () and powers = Vec.create ~dummy:0.0 () in
+  let slots = ref 0 in
+  (* one mapped cell: the BDD [build_block_roots] would give it, priced
+     at drive 1.0 as [price] prices a freshly mapped block *)
+  let add g =
+    let bdd =
+      match g with
+      | Gate.And xs -> Array.fold_left (Robdd.apply_and m) Robdd.bdd_true xs
+      | Gate.Or xs -> Array.fold_left (Robdd.apply_or m) Robdd.bdd_false xs
+      | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
+        invalid_arg "Estimate.table: cells are AND/OR gates"
+    in
+    let p = Robdd.cached_probability env.cache bdd in
+    ignore (Vec.push probs p);
+    ignore
+      (Vec.push powers
+         (cell_power library (Dpa_domino.Library.cell_of_gate library g) ~drive:1.0 p));
+    bdd
+  in
+  (* emitted once per slot and walk; the second phase's walk reuses
+     every slot the first one priced *)
+  let emit i pol g =
+    let s = slot i pol in
+    if root.(s) >= 0 then root.(s)
+    else begin
+      first.(s) <- Vec.length probs;
+      let bdd =
+        match g with
+        | Gate.Input ->
+          let opos = pi_position.(i) in
+          let v = Robdd.var m (Int_table.find env.level_of_orig opos) in
+          (match pol with
+          | Inverterless.Pos -> v
+          | Inverterless.Neg ->
+            neg_literal.(s) <- opos;
+            Robdd.neg m v)
+        | Gate.Const b -> if b then Robdd.bdd_true else Robdd.bdd_false
+        | Gate.And _ | Gate.Or _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
+          Mapped.cell_tree library ~add g
+      in
+      last.(s) <- Vec.length probs;
+      root.(s) <- bdd;
+      root_prob.(s) <- Robdd.cached_probability env.cache bdd;
+      incr slots;
+      bdd
+    end
+  in
+  let n_out = Netlist.num_outputs net in
+  List.iter
+    (fun phase -> ignore (Inverterless.demand net (Array.make n_out phase) ~emit))
+    [ Dpa_synth.Phase.Positive; Dpa_synth.Phase.Negative ];
+  Robdd.publish_metrics m;
+  {
+    t_net = net;
+    t_input_probs = env.env_input_probs;
+    t_first = first;
+    t_last = last;
+    t_root_prob = root_prob;
+    t_neg_literal = neg_literal;
+    t_cell_prob = Vec.to_array probs;
+    t_cell_power = Vec.to_array powers;
+    t_slots = !slots;
+  }
+
+let table_slots t = t.t_slots
+
+let table_cells t = Array.length t.t_cell_prob
+
+type table_price = {
+  power : float;
+  size : int;
+  switching : float;
+}
+
+(* [price]'s sums, term for term: cells in block order (the walk's
+   emission order, each slot's cells in [Mapped.map]'s creation order),
+   then the input and the output inverters. *)
+let of_table t assignment =
+  let sums = [| 0.0; 0.0 |] (* switching, power; flat, so unboxed *) in
+  let cells = ref 0 and negs = ref [] in
+  let emit i pol _ =
+    let s = slot i pol in
+    for c = t.t_first.(s) to t.t_last.(s) - 1 do
+      sums.(0) <- sums.(0) +. t.t_cell_prob.(c);
+      sums.(1) <- sums.(1) +. t.t_cell_power.(c)
+    done;
+    cells := !cells + (t.t_last.(s) - t.t_first.(s));
+    if t.t_neg_literal.(s) >= 0 then negs := t.t_neg_literal.(s) :: !negs;
+    s
+  in
+  let _, roots = Inverterless.demand t.t_net assignment ~emit in
+  let negs = List.rev !negs in
+  let input_inverter_power =
+    input_inverter_power
+      ~input_toggle:(fun opos -> Model.static_switching t.t_input_probs.(opos))
+      (fun add -> List.iter add negs)
+  in
+  let output_inverter_power =
+    output_inverter_power assignment ~driver_prob:(fun k -> t.t_root_prob.(roots.(k)))
+  in
+  {
+    power = sums.(1) +. input_inverter_power +. output_inverter_power;
+    size = !cells + List.length negs + Dpa_synth.Phase.count_negative assignment;
+    switching = sums.(0);
+  }
+
 let by_cell_type ?(input_toggle = fun _ -> 0.0) mapped ~node_probs =
   let lib = Mapped.library mapped in
   let table = Hashtbl.create 16 in
@@ -322,10 +473,7 @@ let by_cell_type ?(input_toggle = fun _ -> 0.0) mapped ~node_probs =
       | None -> ()
       | Some cell ->
         add (Dpa_domino.Cell.name cell)
-          (node_probs.(i)
-          *. lib.Dpa_domino.Library.capacitance cell
-          *. Mapped.drive mapped i
-          *. (1.0 +. lib.Dpa_domino.Library.penalty cell)))
+          (cell_power lib cell ~drive:(Mapped.drive mapped i) node_probs.(i)))
     (Mapped.net mapped);
   let assignment = Mapped.assignment mapped in
   Array.iteri

@@ -103,15 +103,14 @@ val sift_partial :
     {!Dpa_util.Dpa_error.Budget_exceeded} or cancellation (the manager is
     consistent at every swap boundary). Parameters as {!Dpa_bdd.Sift.sift}. *)
 
-(** {2 Incremental estimation}
+(** {2 Shared-manager estimation}
 
-    A phase search prices hundreds of re-phased variants of one circuit.
-    Building each variant's BDD in a fresh manager re-derives every shared
-    subfunction from scratch; an {!env} instead keeps one manager with a
-    fixed variable order and a persistent probability cache, so evaluating
-    a candidate only constructs (and prices) the BDD nodes its flipped
-    cones introduce — everything else is a unique-table hit and a memo
-    read. *)
+    An {!env} keeps one BDD manager with a fixed variable order and a
+    persistent probability cache, so pricing many re-phased variants of
+    one circuit in it interns every shared subfunction once: a block
+    built after another only constructs the BDD nodes its flipped cones
+    introduce. The probability of a node depends only on its function
+    and the env's order, never on which block built it. *)
 
 type env
 (** Shared BDD manager + probability cache for repeated estimation of
@@ -132,6 +131,46 @@ val of_mapped_env : env -> Dpa_domino.Mapped.t -> report
 
 val env_manager : env -> Dpa_bdd.Robdd.manager
 (** The underlying manager, e.g. for {!Dpa_bdd.Robdd.stats}. *)
+
+(** {2 Slot-table pricing}
+
+    A {e slot} is an (original node, polarity) pair that a phase
+    assignment demands ({!Dpa_synth.Inverterless.demand}). Property 4.1
+    of the paper — a phase flip only complements a cone's probabilities
+    — means a slot is realized by the same mapped cells, with the same
+    probabilities, in every block that demands it. A {!table} holds
+    those cells' probabilities and priced terms for every slot that
+    either phase of any PO demands; {!of_table} then prices a candidate
+    by walking its demanded slots and summing, with no realization,
+    mapping or BDD build. *)
+
+type table
+
+val table : env -> Dpa_domino.Library.t -> Dpa_logic.Netlist.t -> table
+(** [table env library net] prices, in [env], every slot of the
+    all-positive and the all-negative realization of [net] (a
+    domino-ready network over [env]'s inputs); together their slots
+    cover every assignment's. Raises [Invalid_argument] for a library
+    with compound cells ({!Dpa_domino.Mapped.absorbs}): absorption reads
+    each block's fanout counts, so a slot's cells depend on the rest of
+    the block. *)
+
+val table_slots : table -> int
+(** Slots priced into the table. *)
+
+val table_cells : table -> int
+(** Mapped cells held over all slots. *)
+
+type table_price = {
+  power : float;  (** the report's [total] *)
+  size : int;  (** {!Dpa_domino.Mapped.size} *)
+  switching : float;  (** the report's [domino_switching] *)
+}
+
+val of_table : table -> Dpa_synth.Phase.assignment -> table_price
+(** The price of [a] bit for bit as {!of_mapped_env} [env] gives it for
+    [Mapped.map ~library (Inverterless.realize net a)]: the same terms
+    summed in the same order. *)
 
 val by_cell_type :
   ?input_toggle:(int -> float) ->

@@ -22,64 +22,80 @@ type t = {
   duplicated : int;
 }
 
-let realize original assignment =
+(* The demand walk: original node [i] demanded in polarity bit [b]
+   (1 = negative) is slot [2i+b]. Inverters flip the demanded polarity
+   and vanish, buffers pass it on; every other slot is emitted once,
+   after its fanin slots, as its block gate — AND/OR in negative
+   polarity materialize as their DeMorgan dual over negative fanins. *)
+let demand original assignment ~emit =
   let outs = Netlist.outputs original in
   if Array.length assignment <> Array.length outs then
     invalid_arg "Inverterless.realize: assignment length mismatch";
-  let blk = Netlist.create ~name:(Netlist.name original ^ "_domino") () in
-  let pis = Netlist.inputs original in
-  let pi_position = Array.make (Netlist.size original) (-1) in
-  Array.iteri (fun pos id -> pi_position.(id) <- pos) pis;
   let slots = Array.make (2 * Netlist.size original) (-1) in
-  let literal_info = ref [] in
-  let duplicated = ref 0 in
-  (* Demand original node [i] in polarity bit [b] (1 = negative); returns
-     the block node that realizes it. Inverters flip the demanded polarity
-     and vanish; AND/OR in negative polarity materialize as their DeMorgan
-     dual over negative fanins. *)
   let rec build i b =
     let s = (2 * i) + b in
     let known = slots.(s) in
     if known >= 0 then known
     else begin
-      let id =
+      let pol = pol_of_bit b in
+      let v =
         match Netlist.gate original i with
-        | Gate.Input ->
-          let pos = pi_position.(i) in
-          let base =
-            match Netlist.node_name original i with
-            | Some n -> n
-            | None -> Printf.sprintf "x%d" pos
-          in
-          let name = if b = 0 then base else "~" ^ base in
-          literal_info := (pos, pol_of_bit b) :: !literal_info;
-          Netlist.add_input ~name blk
-        | Gate.Const v -> Netlist.add_gate blk (Gate.Const (if b = 0 then v else not v))
+        | Gate.Input -> emit i pol Gate.Input
+        | Gate.Const v -> emit i pol (Gate.Const (if b = 0 then v else not v))
         | Gate.Buf x -> build x b
         | Gate.Not x -> build x (1 - b)
         | Gate.And xs ->
           let fis = Array.map (fun x -> build x b) xs in
-          Netlist.add_gate blk (if b = 0 then Gate.And fis else Gate.Or fis)
+          emit i pol (if b = 0 then Gate.And fis else Gate.Or fis)
         | Gate.Or xs ->
           let fis = Array.map (fun x -> build x b) xs in
-          Netlist.add_gate blk (if b = 0 then Gate.Or fis else Gate.And fis)
+          emit i pol (if b = 0 then Gate.Or fis else Gate.And fis)
         | Gate.Xor _ ->
           invalid_arg "Inverterless.realize: XOR present; run Opt.optimize first"
       in
-      (* a duplicated node is an original AND/OR realized in both
-         polarities: counted when its second polarity is demanded *)
-      (match Netlist.gate original i with
-      | Gate.And _ | Gate.Or _ -> if slots.(s lxor 1) >= 0 then incr duplicated
-      | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ());
-      slots.(s) <- id;
-      id
+      slots.(s) <- v;
+      v
     end
   in
-  Array.iteri
-    (fun k (po, driver) ->
-      let b = match assignment.(k) with Phase.Positive -> 0 | Phase.Negative -> 1 in
-      Netlist.add_output blk po (build driver b))
-    outs;
+  let roots =
+    Array.mapi
+      (fun k (_, driver) ->
+        build driver (match assignment.(k) with Phase.Positive -> 0 | Phase.Negative -> 1))
+      outs
+  in
+  (slots, roots)
+
+let realize original assignment =
+  let blk = Netlist.create ~name:(Netlist.name original ^ "_domino") () in
+  let pis = Netlist.inputs original in
+  let pi_position = Array.make (Netlist.size original) (-1) in
+  Array.iteri (fun pos id -> pi_position.(id) <- pos) pis;
+  let literal_info = ref [] in
+  let emit i pol g =
+    match g with
+    | Gate.Input ->
+      let pos = pi_position.(i) in
+      let base =
+        match Netlist.node_name original i with
+        | Some n -> n
+        | None -> Printf.sprintf "x%d" pos
+      in
+      literal_info := (pos, pol) :: !literal_info;
+      Netlist.add_input ~name:(match pol with Pos -> base | Neg -> "~" ^ base) blk
+    | Gate.Const _ | Gate.And _ | Gate.Or _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
+      Netlist.add_gate blk g
+  in
+  let slots, roots = demand original assignment ~emit in
+  Array.iteri (fun k (po, _) -> Netlist.add_output blk po roots.(k)) (Netlist.outputs original);
+  (* a duplicated node is an original AND/OR realized in both polarities *)
+  let duplicated = ref 0 in
+  Netlist.iter_nodes
+    (fun i g ->
+      match g with
+      | Gate.And _ | Gate.Or _ ->
+        if slots.(2 * i) >= 0 && slots.((2 * i) + 1) >= 0 then incr duplicated
+      | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ -> ())
+    original;
   {
     original;
     pis;

@@ -18,6 +18,24 @@ val realize : Dpa_logic.Netlist.t -> Phase.assignment -> t
 (** Raises [Invalid_argument] if the network contains XOR gates or the
     assignment length differs from the output count. *)
 
+val demand :
+  Dpa_logic.Netlist.t ->
+  Phase.assignment ->
+  emit:(int -> polarity -> Dpa_logic.Gate.t -> int) ->
+  int array * int array
+(** The walk {!realize} runs. Each PO demands its driver in its phase;
+    an inverter flips the demanded polarity and a buffer passes it on,
+    so neither is emitted. Every other demanded (original node,
+    polarity) pair — a {e slot} — is emitted once, after its fanins, in
+    the block's node order: [emit i pol g] gets the slot's block gate
+    [g] — [Input] for a literal, the constant with the polarity applied,
+    or an AND/OR (its DeMorgan dual in [Neg]) over the values [emit]
+    returned for the fanin slots — and returns the slot's value, which
+    must be non-negative. Returns the per-slot values (index [2i] for
+    [Pos], [2i+1] for [Neg]; [-1] where never demanded; an inverter's or
+    buffer's slot holds its fanin's value) and the value each PO
+    resolves to. Raises like {!realize}. *)
+
 val block : t -> Dpa_logic.Netlist.t
 (** The inverter-free network. Its inputs are literals: one per (original
     PI, polarity) actually used, named after the PI with a ["~"] prefix for

@@ -40,14 +40,6 @@ let data_files =
     "../data/seq_controller.blif";
   ]
 
-let check_bits msg a b =
-  if Int64.bits_of_float a <> Int64.bits_of_float b then
-    Alcotest.failf "%s: %h <> %h" msg a b
-
-let check_bits_array msg a b =
-  Alcotest.(check int) (msg ^ " length") (Array.length a) (Array.length b);
-  Array.iteri (fun i x -> check_bits (Printf.sprintf "%s.(%d)" msg i) x b.(i)) a
-
 (* optimize + all-positive realization + mapping, keeping the optimized
    netlist so input_probs is sized off the original PI count *)
 let prep raw =
@@ -65,9 +57,9 @@ let check_identity ~name ~cycles ~seed (net, mapped) =
   Alcotest.(check (array int))
     (tag ^ " fire counts")
     interp.Simulator.fire_counts compiled.Simulator.fire_counts;
-  check_bits_array (tag ^ " input toggles") interp.Simulator.input_toggles
+  Testkit.check_bits_array (tag ^ " input toggles") interp.Simulator.input_toggles
     compiled.Simulator.input_toggles;
-  check_bits_array (tag ^ " node probs") interp.Simulator.node_probs
+  Testkit.check_bits_array (tag ^ " node probs") interp.Simulator.node_probs
     compiled.Simulator.node_probs;
   Alcotest.(check int) (tag ^ " cycles") interp.Simulator.cycles compiled.Simulator.cycles
 
@@ -140,7 +132,7 @@ let test_netlist_probabilities () =
           let input_probs = Array.make (Netlist.num_inputs net) p in
           List.iter
             (fun cycles ->
-              check_bits_array
+              Testkit.check_bits_array
                 (Printf.sprintf "%s@%d p=%g" (Filename.basename path) cycles p)
                 (interp_node_probabilities ~cycles (Rng.create 11) ~input_probs net)
                 (Compiled.node_probabilities ~cycles (Rng.create 11) ~input_probs prog))
@@ -166,11 +158,11 @@ let test_lowering_constants () =
   let probs =
     Compiled.node_probabilities ~cycles:70 (Rng.create 3) ~input_probs:[| 0.5 |] prog
   in
-  check_bits "const true" 1.0 probs.(ct);
-  check_bits "const false" 0.0 probs.(cf);
+  Testkit.check_bits "const true" 1.0 probs.(ct);
+  Testkit.check_bits "const false" 0.0 probs.(cf);
   (* f = a ∧ 1 = a and g = a ∨ 0 = a: all three sample the same stream *)
-  check_bits "and with true = a" probs.(a) probs.(f);
-  check_bits "or with false = a" probs.(a) probs.(g)
+  Testkit.check_bits "and with true = a" probs.(a) probs.(f);
+  Testkit.check_bits "or with false = a" probs.(a) probs.(g)
 
 let test_lowering_single_gates () =
   (* deterministic inputs (p = 1 or 0) make every gate's output exact *)
@@ -190,13 +182,13 @@ let test_lowering_single_gates () =
     Compiled.node_probabilities ~cycles:100 (Rng.create 9) ~input_probs:[| 1.0; 0.0 |]
       prog
   in
-  check_bits "and2(1,0)" 0.0 probs.(and2);
-  check_bits "or2(1,0)" 1.0 probs.(or2);
-  check_bits "not(1)" 0.0 probs.(not1);
-  check_bits "buf(0)" 0.0 probs.(buf1);
-  check_bits "and1(1)" 1.0 probs.(and1);
-  check_bits "and3(1,1,0)" 0.0 probs.(and3);
-  check_bits "or3(0,0,1)" 1.0 probs.(or3)
+  Testkit.check_bits "and2(1,0)" 0.0 probs.(and2);
+  Testkit.check_bits "or2(1,0)" 1.0 probs.(or2);
+  Testkit.check_bits "not(1)" 0.0 probs.(not1);
+  Testkit.check_bits "buf(0)" 0.0 probs.(buf1);
+  Testkit.check_bits "and1(1)" 1.0 probs.(and1);
+  Testkit.check_bits "and3(1,1,0)" 0.0 probs.(and3);
+  Testkit.check_bits "or3(0,0,1)" 1.0 probs.(or3)
 
 let test_lowering_xor_chain () =
   (* a parity chain over always-one inputs: node k of the chain holds the
@@ -220,7 +212,7 @@ let test_lowering_xor_chain () =
   Array.iteri
     (fun k y ->
       let expected = if (k + 2) mod 2 = 0 then 0.0 else 1.0 in
-      check_bits (Printf.sprintf "parity of %d ones" (k + 2)) expected probs.(y))
+      Testkit.check_bits (Printf.sprintf "parity of %d ones" (k + 2)) expected probs.(y))
     chain
 
 let test_measure_counts_validation () =
@@ -253,9 +245,9 @@ let test_engine_jobs_invariance () =
   let r1 = run 1 and r4 = run 4 in
   Alcotest.(check bool) "sim rung exercised" true
     (Engine.simulated_cones r1.Engine.degradation > 0);
-  check_bits "total" r1.Engine.report.Dpa_power.Estimate.total
+  Testkit.check_bits "total" r1.Engine.report.Dpa_power.Estimate.total
     r4.Engine.report.Dpa_power.Estimate.total;
-  check_bits_array "node probs" r1.Engine.report.Dpa_power.Estimate.node_probs
+  Testkit.check_bits_array "node probs" r1.Engine.report.Dpa_power.Estimate.node_probs
     r4.Engine.report.Dpa_power.Estimate.node_probs
 
 (* ---- unified cycle default ---------------------------------------- *)

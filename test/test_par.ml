@@ -12,14 +12,6 @@ let load_blif = Testkit.load_blif
 
 let data_files = Testkit.data_files
 
-let check_bits msg a b =
-  if Int64.bits_of_float a <> Int64.bits_of_float b then
-    Alcotest.failf "%s: %h <> %h" msg a b
-
-let check_bits_array msg a b =
-  Alcotest.(check int) (msg ^ " length") (Array.length a) (Array.length b);
-  Array.iteri (fun i x -> check_bits (Printf.sprintf "%s.(%d)" msg i) x b.(i)) a
-
 (* ---- the pool itself ---------------------------------------------- *)
 
 let test_map_ordered () =
@@ -136,10 +128,10 @@ let mapped_of path =
 
 let check_reports_equal msg (a : Engine.result) (b : Engine.result) =
   let ra = a.Engine.report and rb = b.Engine.report in
-  check_bits (msg ^ " total") ra.Dpa_power.Estimate.total rb.Dpa_power.Estimate.total;
-  check_bits (msg ^ " domino")
+  Testkit.check_bits (msg ^ " total") ra.Dpa_power.Estimate.total rb.Dpa_power.Estimate.total;
+  Testkit.check_bits (msg ^ " domino")
     ra.Dpa_power.Estimate.domino_power rb.Dpa_power.Estimate.domino_power;
-  check_bits_array (msg ^ " node_probs")
+  Testkit.check_bits_array (msg ^ " node_probs")
     ra.Dpa_power.Estimate.node_probs rb.Dpa_power.Estimate.node_probs;
   Alcotest.(check int)
     (msg ^ " bdd_nodes")
@@ -187,22 +179,30 @@ let check_opt_equal msg (a : Optimizer.result) (b : Optimizer.result) =
     (msg ^ " assignment")
     (Dpa_synth.Phase.to_string a.Optimizer.assignment)
     (Dpa_synth.Phase.to_string b.Optimizer.assignment);
-  check_bits (msg ^ " power") a.Optimizer.power b.Optimizer.power;
+  Testkit.check_bits (msg ^ " power") a.Optimizer.power b.Optimizer.power;
   Alcotest.(check int) (msg ^ " size") a.Optimizer.size b.Optimizer.size;
   Alcotest.(check int) (msg ^ " measurements") a.Optimizer.measurements b.Optimizer.measurements;
   Alcotest.(check string) (msg ^ " strategy") a.Optimizer.strategy_used b.Optimizer.strategy_used
 
+(* Every identity leg also runs at p = 0.7: at 0.5 every probability is
+   a dyadic rational and most float sums are exact, so a reassociated
+   sum would pass unseen. *)
+let identity_probs = [ 0.5; 0.7 ]
+
 let optimize_identity ~strategy path =
   let net = Dpa_synth.Opt.optimize (load_blif path) in
-  let input_probs = Array.make (Dpa_logic.Netlist.num_inputs net) 0.5 in
-  let base = Optimizer.default_config ~input_probs in
-  let run par = Optimizer.minimize_power { base with Optimizer.strategy; par } net in
-  let seq = run None in
   List.iter
-    (fun jobs ->
-      let r = Par.with_pool ~jobs (fun pool -> run (Some pool)) in
-      check_opt_equal (Printf.sprintf "%s jobs %d" path jobs) seq r)
-    [ 1; 2; 4 ]
+    (fun p ->
+      let input_probs = Array.make (Dpa_logic.Netlist.num_inputs net) p in
+      let base = Optimizer.default_config ~input_probs in
+      let run par = Optimizer.minimize_power { base with Optimizer.strategy; par } net in
+      let seq = run None in
+      List.iter
+        (fun jobs ->
+          let r = Par.with_pool ~jobs (fun pool -> run (Some pool)) in
+          check_opt_equal (Printf.sprintf "%s p=%g jobs %d" path p jobs) seq r)
+        [ 1; 2; 4 ])
+    identity_probs
 
 let test_optimize_identity_greedy () =
   (* apex7 has 36 outputs: the real greedy path with speculative replay *)
@@ -222,8 +222,8 @@ let test_full_flow_identity () =
      pooled estimates and the search's pool-free entries *)
   let module Flow = Dpa_core.Flow in
   let check_same what (seq : Flow.result) (par : Flow.result) =
-    check_bits (what ^ " mp power") seq.Flow.mp.Flow.power par.Flow.mp.Flow.power;
-    check_bits (what ^ " ma power") seq.Flow.ma.Flow.power par.Flow.ma.Flow.power;
+    Testkit.check_bits (what ^ " mp power") seq.Flow.mp.Flow.power par.Flow.mp.Flow.power;
+    Testkit.check_bits (what ^ " ma power") seq.Flow.ma.Flow.power par.Flow.ma.Flow.power;
     Alcotest.(check string)
       (what ^ " mp phases")
       (Dpa_synth.Phase.to_string seq.Flow.mp.Flow.assignment)
@@ -246,19 +246,25 @@ let test_full_flow_identity () =
   List.iter
     (fun path ->
       let net = load_blif path in
-      let run ?budget par =
-        Flow.compare_ma_mp ~config:{ Flow.default_config with Flow.par; budget } net
-      in
-      check_same path (run None) (Par.with_pool ~jobs:4 (fun pool -> run (Some pool)));
-      let budget = Engine.bounded ~max_bdd_nodes:50 () in
-      let seq = run ~budget None in
       List.iter
-        (fun jobs ->
-          check_same
-            (Printf.sprintf "%s budgeted, jobs %d" path jobs)
-            seq
-            (Par.with_pool ~jobs (fun pool -> run ~budget (Some pool))))
-        [ 1; 4 ])
+        (fun input_prob ->
+          let run ?budget par =
+            Flow.compare_ma_mp
+              ~config:{ Flow.default_config with Flow.par; budget; input_prob }
+              net
+          in
+          let what = Printf.sprintf "%s p=%g" path input_prob in
+          check_same what (run None) (Par.with_pool ~jobs:4 (fun pool -> run (Some pool)));
+          let budget = Engine.bounded ~max_bdd_nodes:50 () in
+          let seq = run ~budget None in
+          List.iter
+            (fun jobs ->
+              check_same
+                (Printf.sprintf "%s budgeted, jobs %d" what jobs)
+                seq
+                (Par.with_pool ~jobs (fun pool -> run ~budget (Some pool))))
+            [ 1; 4 ])
+        identity_probs)
     data_files
 
 let suite =

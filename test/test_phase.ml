@@ -416,6 +416,77 @@ let test_incremental_probs_exact () =
       done)
     (example_circuits ())
 
+(* ---- compound cells: every candidate's block is built ---- *)
+
+(* f = (a∧b) ∨ (c∧d∧e) ∨ g absorbs both AND terms into one compound
+   cell; h = (a∧b) ∨ (c∧x) shares a∧b, so whether that term is absorbed
+   depends on the phase h asks of it. *)
+let absorbable_net () =
+  let t = Netlist.create () in
+  let x = Array.init 7 (fun k -> Netlist.add_input ~name:(Printf.sprintf "x%d" k) t) in
+  let ab = Netlist.add_gate t (Dpa_logic.Gate.And [| x.(0); x.(1) |]) in
+  let cde = Netlist.add_gate t (Dpa_logic.Gate.And [| x.(2); x.(3); x.(4) |]) in
+  let cx = Netlist.add_gate t (Dpa_logic.Gate.And [| x.(2); x.(6) |]) in
+  Netlist.add_output t "f" (Netlist.add_gate t (Dpa_logic.Gate.Or [| ab; cde; x.(5) |]));
+  Netlist.add_output t "h" (Netlist.add_gate t (Dpa_logic.Gate.Or [| ab; cx |]));
+  Netlist.add_output t "g" (Netlist.add_gate t (Dpa_logic.Gate.Not cx));
+  t
+
+let test_compound_search_prices_blocks () =
+  let library = Dpa_domino.Library.with_compound Dpa_domino.Library.default in
+  List.iter
+    (fun (name, net) ->
+      let probs = example_probs net in
+      let n_out = Netlist.num_outputs net in
+      (* the oracle: realize → map → of_mapped_env for every candidate, in
+         an env seeded from the all-positive block *)
+      let env =
+        Dpa_power.Estimate.make_env ~input_probs:probs
+          (Dpa_domino.Mapped.map ~library
+             (Dpa_synth.Inverterless.realize net (Phase.all_positive n_out)))
+      in
+      let visited = ref [] in
+      let oracle mapped =
+        let r = Dpa_power.Estimate.of_mapped_env env mapped in
+        let s =
+          {
+            Measure.power = r.Dpa_power.Estimate.total;
+            size = Dpa_domino.Mapped.size mapped;
+            domino_switching = r.Dpa_power.Estimate.domino_switching;
+          }
+        in
+        visited := (Dpa_domino.Mapped.assignment mapped, s) :: !visited;
+        s
+      in
+      let config = { (Optimizer.default_config ~input_probs:probs) with Optimizer.library } in
+      let expected =
+        Optimizer.minimize_power_with
+          (Measure.create ~library ~pricer:oracle ~input_probs:probs net)
+          config net
+      in
+      let measure = Optimizer.measure config net in
+      let got = Optimizer.minimize_power_with measure config net in
+      Alcotest.(check string)
+        (name ^ " assignment")
+        (Phase.to_string expected.Optimizer.assignment)
+        (Phase.to_string got.Optimizer.assignment);
+      Testkit.check_bits (name ^ " power") expected.Optimizer.power got.Optimizer.power;
+      Alcotest.(check int) (name ^ " size") expected.Optimizer.size got.Optimizer.size;
+      Alcotest.(check int)
+        (name ^ " measurements")
+        expected.Optimizer.measurements got.Optimizer.measurements;
+      List.iter
+        (fun (a, (s : Measure.sample)) ->
+          let m = Measure.eval measure a in
+          let tag = name ^ " " ^ Phase.to_string a in
+          Testkit.check_bits (tag ^ " power") s.Measure.power m.Measure.power;
+          Testkit.check_bits (tag ^ " switching") s.Measure.domino_switching
+            m.Measure.domino_switching;
+          Alcotest.(check int) (tag ^ " size") s.Measure.size m.Measure.size)
+        !visited)
+    [ ("absorbable", absorbable_net ());
+      ("apex7", Dpa_synth.Opt.optimize (Testkit.comb_of_profile "apex7")) ]
+
 let test_averager_matches_averages () =
   let net = fig5 () in
   let cost = Cost.make net in
@@ -436,6 +507,8 @@ let suite =
       test_incremental_greedy_matches_rebuild;
     Alcotest.test_case "incremental probabilities exact" `Quick
       test_incremental_probs_exact;
+    Alcotest.test_case "compound search prices every block" `Quick
+      test_compound_search_prices_blocks;
     Alcotest.test_case "averager matches averages" `Quick test_averager_matches_averages;
     Alcotest.test_case "cost formulas" `Quick test_cost_formulas;
     Alcotest.test_case "best action pair" `Quick test_best_action_pair;

@@ -201,6 +201,94 @@ let test_domino_static_ratio () =
   Alcotest.(check bool) "domino costs more" true (ratio > 1.0);
   Alcotest.(check bool) "within sane band" true (ratio < 10.0)
 
+(* ---- slot table: bit for bit against the per-candidate env ---- *)
+
+let env_for ~library ~input_probs net =
+  Estimate.make_env ~input_probs
+    (Mapped.map ~library (Inverterless.realize net (Phase.all_positive (Netlist.num_outputs net))))
+
+(* A seeded per-PI vector away from the dyadic rationals, where float
+   sums reassociate visibly. *)
+let nondyadic_probs seed n =
+  let rng = Dpa_util.Rng.create seed in
+  Array.init n (fun _ -> 0.05 +. Dpa_util.Rng.float rng 0.9)
+
+let libraries =
+  [ ("default", Dpa_domino.Library.default);
+    ("series penalty", Dpa_domino.Library.with_series_penalty Dpa_domino.Library.default) ]
+
+(* The table's price of each assignment against the oracle: realize, map
+   and build the candidate in an env seeded as the table's is (a separate
+   one, so nothing is shared but the variable order). Returns the
+   mismatches. *)
+let table_mismatches ~library ~input_probs net assignments =
+  let table = Estimate.table (env_for ~library ~input_probs net) library net in
+  let env = env_for ~library ~input_probs net in
+  let bits = Int64.bits_of_float in
+  List.filter_map
+    (fun a ->
+      let mapped = Mapped.map ~library (Inverterless.realize net a) in
+      let r = Estimate.of_mapped_env env mapped in
+      let p = Estimate.of_table table a in
+      if
+        bits p.Estimate.power = bits r.Estimate.total
+        && bits p.Estimate.switching = bits r.Estimate.domino_switching
+        && p.Estimate.size = Mapped.size mapped
+      then None
+      else
+        Some
+          (Printf.sprintf "%s: table %h / %h / %d, env %h / %h / %d" (Phase.to_string a)
+             p.Estimate.power p.Estimate.switching p.Estimate.size r.Estimate.total
+             r.Estimate.domino_switching (Mapped.size mapped)))
+    assignments
+
+let each_case net ~seed f =
+  let n = Netlist.num_inputs net in
+  List.concat_map
+    (fun (lib_name, library) ->
+      List.concat_map
+        (fun (probs_name, input_probs) ->
+          List.map (fun m -> Printf.sprintf "%s, %s: %s" lib_name probs_name m)
+            (f ~library ~input_probs))
+        [ ("p=0.5", Array.make n 0.5); ("seeded", nondyadic_probs seed n) ])
+    libraries
+
+let prop_table_matches_env =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~print:Testkit.print_wide_case
+       ~name:"slot table = per-candidate env, bit for bit" Testkit.gen_wide_netlist
+       (fun (net, seed) ->
+         let every = List.of_seq (Phase.enumerate ~num_outputs:(Netlist.num_outputs net)) in
+         match
+           each_case net ~seed (fun ~library ~input_probs ->
+               table_mismatches ~library ~input_probs net every)
+         with
+         | [] -> true
+         | m :: _ -> QCheck2.Test.fail_report m))
+
+let test_table_matches_env_on_circuits () =
+  let circuits =
+    List.map (fun path -> (path, Testkit.load_blif path)) Testkit.data_files
+    @ List.map
+        (fun name -> (name, Testkit.comb_of_profile name))
+        [ "apex7"; "industry3"; "ctrl_smoke"; "parity_smoke"; "add4x8"; "mult8" ]
+  in
+  List.iteri
+    (fun k (name, raw) ->
+      let net = Dpa_synth.Opt.optimize raw in
+      let n_out = Netlist.num_outputs net in
+      let rng = Dpa_util.Rng.create (7919 * (k + 1)) in
+      let assignments =
+        Phase.all_positive n_out
+        :: Array.make n_out Phase.Negative
+        :: List.init 4 (fun _ -> Phase.random rng ~num_outputs:n_out)
+      in
+      Alcotest.(check (list string))
+        name []
+        (each_case net ~seed:k (fun ~library ~input_probs ->
+             table_mismatches ~library ~input_probs net assignments)))
+    circuits
+
 let suite =
   [ Alcotest.test_case "fig2 model" `Quick test_model_fig2;
     Alcotest.test_case "static model values" `Quick test_static_model_values;
@@ -215,4 +303,7 @@ let suite =
     prop_by_cell_type_partitions_total;
     prop_block_probs_exact;
     prop_total_is_sum;
-    prop_unit_pricing ]
+    prop_unit_pricing;
+    prop_table_matches_env;
+    Alcotest.test_case "slot table = env on data and profiles" `Quick
+      test_table_matches_env_on_circuits ]

@@ -6,9 +6,6 @@ module Netlist = Dpa_logic.Netlist
 module Cancel = Dpa_util.Cancel
 module Dpa_error = Dpa_util.Dpa_error
 
-let check_bits msg a b =
-  if Int64.bits_of_float a <> Int64.bits_of_float b then Alcotest.failf "%s: %h <> %h" msg a b
-
 let check_permutation msg order n =
   let sorted = Array.copy order in
   Array.sort compare sorted;
@@ -97,7 +94,7 @@ let test_prob_cache_survives () =
   let _ = Sift.sift ~roots ~order m in
   Robdd.set_cache_level_probs cache (level_probs order);
   List.iter2
-    (fun r p -> check_bits "memoized probability bit-identical" p (Robdd.cached_probability cache r))
+    (fun r p -> Testkit.check_bits "memoized probability bit-identical" p (Robdd.cached_probability cache r))
     roots pre;
   (* the manager (and the surviving cache) stay fully usable for new work *)
   match roots with
@@ -149,7 +146,7 @@ let test_sift_identity_on_corpus () =
       Robdd.set_cache_level_probs cache (level_probs order);
       List.iter2
         (fun root p ->
-          check_bits (name ^ ": bit-identical probability") p (Robdd.cached_probability cache root))
+          Testkit.check_bits (name ^ ": bit-identical probability") p (Robdd.cached_probability cache root))
         roots pre;
       List.iter2
         (fun root p ->

@@ -383,27 +383,10 @@ let local_search_reference ?start t =
   done;
   !current
 
-(* Testkit's random netlists with 1 to 6 outputs, optimized, plus a
-   seed for the walks. *)
-let gen_wide_netlist =
-  let open QCheck2.Gen in
-  let* n_gates, _, seeds, _, n_inputs = Testkit.gen_netlist ~max_gates:20 () in
-  let* n_outputs = int_range 1 6 in
-  let* out_seeds = list_repeat n_outputs (int_bound 1_000_000) in
-  let* seed = int_bound 1_000_000 in
-  return
-    ( Opt.optimize
-        (Testkit.build_netlist (n_gates, n_outputs, seeds, Array.of_list out_seeds, n_inputs)),
-      seed )
-
-let print_case (net, seed) =
-  Printf.sprintf "%d nodes, %d outputs, seed %d" (Netlist.size net) (Netlist.num_outputs net)
-    seed
-
 let prop_min_area_index_is_area =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:150 ~print:print_case
-       ~name:"min-area index area = realized area" gen_wide_netlist (fun (net, seed) ->
+    (QCheck2.Test.make ~count:150 ~print:Testkit.print_wide_case
+       ~name:"min-area index area = realized area" Testkit.gen_wide_netlist (fun (net, seed) ->
          let n = Netlist.num_outputs net in
          let every =
            Seq.for_all
@@ -427,8 +410,8 @@ let prop_min_area_index_is_area =
 
 let prop_min_area_searches_match_reference =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:150 ~print:print_case
-       ~name:"min-area searches = realize-per-candidate searches" gen_wide_netlist
+    (QCheck2.Test.make ~count:150 ~print:Testkit.print_wide_case
+       ~name:"min-area searches = realize-per-candidate searches" Testkit.gen_wide_netlist
        (fun (net, seed) ->
          let n = Netlist.num_outputs net in
          let start = Phase.random (Dpa_util.Rng.create seed) ~num_outputs:n in
@@ -630,8 +613,8 @@ let identity_assignments net seed =
 
 let prop_realize_matches_reference =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:150 ~print:print_case
-       ~name:"realize = hash-table reference, node for node" gen_wide_netlist
+    (QCheck2.Test.make ~count:150 ~print:Testkit.print_wide_case
+       ~name:"realize = hash-table reference, node for node" Testkit.gen_wide_netlist
        (fun (net, seed) ->
          List.for_all
            (fun a ->

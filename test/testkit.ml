@@ -10,6 +10,13 @@ let check_approx ?(eps = 1e-9) msg expected actual =
   if not (approx ~eps expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g (eps %g)" msg expected actual eps
 
+let check_bits msg a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then Alcotest.failf "%s: %h <> %h" msg a b
+
+let check_bits_array msg a b =
+  Alcotest.(check int) (msg ^ " length") (Array.length a) (Array.length b);
+  Array.iteri (fun i x -> check_bits (Printf.sprintf "%s.(%d)" msg i) x b.(i)) a
+
 (* QCheck generator for small random netlists with inverters: [n_inputs]
    inputs, up to [max_gates] gates over AND/OR/NOT/XOR, 1–3 outputs. Kept
    raw (no structural hashing) so optimization passes have work to do. *)
@@ -52,6 +59,23 @@ let build_netlist (n_gates, n_outputs, seeds, out_seeds, n_inputs) =
 let arbitrary_netlist ?n_inputs ?max_gates () =
   QCheck2.Gen.map build_netlist (gen_netlist ?n_inputs ?max_gates ())
 
+(* Random netlists with 1 to 6 outputs, optimized (domino-ready), plus a
+   seed for whatever else the property draws. *)
+let gen_wide_netlist =
+  let open QCheck2.Gen in
+  let* n_gates, _, seeds, _, n_inputs = gen_netlist ~max_gates:20 () in
+  let* n_outputs = int_range 1 6 in
+  let* out_seeds = list_repeat n_outputs (int_bound 1_000_000) in
+  let* seed = int_bound 1_000_000 in
+  return
+    ( Dpa_synth.Opt.optimize
+        (build_netlist (n_gates, n_outputs, seeds, Array.of_list out_seeds, n_inputs)),
+      seed )
+
+let print_wide_case (net, seed) =
+  Printf.sprintf "%d nodes, %d outputs, seed %d" (Netlist.size net) (Netlist.num_outputs net)
+    seed
+
 (* Truth-table equivalence of two functions from input vectors to output
    vectors, over all minterms of [n] inputs. *)
 let same_function n f g =
@@ -93,6 +117,22 @@ let load_blif path =
     match Dpa_logic.Blif.sequential_of_string text with
     | Ok s -> s.Dpa_logic.Blif.comb
     | Error msg -> Alcotest.failf "%s failed to parse: %s" path msg)
+
+(* A profile's combinational network: a sequential one contributes its
+   core with every D pin promoted to an output, as the corpus prices it. *)
+let comb_of_profile name =
+  match Dpa_workload.Profiles.find name with
+  | None -> Alcotest.failf "no profile %s" name
+  | Some p -> (
+    match Dpa_workload.Profiles.build p with
+    | Dpa_workload.Profiles.Comb net -> net
+    | Dpa_workload.Profiles.Seq sn ->
+      let core = Netlist.copy (Dpa_seq.Seq_netlist.comb sn) in
+      Array.iteri
+        (fun k ff ->
+          Netlist.add_output core (Printf.sprintf "ff%d.d" k) ff.Dpa_seq.Seq_netlist.data)
+        (Dpa_seq.Seq_netlist.ffs sn);
+      core)
 
 (* every checked-in circuit (test/dune lists them as deps) *)
 let data_files =
