@@ -117,8 +117,7 @@ let fig6 () =
   let probs = Array.make (Netlist.num_inputs net) 0.5 in
   let measure = Dpa_phase.Measure.create ~input_probs:probs net in
   let cost = Dpa_phase.Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
-  let r = Dpa_phase.Greedy.run measure ~cost ~base_probs:base in
+  let r = Dpa_phase.Greedy.run measure ~cost in
   Printf.printf "initial power %.3f (all positive)\n" r.Dpa_phase.Greedy.initial_power;
   List.iteri
     (fun k step ->
@@ -704,15 +703,11 @@ let ablation () =
     [ 1; 2; 3; 4; 5 ];
   (* 4: k-tuple cost extension (paper §4.1's "more than a pair") *)
   Printf.printf "\n4. Cost function over k-tuples (pairwise = the paper's heuristic):\n";
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   let cost = Dpa_phase.Cost.make net in
   List.iter
     (fun (kk, vectors) ->
       let measure = Dpa_phase.Measure.create ~input_probs:probs net in
-      let r =
-        Dpa_phase.Tuple_search.run ~k:kk ~vectors_per_tuple:vectors measure ~cost
-          ~base_probs:base
-      in
+      let r = Dpa_phase.Tuple_search.run ~k:kk ~vectors_per_tuple:vectors measure ~cost in
       Printf.printf
         "   k=%d (top %2d vectors/tuple): power %8.3f  commits %2d  tuples %3d  measurements %3d\n"
         kk vectors r.Dpa_phase.Tuple_search.power r.Dpa_phase.Tuple_search.commits

@@ -37,14 +37,9 @@ let fresh_manager ~order t =
     invalid_arg "Build.of_netlist: order length must equal the input count";
   Robdd.create_sized ~nvars:(Array.length ins) ~cache_capacity:(4 * Netlist.size t)
 
-(* A fresh manager under the given budget (none: unbounded), built. *)
-let build ?order ?max_nodes ?deadline ?cancel t =
+let of_netlist ?order t =
   let order = match order with Some o -> o | None -> Ordering.reverse_topological t in
-  let m = fresh_manager ~order t in
-  Robdd.set_budget ?max_nodes ?deadline ?cancel m;
-  build_in ~order t m
-
-let of_netlist ?order t = build ?order t
+  build_in ~order t (fresh_manager ~order t)
 
 let output_roots t b = Array.map (fun (_, d) -> b.roots.(d)) (Netlist.outputs t)
 
@@ -61,11 +56,6 @@ let shared_all_size t b =
         gate_roots := b.roots.(i) :: !gate_roots)
     t;
   Robdd.shared_size b.manager !gate_roots
-
-let bounded_size ?order ?deadline ?cancel ~max_nodes t =
-  match build ?order ~max_nodes ?deadline ?cancel t with
-  | b -> Some (shared_all_size t b)
-  | exception Dpa_util.Dpa_error.Budget_exceeded _ -> None
 
 let best_order t candidates =
   match candidates with
@@ -86,7 +76,7 @@ let probabilities_of_built ~input_probs b =
   (* one shared memo across every root: shared BDD structure is priced once *)
   Robdd.probabilities b.manager level_probs b.roots
 
-let probabilities ?order ?deadline ?cancel ~input_probs t =
+let probabilities ?order ~input_probs t =
   if Array.length input_probs <> Netlist.num_inputs t then
     invalid_arg "Build.probabilities: input_probs length mismatch";
-  probabilities_of_built ~input_probs (build ?order ?deadline ?cancel t)
+  probabilities_of_built ~input_probs (of_netlist ?order t)

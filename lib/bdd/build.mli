@@ -12,22 +12,6 @@ val of_netlist : ?order:int array -> Dpa_logic.Netlist.t -> t
 (** Builds the BDD of every node bottom-up. [order] defaults to
     {!Ordering.reverse_topological}. *)
 
-val bounded_size :
-  ?order:int array ->
-  ?deadline:float ->
-  ?cancel:Dpa_util.Cancel.t ->
-  max_nodes:int ->
-  Dpa_logic.Netlist.t ->
-  int option
-(** All-gates shared node count of the build under [order], or [None] if
-    the build would allocate [max_nodes] manager nodes or more, or outlive
-    the absolute [deadline] — computed with a budgeted manager
-    ({!Robdd.set_budget}), so a hostile order costs at most [max_nodes]
-    allocations instead of hanging. This is the cost oracle reorder passes
-    use to search for a feasible order once the unbounded build has already
-    blown its budget. A fired [cancel] token raises
-    [Dpa_error.Error (Cancelled _)]. *)
-
 val output_roots : Dpa_logic.Netlist.t -> t -> Robdd.node array
 (** BDD roots of the primary outputs, declaration order. *)
 
@@ -50,19 +34,14 @@ val best_order :
     [Invalid_argument] on an empty candidate list. *)
 
 val probabilities :
-  ?order:int array ->
-  ?deadline:float ->
-  ?cancel:Dpa_util.Cancel.t ->
-  input_probs:float array ->
-  Dpa_logic.Netlist.t ->
-  float array
+  ?order:int array -> input_probs:float array -> Dpa_logic.Netlist.t -> float array
 (** [probabilities ~input_probs t] is the exact signal probability of every
     node of [t]; [input_probs] is indexed by input position. This is
     "Compute Signal Probabilities Using Enhanced BDD" in the paper's
-    Fig. 6. [deadline] (absolute) and [cancel] are installed on the build's
-    manager: past the deadline the build raises
-    {!Dpa_util.Dpa_error.Budget_exceeded}, a fired token
-    [Dpa_error.Error (Cancelled _)]. *)
+    Fig. 6, on the netlist itself; the phase search reads the same
+    numbers off its priced all-positive block instead
+    ([Dpa_power.Estimate.original_probabilities]), and the tests hold
+    the two to each other. *)
 
 val probabilities_of_built : input_probs:float array -> t -> float array
 (** Same, over an already-built {!t} — all roots are evaluated under one

@@ -173,12 +173,15 @@ let compare_ma_mp_probs ?(config = default_config) ~input_probs raw =
         cancel = config.cancel;
       }
     in
-    (* Each distinct assignment is estimated once. Untimed, the search's
-       bounded-engine price of a block is the final estimate's, bit for
-       bit: MA's estimate seeds the search, and MP's comes from it. The
-       unbudgeted search prices in a shared env (Measure) that differs
-       from a from-scratch estimate in the last ulp, and the timed flow prices
-       resized blocks, so those estimate MP unless it is MA. *)
+    (* Each distinct assignment is estimated once, base probabilities
+       included: a greedy search reads them off its price of the
+       all-positive block. Untimed, the search's bounded-engine price of
+       a block is the final estimate's, bit for bit: MA's estimate seeds
+       the search (and, when MA is all-positive, its base
+       probabilities), and MP's comes from it. The unbudgeted search
+       prices in a shared env (Measure) that differs from a from-scratch
+       estimate in the last ulp, and the timed flow prices resized
+       blocks, so those estimate MP unless it is MA. *)
     let untimed = Option.is_none config.timing in
     let measure = Dpa_phase.Optimizer.measure opt_config net in
     if untimed then

@@ -9,6 +9,7 @@ type t = {
   lib : Library.t;
   mutable drives : float array;
   absorbed : bool array;  (* AND folded into a consuming compound cell *)
+  slot_roots : int array;  (* source slot -> its cell-tree root, -1 if undemanded *)
   compound : (int, int list) Hashtbl.t;  (* OR node -> pulldown leg widths *)
 }
 
@@ -100,6 +101,8 @@ let map ?(library = Library.default) inv =
     drives = Array.make n 1.0;
     absorbed;
     compound;
+    slot_roots =
+      Array.map (fun b -> if b < 0 then -1 else mapping.(b)) (Inverterless.slot_nodes inv);
   }
 
 let net t = t.net
@@ -109,6 +112,8 @@ let library t = t.lib
 let assignment t = Array.copy t.assignment
 
 let literals t = Array.copy t.lits
+
+let slot_root t s = t.slot_roots.(s)
 
 let cell_of_node t i =
   if t.absorbed.(i) then None

@@ -36,6 +36,12 @@ val assignment : t -> Dpa_synth.Phase.assignment
 val literals : t -> (int * Dpa_synth.Inverterless.polarity) array
 (** Per block-input position: (original PI position, polarity). *)
 
+val slot_root : t -> int -> int
+(** The node realizing slot [s] of the network the block was realized
+    from ({!Dpa_synth.Inverterless.slot_nodes}' indexing): the root of
+    the slot's cell tree, or its literal or constant; [-1] for a slot
+    the block does not demand. *)
+
 val cell_of_node : t -> int -> Cell.t option
 (** The library cell a node maps to; [None] for inputs, constants and
     AND gates absorbed into a consuming compound cell. *)

@@ -33,7 +33,8 @@ val num_outputs : t -> int
 (** Primary-output count of the underlying netlist. *)
 
 val cone_size : t -> int -> int
-(** [|Di|]: transitive-fanin cone size of output [i], gates only. *)
+(** [|Di|]: transitive-fanin cone size of output [i], counting the primary
+    inputs it reaches ({!Dpa_logic.Cone.of_outputs}). *)
 
 val overlap : t -> int -> int -> float
 (** Symmetric; [overlap t i i] is well defined but unused by the search. *)
@@ -41,9 +42,10 @@ val overlap : t -> int -> int -> float
 val averages :
   t -> base_probs:float array -> Dpa_synth.Phase.assignment -> float array
 (** [Ai] per output: mean over the cone of the node signal probabilities
-    [base_probs] (computed once on the network as specified, i.e. with the
-    all-positive implementation), complemented when the output's current
-    phase is negative — the paper's Property 4.1 approximation. *)
+    [base_probs] (those of the all-positive implementation, computed
+    once; the searches read them off their own price of that block,
+    [Measure.base_probs]), complemented when the output's current phase
+    is negative — the paper's Property 4.1 approximation. *)
 
 type averager
 (** Precomputed per-cone mean of [base_probs]. The mean is assignment

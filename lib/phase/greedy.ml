@@ -244,7 +244,7 @@ let replay_pass ~jobs st =
     walk elems nonretain 0
   end
 
-let run ?(initial = `All_positive) ?pair_limit measure ~cost ~base_probs =
+let run ?(initial = `All_positive) ?pair_limit measure ~cost =
   let n = Cost.num_outputs cost in
   let current =
     match initial with
@@ -256,7 +256,7 @@ let run ?(initial = `All_positive) ?pair_limit measure ~cost ~base_probs =
   in
   let current_sample = Measure.eval measure current in
   let initial_power = current_sample.Measure.power in
-  let cone_means = Cost.averager cost ~base_probs in
+  let cone_means = Cost.averager cost ~base_probs:(Measure.base_probs measure) in
   let averages = Cost.averages_of cost cone_means current in
   let candidates =
     let pairs = all_pairs n in

@@ -35,15 +35,12 @@ type result = {
   steps : step list;  (** chronological *)
 }
 
-val run :
-  ?initial:initial ->
-  ?pair_limit:int ->
-  Measure.t ->
-  cost:Cost.t ->
-  base_probs:float array ->
-  result
-(** [base_probs] are the node signal probabilities of the network as
-    specified (all-positive implementation), feeding {!Cost.averages}.
-    [pair_limit] caps the candidate set to the pairs with the largest
-    predicted gain (an engineering knob for very wide circuits; unset =
-    the paper's full pair set). *)
+val run : ?initial:initial -> ?pair_limit:int -> Measure.t -> cost:Cost.t -> result
+(** The base probabilities feeding {!Cost.averages} — the node signal
+    probabilities of the all-positive implementation — are
+    {!Measure.base_probs}, read off the measure's own price of the
+    all-positive block after the initial assignment is measured (the
+    same block when the search starts all-positive). [pair_limit] caps
+    the candidate set to the pairs with the largest predicted gain (an
+    engineering knob for very wide circuits; unset = the paper's full
+    pair set). *)

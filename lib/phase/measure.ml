@@ -56,6 +56,9 @@ type t = {
      use on the calling domain (BDD managers are single-domain) *)
   mutable env : Dpa_power.Estimate.env option;
   mutable table : Dpa_power.Estimate.table option;
+  (* the all-positive block's original-node probabilities, the only
+     per-node vector kept (see {!base_probs}) *)
+  mutable base : float array option;
   mutable misses : int;
   mutable degraded : int;
   mutable worst : Dpa_power.Engine.degradation option;
@@ -64,6 +67,8 @@ type t = {
 let realize_mapped t assignment =
   Dpa_domino.Mapped.map ~library:t.library (Dpa_synth.Inverterless.realize t.net assignment)
 
+let all_positive t = Phase.all_positive (Dpa_logic.Netlist.num_outputs t.net)
+
 (* The env is seeded from the all-positive realization — not from
    whichever candidate happens to be measured first — so the variable
    order is assignment-independent and the search deterministic. *)
@@ -71,10 +76,9 @@ let env_of t =
   match t.env with
   | Some e -> e
   | None ->
-    let all_pos = Phase.all_positive (Dpa_logic.Netlist.num_outputs t.net) in
     let e =
       Dpa_power.Estimate.make_env ~cancel:t.cancel ~input_probs:t.input_probs
-        (realize_mapped t all_pos)
+        (realize_mapped t (all_positive t))
     in
     t.env <- Some e;
     e
@@ -120,42 +124,63 @@ let engine_entry mapped (r : Dpa_power.Engine.result) =
     degradation = Some r.Dpa_power.Engine.degradation;
   }
 
-(* Price one candidate. Only the bounded engine runs on pool workers
-   (see {!prefetch}): it touches no state of [t]. *)
+(* The base probabilities read off a priced block, when it is the
+   all-positive one; [None] for every other candidate, so no per-node
+   vector is kept per cached candidate. *)
+let original t mapped (report : Dpa_power.Estimate.report) =
+  Dpa_power.Estimate.original_probabilities t.net ~input_probs:t.input_probs mapped
+    ~node_probs:report.Dpa_power.Estimate.node_probs
+
+let block_base t assignment mapped report =
+  if Phase.count_negative assignment > 0 then None else Some (original t mapped report)
+
+let keep_base t = function
+  | Some b when Option.is_none t.base -> t.base <- Some b
+  | Some _ | None -> ()
+
+let env_entry mapped (report : Dpa_power.Estimate.report) =
+  {
+    sample =
+      {
+        power = report.Dpa_power.Estimate.total;
+        size = Dpa_domino.Mapped.size mapped;
+        domino_switching = report.Dpa_power.Estimate.domino_switching;
+      };
+    degradation = None;
+  }
+
+(* Price one candidate, with its base probabilities when it is the
+   all-positive block ({!block_base}). Only the bounded engine runs on
+   pool workers (see {!prefetch}): it touches no state of [t]. *)
 let price t assignment =
   match t.pricing with
-  | Pricer f -> { sample = f (realize_mapped t assignment); degradation = None }
+  | Pricer f -> ({ sample = f (realize_mapped t assignment); degradation = None }, None)
   | Bounded budget ->
     (* Every candidate is priced under the same budget policy with a
        deterministic simulator seed, so comparisons between candidates
        stay consistent and greedy descent stays monotone even when some
        cones fall back to simulation. *)
     let mapped = realize_mapped t assignment in
-    engine_entry mapped
-      (Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs mapped)
+    let r =
+      Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs mapped
+    in
+    (engine_entry mapped r, block_base t assignment mapped r.Dpa_power.Engine.report)
   | Blocks ->
     let mapped = realize_mapped t assignment in
     let report = Dpa_power.Estimate.of_mapped_env (env_of t) mapped in
-    {
-      sample =
-        {
-          power = report.Dpa_power.Estimate.total;
-          size = Dpa_domino.Mapped.size mapped;
-          domino_switching = report.Dpa_power.Estimate.domino_switching;
-        };
-      degradation = None;
-    }
+    (env_entry mapped report, block_base t assignment mapped report)
   | Table ->
     let p = Dpa_power.Estimate.of_table (table_of t) assignment in
-    {
-      sample =
-        {
-          power = p.Dpa_power.Estimate.power;
-          size = p.Dpa_power.Estimate.size;
-          domino_switching = p.Dpa_power.Estimate.switching;
-        };
-      degradation = None;
-    }
+    ( {
+        sample =
+          {
+            power = p.Dpa_power.Estimate.power;
+            size = p.Dpa_power.Estimate.size;
+            domino_switching = p.Dpa_power.Estimate.switching;
+          };
+        degradation = None;
+      },
+      None )
 
 let create ?(library = Dpa_domino.Library.default) ?budget
     ?(cancel = Dpa_util.Cancel.none) ?pricer ?par ~input_probs net =
@@ -180,6 +205,7 @@ let create ?(library = Dpa_domino.Library.default) ?budget
     seen = Hashtbl.create 64;
     env = None;
     table = None;
+    base = None;
     misses = 0;
     degraded = 0;
     worst = None;
@@ -204,11 +230,12 @@ let eval t assignment =
       match Hashtbl.find_opt t.cache key with
       | Some e -> e
       | None ->
-        let e =
+        let e, base =
           Trace.with_span "phase.measure.eval" @@ fun () ->
           if Trace.is_enabled () then Trace.add_args [ ("phases", Trace.Str key) ];
           price t assignment
         in
+        keep_base t base;
         Hashtbl.replace t.cache key e;
         e
     in
@@ -254,15 +281,45 @@ let prefetch t assignments =
       Metrics.add c_par_tasks (after.Par.tasks - before.Par.tasks);
       Metrics.add c_par_steals (after.Par.steals - before.Par.steals);
       Metrics.add c_prefetched (Array.length work);
-      Array.iteri (fun i e -> Hashtbl.replace t.cache (fst work.(i)) e) entries
+      Array.iteri
+        (fun i (e, base) ->
+          keep_base t base;
+          Hashtbl.replace t.cache (fst work.(i)) e)
+        entries
     end
 
 let prime t assignment mapped result =
   let key = Phase.to_string assignment in
   match t.pricing with
   | Bounded _ ->
-    if not (Hashtbl.mem t.cache key) then Hashtbl.replace t.cache key (engine_entry mapped result)
+    if not (Hashtbl.mem t.cache key) then begin
+      Hashtbl.replace t.cache key (engine_entry mapped result);
+      keep_base t (block_base t assignment mapped result.Dpa_power.Engine.report)
+    end
   | Pricer _ | Blocks | Table -> ()
+
+let base_probs t =
+  match t.base with
+  | Some b -> b
+  | None ->
+    let b =
+      match t.pricing with
+      | Table -> Dpa_power.Estimate.table_original_probabilities (table_of t)
+      | Pricer _ ->
+        (* the custom pricer's sample is opaque: read the env's report *)
+        let mapped = realize_mapped t (all_positive t) in
+        original t mapped (Dpa_power.Estimate.of_mapped_env (env_of t) mapped)
+      | Bounded _ | Blocks ->
+        (* every price of the all-positive block keeps its vector, so it
+           is unpriced: price it now, as a prefetch would — the search
+           counts it only if it visits it *)
+        let a = all_positive t in
+        let e, base = price t a in
+        Hashtbl.replace t.cache (Phase.to_string a) e;
+        Option.get base
+    in
+    t.base <- Some b;
+    b
 
 let priced t assignment =
   match Hashtbl.find_opt t.cache (Phase.to_string assignment) with

@@ -27,7 +27,11 @@
     built on top can {!prefetch} candidates speculatively across
     domains; the trajectory counters ({!evaluations},
     {!degraded_evaluations}, {!worst_degradation}) advance only when
-    {!eval} first visits an assignment — never during speculation. *)
+    {!eval} first visits an assignment — never during speculation.
+
+    The same pricing supplies the greedy searches' base probabilities
+    ({!base_probs}): they are read off the measure's own price of the
+    all-positive block, never from a separate netlist build. *)
 
 type sample = {
   power : float;  (** Estimate total: domino + boundary inverters *)
@@ -87,12 +91,37 @@ val prime :
     [a]'s mapped block under this measure's budget and cancellation
     token, as the price of [a], the way {!prefetch} stores a speculative
     one: [a] counts as an evaluation, and its degradation is tallied,
-    only when the search visits it. The engine's answer is the same with
-    or without a pool, so the caller may have estimated with one. A no-op
-    unless candidates are priced by the bounded engine (a non-unbounded
-    [budget] and no custom [pricer]): the shared env's price differs
-    from a from-scratch estimate in the last ulp. An assignment already
-    priced keeps its entry. *)
+    only when the search visits it. When [a] is all-positive, its
+    estimate also supplies {!base_probs}. The engine's answer is the
+    same with or without a pool, so the caller may have estimated with
+    one. A no-op unless candidates are priced by the bounded engine (a
+    non-unbounded [budget] and no custom [pricer]): the shared env's
+    price differs from a from-scratch estimate in the last ulp. An
+    assignment already priced keeps its entry. *)
+
+val base_probs : t -> float array
+(** The K cost's base probabilities (paper §4.1): the signal probability
+    of every node of the network in its all-positive implementation, read
+    off that one block by Property 4.1
+    ({!Dpa_power.Estimate.original_probabilities}; NaN for a node outside
+    every PO cone). Where the block's probabilities come from follows how
+    candidates are priced:
+    - the slot table's per-slot root probabilities
+      ({!Dpa_power.Estimate.table_original_probabilities});
+    - under the bounded engine, the all-positive estimate's [node_probs]
+      at each slot's root: the one {!prime} stored (a flow primes MA's
+      estimate, which is all-positive when MA is), else the one the
+      search's first measurement computed;
+    - under compound cells or a custom [pricer], the shared env's report
+      of the all-positive block.
+
+    Pricing the all-positive assignment only to get these counts as an
+    evaluation only when the search visits it, as with {!prime} and
+    {!prefetch}. Computed once; only this one vector is kept. Under a
+    table or the env the values equal {!Dpa_bdd.Build.probabilities}
+    bit for bit at input probability 0.5 on the circuits the tests
+    check, and to within a few ulps elsewhere (the env's variable order
+    differs); under a budget they carry the estimate's degradation. *)
 
 val priced :
   t -> Dpa_synth.Phase.assignment -> (sample * Dpa_power.Engine.degradation) option

@@ -80,28 +80,15 @@ let minimize_power_with measure config net =
     let r = Exhaustive.run measure ~num_outputs:n in
     (r.Exhaustive.assignment, r.Exhaustive.power, r.Exhaustive.size, "exhaustive")
   in
-  let cost_and_base () =
-    let cost = Cost.make net in
-    let base_probs =
-      match config.budget with
-      | Some budget when not (Dpa_power.Engine.is_unbounded budget) ->
-        fst
-          (Dpa_power.Engine.node_probabilities ~budget ~cancel:config.cancel
-             ~input_probs:config.input_probs net)
-      | Some _ | None -> Dpa_bdd.Build.probabilities ~input_probs:config.input_probs net
-    in
-    (cost, base_probs)
-  in
   let run_greedy () =
-    let cost, base_probs = cost_and_base () in
-    let r = Greedy.run ?pair_limit:config.pair_limit measure ~cost ~base_probs in
+    let r = Greedy.run ?pair_limit:config.pair_limit measure ~cost:(Cost.make net) in
     (r.Greedy.assignment, r.Greedy.power, r.Greedy.size, "greedy")
   in
   let run_multi_start restarts =
     if restarts < 1 then invalid_arg "Optimizer: Multi_start needs at least one run";
-    let cost, base_probs = cost_and_base () in
+    let cost = Cost.make net in
     let rng = Dpa_util.Rng.create config.seed in
-    let run initial = Greedy.run ~initial ?pair_limit:config.pair_limit measure ~cost ~base_probs in
+    let run initial = Greedy.run ~initial ?pair_limit:config.pair_limit measure ~cost in
     let first = run `All_positive in
     let best = ref first in
     for _ = 2 to restarts do

@@ -1,8 +1,8 @@
 (** Top-level minimum-power phase assignment (the "MP" flow of the
-    paper's Fig. 6): compute base signal probabilities with the enhanced
-    BDD estimator, then search — exhaustively when the output count
-    permits, otherwise with the greedy pairwise heuristic (optionally
-    refined by annealing). *)
+    paper's Fig. 6): search exhaustively when the output count permits,
+    otherwise with the greedy pairwise heuristic (optionally refined by
+    annealing), whose base signal probabilities are the measure's own
+    price of the all-positive block ({!Measure.base_probs}). *)
 
 type strategy =
   | Auto  (** exhaustive up to [exhaustive_limit] outputs, else greedy *)
@@ -22,8 +22,8 @@ type config = {
   pair_limit : int option;  (** greedy candidate cap, default none *)
   seed : int;  (** randomized strategies *)
   budget : Dpa_power.Engine.budget option;
-      (** resource budget for every estimate in the search (base
-          probabilities and per-candidate pricing); [None] = exact,
+      (** resource budget for every estimate in the search (per-candidate
+          pricing, and with it the base probabilities); [None] = exact,
           unbounded *)
   par : Dpa_util.Par.t option;
       (** domain pool for speculative parallel candidate pricing (greedy

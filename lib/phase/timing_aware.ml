@@ -50,11 +50,7 @@ let minimize config net =
   let assignment =
     if n <= config.exhaustive_limit then
       (Exhaustive.run measure ~num_outputs:n).Exhaustive.assignment
-    else begin
-      let cost = Cost.make net in
-      let base_probs = Dpa_bdd.Build.probabilities ~input_probs:config.input_probs net in
-      (Greedy.run ?pair_limit:config.pair_limit measure ~cost ~base_probs).Greedy.assignment
-    end
+    else (Greedy.run ?pair_limit:config.pair_limit measure ~cost:(Cost.make net)).Greedy.assignment
   in
   (* final realization: resize once more to report the winner's delay *)
   let mapped = Measure.realize_mapped measure assignment in

@@ -33,7 +33,7 @@ let apply_actions assignment tuple actions =
   a
 
 let run ?(initial = `All_positive) ?(tuple_limit = 5000) ?(vectors_per_tuple = 1) ~k measure
-    ~cost ~base_probs =
+    ~cost =
   if vectors_per_tuple < 1 then
     invalid_arg "Tuple_search.run: vectors_per_tuple must be positive";
   let n = Cost.num_outputs cost in
@@ -50,7 +50,7 @@ let run ?(initial = `All_positive) ?(tuple_limit = 5000) ?(vectors_per_tuple = 1
   in
   let current_sample = ref (Measure.eval measure !current) in
   let initial_power = !current_sample.Measure.power in
-  let cone_means = Cost.averager cost ~base_probs in
+  let cone_means = Cost.averager cost ~base_probs:(Measure.base_probs measure) in
   let averages = ref (Cost.averages_of cost cone_means !current) in
   let candidates =
     let all = subsets n k in

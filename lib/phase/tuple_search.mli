@@ -28,9 +28,9 @@ val run :
   k:int ->
   Measure.t ->
   cost:Cost.t ->
-  base_probs:float array ->
   result
-(** [tuple_limit] caps the candidate set to the tuples with the largest
+(** Base probabilities are {!Measure.base_probs}, as in {!Greedy.run}.
+    [tuple_limit] caps the candidate set to the tuples with the largest
     predicted gain (default 5000 — [C(n,k)] grows quickly).
     [vectors_per_tuple] (default 1) measures that many K-ranked action
     vectors of the chosen tuple instead of only the argmin — with

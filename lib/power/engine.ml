@@ -494,76 +494,3 @@ let estimate ?par ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none) ~i
     }
   end
   else estimate_bounded ?par ~budget ~cancel ~input_probs mapped
-
-(* ------------------------------------------------------------------ *)
-(* Netlist-level node probabilities under the same ladder               *)
-(* ------------------------------------------------------------------ *)
-
-let node_probabilities ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none)
-    ~input_probs net =
-  if Array.length input_probs <> Netlist.num_inputs net then
-    invalid_arg "Engine.node_probabilities: input_probs length mismatch";
-  Trace.with_span "engine.node_probabilities" @@ fun () ->
-  Dpa_util.Cancel.check cancel;
-  let tag meth =
-    Trace.add_args [ ("method", Trace.Str (cone_method_to_string meth)) ]
-  in
-  if is_unbounded budget then begin
-    tag Exact;
-    (Dpa_bdd.Build.probabilities ~input_probs net, Exact)
-  end
-  else begin
-    let order = Dpa_bdd.Ordering.reverse_topological net in
-    let max_nodes = match budget.max_bdd_nodes with Some n -> n | None -> max_int in
-    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget.deadline_s in
-    let bounded_try order =
-      match Dpa_bdd.Build.bounded_size ~order ?deadline ~cancel ~max_nodes net with
-      | Some _ -> (
-        (* feasible: rebuild for probabilities — the probe proved the node
-           cap holds, but the deadline still runs *)
-        match Dpa_bdd.Build.probabilities ~order ?deadline ~cancel ~input_probs net with
-        | probs -> Some probs
-        | exception Dpa_error.Budget_exceeded _ -> None)
-      | None -> None
-    in
-    match bounded_try order with
-    | Some probs ->
-      tag Exact;
-      (probs, Exact)
-    | None -> (
-      let retry =
-        if budget.fallback = No_fallback || budget.reorder_passes <= 0 then None
-        else
-          match budget.max_bdd_nodes with
-          | None -> None
-          | Some max_nodes -> (
-            match
-              Dpa_bdd.Reorder.refine_bounded ~max_passes:budget.reorder_passes
-                ~initial_cost:max_int ?deadline ~cancel ~max_nodes net order
-            with
-            | Some r -> bounded_try r.Dpa_bdd.Reorder.order
-            | None -> None)
-      in
-      match retry with
-      | Some probs ->
-        tag Reordered;
-        (probs, Reordered)
-      | None ->
-        if budget.fallback <> Simulate then
-          Dpa_error.error
-            (Dpa_error.Budget
-               {
-                 Dpa_error.resource = Dpa_error.Bdd_nodes;
-                 limit =
-                   (match budget.max_bdd_nodes with
-                   | Some n -> float_of_int n
-                   | None -> infinity);
-                 spent = float_of_int max_nodes;
-                 context = "netlist probability build (fallback insufficient)";
-               });
-        tag Simulated;
-        ( Dpa_sim.Compiled.node_probabilities ~cycles:(sim_cycles_of budget) ~cancel
-            (Dpa_util.Rng.create budget.sim_seed) ~input_probs
-            (Dpa_sim.Compiled.of_netlist net),
-          Simulated ))
-  end

@@ -47,8 +47,7 @@ type budget = {
       (** deterministic simulator seed — identical inputs give identical
           fallback numbers, which keeps greedy phase search monotone *)
   reorder_passes : int;
-      (** reorder-rung effort in sift passes ({!node_probabilities}:
-          hill-climb passes); [0] disables the rung *)
+      (** reorder-rung effort in sift passes; [0] disables the rung *)
 }
 
 val default_budget : budget
@@ -154,19 +153,3 @@ val estimate :
 
     @raise Dpa_util.Dpa_error.Error with a [Budget] payload when cones
     remain unpriced and [budget.fallback] forbids simulation. *)
-
-val node_probabilities :
-  ?budget:budget ->
-  ?cancel:Dpa_util.Cancel.t ->
-  input_probs:float array ->
-  Dpa_logic.Netlist.t ->
-  float array * cone_method
-(** Signal probability of every node of a {e netlist} (no domino mapping)
-    under the same ladder — the budgeted replacement for
-    {!Dpa_bdd.Build.probabilities} used for phase-search base
-    probabilities. The netlist has a single shared build, so the method is
-    whole-netlist rather than per-cone; the simulation rung runs the
-    netlist's own compiled tape ({!Dpa_sim.Compiled.of_netlist}) from
-    [sim_seed] under Bernoulli input vectors.
-
-    @raise Dpa_util.Dpa_error.Error as {!estimate}. *)

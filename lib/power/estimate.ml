@@ -460,6 +460,43 @@ let of_table t assignment =
     switching = sums.(0);
   }
 
+(* ------------------------------------------------------------------ *)
+(* Probabilities of the original network, read off a realization        *)
+(* ------------------------------------------------------------------ *)
+
+(* [slot_prob s] is the probability of slot [s]'s node, NaN when the
+   realization does not demand it. Ids are topological, so a buffer's or
+   inverter's fanin is done before it. *)
+let derive_original net ~input_probs slot_prob =
+  let v = Array.make (Netlist.size net) Float.nan in
+  Array.iteri (fun pos id -> v.(id) <- input_probs.(pos)) (Netlist.inputs net);
+  Netlist.iter_nodes
+    (fun i g ->
+      match g with
+      | Gate.Input -> ()
+      | Gate.Buf x -> v.(i) <- v.(x)
+      | Gate.Not x -> v.(i) <- 1.0 -. v.(x)
+      | Gate.And _ | Gate.Or _ | Gate.Const _ ->
+        let p = slot_prob (slot i Inverterless.Pos) in
+        v.(i) <- (if Float.is_nan p then 1.0 -. slot_prob (slot i Inverterless.Neg) else p)
+      | Gate.Xor _ -> invalid_arg "Estimate.original_probabilities: XOR present")
+    net;
+  v
+
+let original_probabilities net ~input_probs mapped ~node_probs =
+  derive_original net ~input_probs (fun s ->
+      let r = Mapped.slot_root mapped s in
+      if r < 0 then Float.nan else node_probs.(r))
+
+let table_original_probabilities t =
+  let n_out = Netlist.num_outputs t.t_net in
+  let demanded, _ =
+    Inverterless.demand t.t_net (Dpa_synth.Phase.all_positive n_out) ~emit:(fun i pol _ ->
+        slot i pol)
+  in
+  derive_original t.t_net ~input_probs:t.t_input_probs (fun s ->
+      if demanded.(s) >= 0 then t.t_root_prob.(s) else Float.nan)
+
 let by_cell_type ?(input_toggle = fun _ -> 0.0) mapped ~node_probs =
   let lib = Mapped.library mapped in
   let table = Hashtbl.create 16 in

@@ -172,6 +172,34 @@ val of_table : table -> Dpa_synth.Phase.assignment -> table_price
     [Mapped.map ~library (Inverterless.realize net a)]: the same terms
     summed in the same order. *)
 
+(** {2 Probabilities of the original network}
+
+    Property 4.1 read backwards: a block that realizes an original node
+    in either polarity holds its probability, [p] in [Pos] and [1 − p]
+    in [Neg]. Every assignment's block realizes every AND/OR node of
+    every PO cone in at least one polarity, so one priced block yields
+    the signal probability of every node of the network it realizes —
+    the phase search's base probabilities, with no netlist build. *)
+
+val original_probabilities :
+  Dpa_logic.Netlist.t ->
+  input_probs:float array ->
+  Dpa_domino.Mapped.t ->
+  node_probs:float array ->
+  float array
+(** [original_probabilities net ~input_probs mapped ~node_probs] reads
+    a priced realization of [net] (a domino-ready network) back onto
+    [net]'s nodes: an input takes [input_probs], a buffer its fanin's
+    value and an inverter 1 − its fanin's; an AND, OR or constant takes
+    [node_probs] at its [Pos] slot's root ({!Dpa_domino.Mapped.slot_root}),
+    or else 1 − the value at its [Neg] slot's root. NaN for a node the
+    block demands in neither polarity (one outside every PO cone). *)
+
+val table_original_probabilities : table -> float array
+(** The same for the all-positive block, read off the table's slot root
+    probabilities — bit for bit what {!original_probabilities} gives on
+    that block priced by {!of_mapped_env} in the table's env. *)
+
 val by_cell_type :
   ?input_toggle:(int -> float) ->
   Dpa_domino.Mapped.t ->

@@ -31,8 +31,9 @@ val of_block : Dpa_domino.Mapped.t -> t
 
 val of_netlist : Dpa_logic.Netlist.t -> t
 (** Compile a raw netlist (any gate type, including [Xor]); input [k]
-    of the netlist reads stream [k] directly. Serves the netlist-level
-    Monte-Carlo rung of [Dpa_power.Engine.node_probabilities]. *)
+    of the netlist reads stream [k] directly. A test oracle: it lets the
+    tests hold the lowering of every gate type to exact values and to a
+    per-cycle interpreter. No production path compiles a netlist. *)
 
 val n_nodes : t -> int
 
@@ -73,6 +74,5 @@ val node_probabilities :
   input_probs:float array ->
   t ->
   float array
-(** [measure_counts] reduced to per-node signal probabilities —
-    the shape [Dpa_power.Engine.node_probabilities]'s simulation rung
-    needs. *)
+(** [measure_counts] reduced to per-node signal probabilities; with
+    {!of_netlist}, for the tests. *)

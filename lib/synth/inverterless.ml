@@ -116,6 +116,8 @@ let block_literal t ~pi_position pol =
     let id = t.slots.((2 * t.pis.(pi_position)) + bit pol) in
     if id >= 0 then Some id else None
 
+let slot_nodes t = Array.copy t.slots
+
 (* The slot that created block node [id]: an AND/OR/constant's own. A
    buffer's or inverter's slot shares its fanin's node, and a literal has
    no original gate. *)

@@ -52,6 +52,12 @@ val literals : t -> (int * polarity) array
 (** Per block-input position: the (original PI position, polarity) literal
     it carries, in block-input declaration order. *)
 
+val slot_nodes : t -> int array
+(** Per slot, indexed as {!demand} indexes them ([2i] for original node
+    [i] in [Pos], [2i+1] in [Neg]): the block node realizing it — an
+    inverter's or buffer's slot holds its fanin's node — or [-1] where
+    never demanded. A fresh array. *)
+
 val original_of_block_node : t -> int -> (int * polarity) option
 (** Which (original node, polarity) a block node implements. [None] for
     literals, ids outside the block, and nodes without an original

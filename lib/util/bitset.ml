@@ -37,14 +37,25 @@ let mem t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   Int64.logand (Int64.shift_right_logical (get_word t w) b) 1L = 1L
 
-let popcount x =
-  let rec go x acc = if x = 0L then acc else go (Int64.logand x (Int64.sub x 1L)) (acc + 1) in
-  go x 0
+(* SWAR popcount of a 32-bit value held in a native int *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x5555_5555) in
+  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f in
+  ((x * 0x0101_0101) lsr 24) land 0xff
+
+(* A word's two 32-bit halves as native ints, so counting never boxes
+   an [Int64] and allocates nothing. *)
+let[@inline] low w = Int64.to_int w land 0xffff_ffff
+
+let[@inline] high w = Int64.to_int (Int64.shift_right_logical w 32)
+
+let[@inline] popcount64 w = if w = 0L then 0 else popcount32 (low w) + popcount32 (high w)
 
 let cardinal t =
   let c = ref 0 in
   for i = 0 to word_count t.n - 1 do
-    c := !c + popcount (get_word t i)
+    c := !c + popcount64 (get_word t i)
   done;
   !c
 
@@ -61,13 +72,26 @@ let inter_cardinal a b =
   same_universe a b;
   let c = ref 0 in
   for i = 0 to word_count a.n - 1 do
-    c := !c + popcount (Int64.logand (get_word a i) (get_word b i))
+    c := !c + popcount64 (Int64.logand (get_word a i) (get_word b i))
   done;
   !c
 
+(* Members of one 32-bit half, lowest set bit first. *)
+let rec iter_half f bits base =
+  if bits <> 0 then begin
+    let lowest = bits land -bits in
+    f (base + popcount32 (lowest - 1));
+    iter_half f (bits lxor lowest) base
+  end
+
+(* Word by word, skipping empty words; bits past [n] are never set. *)
 let iter f t =
-  for i = 0 to t.n - 1 do
-    if mem t i then f i
+  for i = 0 to word_count t.n - 1 do
+    let w = get_word t i in
+    if w <> 0L then begin
+      iter_half f (low w) (64 * i);
+      iter_half f (high w) ((64 * i) + 32)
+    end
   done
 
 let elements t =

@@ -394,21 +394,19 @@ let test_reorder_refines_bad_order () =
     (1 + (r.Dpa_bdd.Reorder.passes * (n - 1)))
     r.Dpa_bdd.Reorder.oracle_calls
 
-let test_reorder_initial_cost_seed () =
+let test_reorder_fixed_point () =
+  (* a refined order is a local optimum: refining it again stops after
+     one pass without a swap, having rebuilt the start order and each
+     adjacent swap once *)
   let net = Dpa_workload.Examples.fig10 () in
-  let bad = Ordering.topological net in
-  let n = Netlist.num_inputs net in
-  let oracle order = Build.shared_all_size net (Build.of_netlist ~order net) in
-  (* seeding the incumbent skips the start-order probe entirely *)
-  let r = Dpa_bdd.Reorder.refine_cost ~initial_cost:11 ~cost:oracle bad in
-  Alcotest.(check int) "seed recorded" 11 r.Dpa_bdd.Reorder.initial_nodes;
-  Alcotest.(check int) "no start-order probe"
-    (r.Dpa_bdd.Reorder.passes * (n - 1))
-    r.Dpa_bdd.Reorder.oracle_calls;
-  (* an infeasible seed (the ladder's case) still lets a feasible
-     neighbour win *)
-  let r' = Dpa_bdd.Reorder.refine_cost ~initial_cost:max_int ~cost:oracle bad in
-  Alcotest.(check bool) "escapes infeasible seed" true (r'.Dpa_bdd.Reorder.nodes < max_int)
+  let r = Dpa_bdd.Reorder.refine net (Ordering.topological net) in
+  let again = Dpa_bdd.Reorder.refine net r.Dpa_bdd.Reorder.order in
+  Alcotest.(check (array int)) "same order" r.Dpa_bdd.Reorder.order again.Dpa_bdd.Reorder.order;
+  Alcotest.(check int) "same nodes" r.Dpa_bdd.Reorder.nodes again.Dpa_bdd.Reorder.nodes;
+  Alcotest.(check int) "start cost" r.Dpa_bdd.Reorder.nodes again.Dpa_bdd.Reorder.initial_nodes;
+  Alcotest.(check int) "no swaps" 0 again.Dpa_bdd.Reorder.swaps_accepted;
+  Alcotest.(check int) "one pass" 1 again.Dpa_bdd.Reorder.passes;
+  Alcotest.(check int) "rebuilds" (Netlist.num_inputs net) again.Dpa_bdd.Reorder.oracle_calls
 
 (* property: refinement never makes the order worse and keeps a permutation *)
 let prop_reorder_never_worse =
@@ -425,7 +423,7 @@ let prop_reorder_never_worse =
 let suite =
   [ Alcotest.test_case "terminals" `Quick test_terminals;
     Alcotest.test_case "reorder refines" `Quick test_reorder_refines_bad_order;
-    Alcotest.test_case "reorder initial cost" `Quick test_reorder_initial_cost_seed;
+    Alcotest.test_case "reorder fixed point" `Quick test_reorder_fixed_point;
     prop_reorder_never_worse;
     Alcotest.test_case "support" `Quick test_support;
     Alcotest.test_case "to_dot" `Quick test_to_dot;

@@ -121,8 +121,8 @@ let interp_node_probabilities ~cycles rng ~input_probs net =
   Array.map (fun c -> float_of_int c /. float_of_int cycles) counts
 
 let test_netlist_probabilities () =
-  (* [Compiled.node_probabilities] over [of_netlist] is the sim rung of
-     [Engine.node_probabilities] (phase-search base probabilities) *)
+  (* the netlist tape, every gate type lowered, against the walk it
+     packs into lanes *)
   List.iter
     (fun path ->
       let net, _ = prep (load_blif path) in

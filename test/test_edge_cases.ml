@@ -343,10 +343,9 @@ let test_tuple_limit_cap () =
   let net = Dpa_synth.Opt.optimize (Dpa_workload.Generator.combinational p) in
   let probs = Array.make (Netlist.num_inputs net) 0.5 in
   let cost = Dpa_phase.Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   let m = Dpa_phase.Measure.create ~input_probs:probs net in
   (* C(6,2) = 15 pairs; cap at 4 *)
-  let r = Dpa_phase.Tuple_search.run ~tuple_limit:4 ~k:2 m ~cost ~base_probs:base in
+  let r = Dpa_phase.Tuple_search.run ~tuple_limit:4 ~k:2 m ~cost in
   Alcotest.(check int) "candidate cap respected" 4
     r.Dpa_phase.Tuple_search.tuples_considered;
   Alcotest.(check bool) "still improves or holds" true

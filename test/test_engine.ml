@@ -130,44 +130,52 @@ let test_budgeted_flow_matches_unbudgeted () =
     true
     (Float.abs (r.Flow.mp.Flow.power -. exact_r.Flow.mp.Flow.power) < tolerance)
 
-let test_node_probabilities_ladder () =
-  let net = Dpa_synth.Opt.optimize (load_blif "../data/frg1_synthetic.blif") in
-  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let exact = Dpa_bdd.Build.probabilities ~input_probs net in
-  let budget = Engine.bounded ~max_bdd_nodes:16 () in
-  let approx, how = Engine.node_probabilities ~budget ~input_probs net in
-  Alcotest.(check bool) "degraded below exact" true (how <> Engine.Exact);
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun i p -> worst := Float.max !worst (Float.abs (p -. exact.(i))))
-    approx;
-  Alcotest.(check bool)
-    (Printf.sprintf "per-node error %.4f within Monte-Carlo tolerance" !worst)
-    true (!worst < 0.05)
+(* ---- budgeted phase search: deadline and cancellation ------------- *)
 
-(* the budget's deadline and the caller's token must reach the BDD work
-   itself, not only the checks between rungs: parity_wide's netlist build
-   interns far more than the 1024 allocations between deadline polls *)
-let parity_wide_net () =
-  match Dpa_workload.Profiles.find "parity_wide" with
-  | Some p -> Dpa_synth.Opt.optimize (Dpa_workload.Profiles.build_comb p)
-  | None -> Alcotest.fail "parity_wide profile missing"
+(* A budgeted greedy search reads its base probabilities off its own
+   all-positive estimate, so the budget's deadline and the caller's
+   token reach them through the block ladder, like every candidate's
+   price. *)
+let test_budgeted_search_deadline () =
+  (* an expired deadline stops every cone build that outlives one
+     deadline poll; the search still finishes, on simulated prices *)
+  let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "mult8") in
+  let config =
+    {
+      (Dpa_phase.Optimizer.default_config
+         ~input_probs:(Array.make (Netlist.num_inputs net) 0.5))
+      with
+      Dpa_phase.Optimizer.strategy = Dpa_phase.Optimizer.Greedy;
+      pair_limit = Some 2;
+      budget = Some (Engine.bounded ~deadline_s:0.0 ());
+    }
+  in
+  let r = Dpa_phase.Optimizer.minimize_power config net in
+  Alcotest.(check string) "greedy ran" "greedy" r.Dpa_phase.Optimizer.strategy_used;
+  Alcotest.(check bool) "degraded measurements" true
+    (r.Dpa_phase.Optimizer.degraded_measurements > 0);
+  match r.Dpa_phase.Optimizer.degradation with
+  | Some d -> Alcotest.(check bool) "cones simulated" true (Engine.simulated_cones d > 0)
+  | None -> Alcotest.fail "expected a degraded report"
 
-let test_node_probabilities_deadline () =
-  let net = parity_wide_net () in
-  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let budget = Engine.bounded ~deadline_s:0.0 () in
-  let _, how = Engine.node_probabilities ~budget ~input_probs net in
-  Alcotest.(check string) "an expired deadline stops the exact build" "simulated"
-    (Engine.cone_method_to_string how)
-
-let test_node_probabilities_cancel () =
-  let net = parity_wide_net () in
-  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let budget = Engine.bounded ~max_bdd_nodes:max_int () in
-  let cancel = Dpa_util.Cancel.create ~deadline_in:0.02 () in
-  match Engine.node_probabilities ~budget ~cancel ~input_probs net with
-  | _ -> Alcotest.fail "expected the token to stop the exact build"
+let test_budgeted_search_cancel () =
+  (* uncapped, parity_wide's all-positive estimate — the search's first
+     measurement and the source of its base probabilities — builds for
+     the best part of a second, so a token firing 0.25 s after the search
+     starts lands inside that BDD work, which polls it as the
+     measurements do *)
+  let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "parity_wide") in
+  let cost = Dpa_phase.Cost.make net in
+  let cancel = Dpa_util.Cancel.create ~deadline_in:0.25 () in
+  let measure =
+    Dpa_phase.Measure.create
+      ~budget:(Engine.bounded ~max_bdd_nodes:max_int ())
+      ~cancel
+      ~input_probs:(Array.make (Netlist.num_inputs net) 0.5)
+      net
+  in
+  match Dpa_phase.Greedy.run ~pair_limit:2 measure ~cost with
+  | _ -> Alcotest.fail "expected the token to stop the search"
   | exception Dpa_error.Error (Dpa_error.Cancelled _) -> ()
 
 (* ---- malformed corpus --------------------------------------------- *)
@@ -259,9 +267,8 @@ let suite =
     Alcotest.test_case "deadline budget" `Quick test_deadline_budget;
     Alcotest.test_case "budgeted flow matches unbudgeted" `Slow
       test_budgeted_flow_matches_unbudgeted;
-    Alcotest.test_case "node probabilities ladder" `Quick test_node_probabilities_ladder;
-    Alcotest.test_case "node probabilities deadline" `Quick test_node_probabilities_deadline;
-    Alcotest.test_case "node probabilities cancel" `Quick test_node_probabilities_cancel;
+    Alcotest.test_case "budgeted search deadline" `Quick test_budgeted_search_deadline;
+    Alcotest.test_case "budgeted search cancel" `Quick test_budgeted_search_cancel;
     Alcotest.test_case "malformed corpus all error" `Quick test_malformed_corpus_all_error;
     Alcotest.test_case "malformed messages carry lines" `Quick
       test_malformed_messages_carry_lines;

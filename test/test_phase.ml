@@ -93,8 +93,7 @@ let test_greedy_never_worse_than_initial () =
   let net = fig5 () in
   let m = measure_for net (Array.make 4 0.9) in
   let cost = Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:(Array.make 4 0.9) net in
-  let r = Greedy.run m ~cost ~base_probs:base in
+  let r = Greedy.run m ~cost in
   Alcotest.(check bool) "improves or equals" true (r.Greedy.power <= r.Greedy.initial_power)
   (* note: on fig5 the paper's pairwise heuristic proposes (−,−) for the
      single pair — both cone averages exceed ½ — measures it worse, and
@@ -106,8 +105,7 @@ let test_greedy_steps_recorded () =
   let net = fig5 () in
   let m = measure_for net (Array.make 4 0.9) in
   let cost = Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:(Array.make 4 0.9) net in
-  let r = Greedy.run m ~cost ~base_probs:base in
+  let r = Greedy.run m ~cost in
   Alcotest.(check bool) "steps exist" true (List.length r.Greedy.steps >= 1);
   List.iter
     (fun s ->
@@ -123,8 +121,7 @@ let test_greedy_commits_monotone () =
   let probs = Array.make (Netlist.num_inputs net) 0.5 in
   let m = measure_for net probs in
   let cost = Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
-  let r = Greedy.run m ~cost ~base_probs:base in
+  let r = Greedy.run m ~cost in
   let last = ref r.Greedy.initial_power in
   List.iter
     (fun s ->
@@ -146,8 +143,7 @@ let prop_greedy_vs_exhaustive =
       let net = Dpa_synth.Opt.optimize net in
       let m = measure_for net probs in
       let cost = Cost.make net in
-      let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
-      let g = Greedy.run m ~cost ~base_probs:base in
+      let g = Greedy.run m ~cost in
       let e = Exhaustive.run m ~num_outputs:(Netlist.num_outputs net) in
       e.Exhaustive.power <= g.Greedy.power +. 1e-9
       && g.Greedy.power <= g.Greedy.initial_power +. 1e-9)
@@ -261,12 +257,11 @@ let tuple_fixture () =
 let test_tuple_search_improves () =
   let net, probs = tuple_fixture () in
   let cost = Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   let exhaustive = Exhaustive.run (measure_for net probs) ~num_outputs:5 in
   List.iter
     (fun k ->
       let m = measure_for net probs in
-      let r = Dpa_phase.Tuple_search.run ~k m ~cost ~base_probs:base in
+      let r = Dpa_phase.Tuple_search.run ~k m ~cost in
       Alcotest.(check bool)
         (Printf.sprintf "k=%d no worse than initial" k)
         true
@@ -282,9 +277,8 @@ let test_tuple_search_full_width_with_budget_is_exhaustive_like () =
      ranked enumeration covers all 2^n assignments *)
   let net, probs = tuple_fixture () in
   let cost = Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   let m = measure_for net probs in
-  let r = Dpa_phase.Tuple_search.run ~k:5 ~vectors_per_tuple:32 m ~cost ~base_probs:base in
+  let r = Dpa_phase.Tuple_search.run ~k:5 ~vectors_per_tuple:32 m ~cost in
   let e = Exhaustive.run (measure_for net probs) ~num_outputs:5 in
   Testkit.check_approx ~eps:1e-9 "greedily ordered exhaustive finds the optimum"
     e.Exhaustive.power r.Dpa_phase.Tuple_search.power
@@ -292,9 +286,8 @@ let test_tuple_search_full_width_with_budget_is_exhaustive_like () =
 let test_tuple_search_validation () =
   let net, probs = tuple_fixture () in
   let cost = Cost.make net in
-  let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
   Alcotest.check_raises "k too small" (Invalid_argument "Tuple_search.run: k = 1 outside [2, 5]")
-    (fun () -> ignore (Dpa_phase.Tuple_search.run ~k:1 (measure_for net probs) ~cost ~base_probs:base))
+    (fun () -> ignore (Dpa_phase.Tuple_search.run ~k:1 (measure_for net probs) ~cost))
 
 let test_timing_aware_meets_clock () =
   let net, probs = tuple_fixture () in
@@ -357,9 +350,8 @@ let test_incremental_greedy_matches_rebuild () =
     (fun (name, net) ->
       let probs = example_probs net in
       let cost = Cost.make net in
-      let base = Dpa_bdd.Build.probabilities ~input_probs:probs net in
       let run ?pricer () =
-        Greedy.run (Measure.create ?pricer ~input_probs:probs net) ~cost ~base_probs:base
+        Greedy.run (Measure.create ?pricer ~input_probs:probs net) ~cost
       in
       (* the oracle: a fresh manager and per-block order for every candidate *)
       let rebuild mapped =
@@ -501,8 +493,147 @@ let test_averager_matches_averages () =
       [| Phase.Negative; Phase.Positive |];
       [| Phase.Negative; Phase.Negative |] ]
 
+(* ---- base probabilities: the all-positive block read back ---------- *)
+
+let base_circuits () =
+  List.map (fun path -> (Filename.basename path, Testkit.load_blif path)) Testkit.data_files
+  @ List.map
+      (fun name -> (name, Testkit.comb_of_profile name))
+      [ "apex7"; "industry3"; "parity_smoke"; "add4x8"; "mult8" ]
+  |> List.map (fun (name, raw) -> (name, Dpa_synth.Opt.optimize raw))
+
+(* the nodes the K cost averages over *)
+let cone_nodes net =
+  let cones = Dpa_logic.Cone.of_outputs net in
+  List.filter
+    (fun i -> Array.exists (fun c -> Dpa_util.Bitset.mem c i) cones)
+    (List.init (Netlist.size net) Fun.id)
+
+(* the table path against the netlist build it replaces *)
+let check_table_base ~same ~tag input_probs_of =
+  List.iter
+    (fun (name, net) ->
+      let input_probs = input_probs_of net in
+      let base = Measure.base_probs (Measure.create ~input_probs net) in
+      let exact = Dpa_bdd.Build.probabilities ~input_probs net in
+      List.iter
+        (fun i -> same (Printf.sprintf "%s %s node %d" name tag i) exact.(i) base.(i))
+        (cone_nodes net))
+    (base_circuits ())
+
+let test_base_probs_exact_at_half () =
+  check_table_base ~same:Testkit.check_bits ~tag:"p=0.5" (fun net ->
+      Array.make (Netlist.num_inputs net) 0.5)
+
+let test_base_probs_ulps () =
+  (* the env's variable order is not the netlist build's, so sums round
+     differently away from dyadic probabilities — by a few ulps *)
+  let few_ulps msg a b =
+    if Float.abs (a -. b) > 8.0 *. epsilon_float then
+      Alcotest.failf "%s: %h vs %h (%.3g apart)" msg a b (Float.abs (a -. b))
+  in
+  check_table_base ~same:few_ulps ~tag:"p=0.7" (fun net ->
+      Array.make (Netlist.num_inputs net) 0.7);
+  check_table_base ~same:few_ulps ~tag:"per-PI" (fun net ->
+      let rng = Dpa_util.Rng.create 23 in
+      Array.init (Netlist.num_inputs net) (fun _ -> Dpa_util.Rng.float rng 1.0))
+
+let test_base_probs_same_across_pricings () =
+  (* the slot table, the env's report behind a custom pricer, and a
+     compound library's env blocks all read the same all-positive BDDs *)
+  let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "apex7") in
+  let input_probs = example_probs net in
+  let table = Measure.base_probs (Measure.create ~input_probs net) in
+  let pricer _ = { Measure.power = 0.0; size = 0; domino_switching = 0.0 } in
+  let priced = Measure.base_probs (Measure.create ~pricer ~input_probs net) in
+  let library = Dpa_domino.Library.with_compound Dpa_domino.Library.default in
+  let blocks = Measure.base_probs (Measure.create ~library ~input_probs net) in
+  List.iter
+    (fun i ->
+      Testkit.check_bits (Printf.sprintf "pricer node %d" i) table.(i) priced.(i);
+      Testkit.check_bits (Printf.sprintf "blocks node %d" i) table.(i) blocks.(i))
+    (cone_nodes net)
+
+(* Property 4.1 read backwards works off any assignment's block: every
+   cone node gets a probability, and it is the netlist's *)
+let prop_original_probabilities =
+  let gen =
+    QCheck2.Gen.(
+      let* net, seed = Testkit.gen_wide_netlist in
+      let* probs = Testkit.probs_gen (Netlist.num_inputs net) in
+      return (net, seed, probs))
+  in
+  QCheck_alcotest.to_alcotest
+  @@ QCheck2.Test.make ~count:150 ~name:"base probabilities from any block"
+       ~print:(fun (net, seed, _) -> Testkit.print_wide_case (net, seed))
+       gen
+  @@ fun (net, seed, input_probs) ->
+      let assignment =
+        Phase.random (Dpa_util.Rng.create seed) ~num_outputs:(Netlist.num_outputs net)
+      in
+      let mapped = Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net assignment) in
+      let report = Dpa_power.Estimate.of_mapped ~input_probs mapped in
+      let v =
+        Dpa_power.Estimate.original_probabilities net ~input_probs mapped
+          ~node_probs:report.Dpa_power.Estimate.node_probs
+      in
+      let exact = Dpa_bdd.Build.probabilities ~input_probs net in
+      List.for_all
+        (fun i ->
+          Float.is_finite v.(i) && v.(i) >= 0.0 && v.(i) <= 1.0
+          && Testkit.approx ~eps:1e-12 exact.(i) v.(i))
+        (cone_nodes net)
+
+let test_base_probs_under_cap () =
+  (* a 16-node cap sends cones to simulation: the vector is the
+     all-positive estimate's node_probs at the slot roots, and pricing
+     the block for it is no evaluation until the search visits it *)
+  let net = Dpa_synth.Opt.optimize (Testkit.load_blif "../data/frg1_synthetic.blif") in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.7 in
+  let budget = Dpa_power.Engine.bounded ~max_bdd_nodes:16 () in
+  let m = Measure.create ~budget ~input_probs net in
+  let base = Measure.base_probs m in
+  Alcotest.(check int) "not an evaluation" 0 (Measure.evaluations m);
+  let all_pos = Phase.all_positive (Netlist.num_outputs net) in
+  let mapped = Dpa_domino.Mapped.map (Dpa_synth.Inverterless.realize net all_pos) in
+  let r = Dpa_power.Engine.estimate ~budget ~input_probs mapped in
+  Alcotest.(check bool) "cones simulated" true
+    (Dpa_power.Engine.simulated_cones r.Dpa_power.Engine.degradation > 0);
+  let probs = r.Dpa_power.Engine.report.Dpa_power.Estimate.node_probs in
+  let at s = probs.(Dpa_domino.Mapped.slot_root mapped s) in
+  let exact = Dpa_bdd.Build.probabilities ~input_probs net in
+  List.iter
+    (fun i ->
+      let msg = Printf.sprintf "node %d" i in
+      (match Netlist.gate net i with
+      | Dpa_logic.Gate.And _ | Dpa_logic.Gate.Or _ | Dpa_logic.Gate.Const _ ->
+        let expect =
+          if Dpa_domino.Mapped.slot_root mapped (2 * i) >= 0 then at (2 * i)
+          else 1.0 -. at ((2 * i) + 1)
+        in
+        Testkit.check_bits msg expect base.(i)
+      | Dpa_logic.Gate.Input | Dpa_logic.Gate.Buf _ | Dpa_logic.Gate.Not _
+      | Dpa_logic.Gate.Xor _ -> ());
+      Alcotest.(check bool) (msg ^ " within Monte-Carlo tolerance") true
+        (Float.abs (base.(i) -. exact.(i)) < 0.05))
+    (cone_nodes net);
+  let before = Measure.evaluations m in
+  ignore (Measure.eval m all_pos);
+  Alcotest.(check int) "visited once, priced once" (before + 1) (Measure.evaluations m);
+  match Measure.priced m all_pos with
+  | Some (s, _) ->
+    Testkit.check_bits "same price" r.Dpa_power.Engine.report.Dpa_power.Estimate.total
+      s.Measure.power
+  | None -> Alcotest.fail "all-positive left unpriced"
+
 let suite =
   [ Alcotest.test_case "property 4.1" `Quick test_property_4_1;
+    Alcotest.test_case "base probs exact at 0.5" `Quick test_base_probs_exact_at_half;
+    Alcotest.test_case "base probs within ulps" `Quick test_base_probs_ulps;
+    Alcotest.test_case "base probs same across pricings" `Quick
+      test_base_probs_same_across_pricings;
+    Alcotest.test_case "base probs under a cap" `Quick test_base_probs_under_cap;
+    prop_original_probabilities;
     Alcotest.test_case "incremental greedy = rebuild greedy" `Quick
       test_incremental_greedy_matches_rebuild;
     Alcotest.test_case "incremental probabilities exact" `Quick

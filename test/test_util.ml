@@ -93,6 +93,43 @@ let test_bitset_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Bitset: 4 outside universe [0,4)") (fun () ->
       Bitset.add s 4)
 
+(* [cardinal], [inter_cardinal] and [iter] against a bool-array model,
+   over universes that straddle the 32-bit halves and 64-bit words the
+   counts work in, with removals so cleared bits are exercised too *)
+let prop_bitset_model =
+  let gen =
+    QCheck2.Gen.(
+      let* n = int_range 1 200 in
+      let ops = list_size (int_bound 300) (pair bool (int_bound (n - 1))) in
+      let* a = ops in
+      let* b = ops in
+      return (n, a, b))
+  in
+  Testkit.qcheck_case ~count:300 ~name:"bitset matches bool-array model" gen
+    (fun (n, ops_a, ops_b) ->
+      let build ops =
+        let s = Bitset.create n and m = Array.make n false in
+        List.iter
+          (fun (add, i) ->
+            if add then Bitset.add s i else Bitset.remove s i;
+            m.(i) <- add)
+          ops;
+        (s, m)
+      in
+      let a, ma = build ops_a and b, mb = build ops_b in
+      let count m = Array.fold_left (fun c x -> if x then c + 1 else c) 0 m in
+      let visited s =
+        let acc = ref [] in
+        Bitset.iter (fun i -> acc := i :: !acc) s;
+        List.rev !acc
+      in
+      let members m = List.filter (fun i -> m.(i)) (List.init n Fun.id) in
+      Bitset.cardinal a = count ma
+      && Bitset.cardinal b = count mb
+      && Bitset.inter_cardinal a b = count (Array.map2 ( && ) ma mb)
+      && visited a = members ma
+      && visited b = members mb)
+
 let test_vec_push_get () =
   let v = Vec.create ~dummy:0 () in
   for k = 0 to 99 do
@@ -415,6 +452,7 @@ let suite =
     Alcotest.test_case "bitset union/inter" `Quick test_bitset_union_inter;
     Alcotest.test_case "bitset universe mismatch" `Quick test_bitset_universe_mismatch;
     Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
+    prop_bitset_model;
     Alcotest.test_case "vec push/get/set" `Quick test_vec_push_get;
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec fold/iter/clear" `Quick test_vec_fold_iter;
