@@ -25,8 +25,12 @@ let zero_stats =
 
 (* Node attributes live in three parallel int arrays indexed by node id
    (grown manually — a polymorphic Vec would reintroduce bounds checks in
-   the hot loop). The unique table and ite cache are open-addressing int
-   tables: no boxed (int*int*int) keys, no polymorphic hashing. *)
+   the hot loop). The unique table is an open-addressing int table: no
+   boxed (int*int*int) keys, no polymorphic hashing. The ite memo is a
+   computed table in the manner of Brace, Rudell and Bryant (DAC 1990):
+   direct-mapped, one entry per hash, overwritten on collision. Losing an
+   entry only costs a recomputation whose every [mk] hits the unique
+   table, so node ids and allocation order never depend on it. *)
 type manager = {
   nv : int;
   mutable lvl : int array;
@@ -35,7 +39,12 @@ type manager = {
   mutable n : int; (* nodes allocated so far; ids are 0 … n-1 *)
   mutable reclaimed : int; (* nodes retired by the sifting reorderer *)
   unique : Int3_table.t;
-  ite_cache : Int3_table.t;
+  (* computed table, stride 4: [f; g; h; ite f g h]; f = -1 marks empty *)
+  mutable cache : int array;
+  mutable cache_mask : int; (* entries - 1; entries is a power of two *)
+  mutable cache_probes : int;
+  mutable cache_hits : int;
+  mutable cache_resizes : int;
   (* resource budget; max_int / infinity mean unlimited. The deadline is an
      absolute Unix.gettimeofday value, polled every [deadline_stride]
      allocations so the hot path never pays a syscall per node. *)
@@ -54,8 +63,8 @@ type manager = {
      [publish_metrics] calls on one manager add only the growth since the
      previous call *)
   mutable published : stats;
-  (* managers are single-domain: the unique table, ite cache and node
-     store are unsynchronized, so cross-domain mutation is memory-unsafe,
+  (* managers are single-domain: the unique table, computed table and
+     node store are unsynchronized, so cross-domain mutation is memory-unsafe,
      not just nondeterministic. Mutating entry points assert the caller
      is the owning domain; [adopt] re-homes a manager after a legitimate
      single-threaded handoff. *)
@@ -68,8 +77,16 @@ let bdd_false = 0
 let bdd_true = 1
 let terminal_level = max_int
 
+(* The computed table doubles while the live node count exceeds its
+   entry count, up to this many entries (32 MB). *)
+let cache_ceiling = 1 lsl 20
+
 let create_sized ~nvars ~cache_capacity =
   let cap = 256 in
+  let entries =
+    let rec pow2 c = if c >= cache_capacity || c >= cache_ceiling then c else pow2 (2 * c) in
+    pow2 16
+  in
   let m =
     {
       nv = nvars;
@@ -79,7 +96,11 @@ let create_sized ~nvars ~cache_capacity =
       n = 2;
       reclaimed = 0;
       unique = Int3_table.create ~capacity:cache_capacity ();
-      ite_cache = Int3_table.create ~capacity:cache_capacity ();
+      cache = Array.make (4 * entries) (-1);
+      cache_mask = entries - 1;
+      cache_probes = 0;
+      cache_hits = 0;
+      cache_resizes = 0;
       max_nodes = max_int;
       deadline = infinity;
       started = 0.0;
@@ -183,6 +204,39 @@ let check_budget m =
     end
   end
 
+(* Same avalanche as the unique table's hash, kept local so the probe in
+   [ite_rec] costs no cross-module call. *)
+let cache_hash f g h =
+  let x = f * 0x2545F4914F6CDD1D in
+  let x = (x lxor g) * 0x27D4EB2F165667C5 in
+  let x = (x lxor h) * 0x165667B19E3779F9 in
+  x lxor (x lsr 29)
+
+let cache_store m f g h r =
+  let c = m.cache in
+  let base = 4 * (cache_hash f g h land m.cache_mask) in
+  Array.unsafe_set c base f;
+  Array.unsafe_set c (base + 1) g;
+  Array.unsafe_set c (base + 2) h;
+  Array.unsafe_set c (base + 3) r
+
+(* Doubling adds one hash bit, so entry [i] moves to [i] or [i + entries]
+   and no two survivors collide: the memo keeps everything it held. *)
+let grow_cache m =
+  let old = m.cache and old_entries = m.cache_mask + 1 in
+  m.cache <- Array.make (8 * old_entries) (-1);
+  m.cache_mask <- (2 * old_entries) - 1;
+  m.cache_resizes <- m.cache_resizes + 1;
+  for i = 0 to old_entries - 1 do
+    let base = 4 * i in
+    let f = Array.unsafe_get old base in
+    if f >= 0 then
+      cache_store m f
+        (Array.unsafe_get old (base + 1))
+        (Array.unsafe_get old (base + 2))
+        (Array.unsafe_get old (base + 3))
+  done
+
 let new_node m l lo hi =
   if m.guarded then check_budget m;
   if m.n = Array.length m.lvl then grow_nodes m;
@@ -191,6 +245,7 @@ let new_node m l lo hi =
   Array.unsafe_set m.lo id lo;
   Array.unsafe_set m.hi id hi;
   m.n <- id + 1;
+  if id - m.reclaimed > m.cache_mask && m.cache_mask < cache_ceiling - 1 then grow_cache m;
   id
 
 let level m n =
@@ -200,39 +255,66 @@ let low m n = Array.unsafe_get m.lo n
 
 let high m n = Array.unsafe_get m.hi n
 
-let node_level m n = Array.unsafe_get m.lvl n
-
 (* Single probe per lookup-or-intern: the unique-table slot found by the
-   probe receives the freshly allocated node on a miss. *)
+   probe receives the freshly allocated node on a miss. [new_node] never
+   touches the unique table, so the reservation survives it; if it raises
+   (budget, deadline, cancellation), nothing was inserted. *)
 let mk m l lo hi =
-  if lo = hi then lo else Int3_table.find_or_insert m.unique l lo hi ~default:(fun () -> new_node m l lo hi)
+  if lo = hi then lo
+  else begin
+    let r = Int3_table.find_or_reserve m.unique l lo hi in
+    if r >= 0 then r
+    else begin
+      let id = new_node m l lo hi in
+      Int3_table.insert_reserved m.unique r l lo hi id;
+      id
+    end
+  end
 
 let var m l =
   check_owner m "var";
   if l < 0 || l >= m.nv then invalid_arg (Printf.sprintf "Robdd.var: level %d out of range" l);
   mk m l bdd_false bdd_true
 
-(* Shannon cofactors of [n] with respect to level [l] (l <= level of n). *)
-let cofactors m l n =
-  if node_level m n > l then n, n else Array.unsafe_get m.lo n, Array.unsafe_get m.hi n
-
+(* No tuple, closure or float is built on this path: cofactors are read
+   one int at a time, and the memo probe is inline. *)
 let rec ite_rec m f g h =
   if f = bdd_true then g
   else if f = bdd_false then h
   else if g = h then g
   else if g = bdd_true && h = bdd_false then f
   else begin
-    let cached = Int3_table.find m.ite_cache f g h in
-    if cached >= 0 then cached
+    m.cache_probes <- m.cache_probes + 1;
+    let c = m.cache in
+    let base = 4 * (cache_hash f g h land m.cache_mask) in
+    if
+      Array.unsafe_get c base = f
+      && Array.unsafe_get c (base + 1) = g
+      && Array.unsafe_get c (base + 2) = h
+    then begin
+      m.cache_hits <- m.cache_hits + 1;
+      Array.unsafe_get c (base + 3)
+    end
     else begin
-      let l = min (node_level m f) (min (node_level m g) (node_level m h)) in
-      let f0, f1 = cofactors m l f in
-      let g0, g1 = cofactors m l g in
-      let h0, h1 = cofactors m l h in
+      let lvl = m.lvl and lo = m.lo and hi = m.hi in
+      let lf = Array.unsafe_get lvl f
+      and lg = Array.unsafe_get lvl g
+      and lh = Array.unsafe_get lvl h in
+      let l = if lf < lg then lf else lg in
+      let l = if lh < l then lh else l in
+      (* Shannon cofactors on level [l]: a node deeper than [l] (terminals
+         sit at [max_int]) is its own cofactor *)
+      let f0 = if lf = l then Array.unsafe_get lo f else f
+      and f1 = if lf = l then Array.unsafe_get hi f else f
+      and g0 = if lg = l then Array.unsafe_get lo g else g
+      and g1 = if lg = l then Array.unsafe_get hi g else g
+      and h0 = if lh = l then Array.unsafe_get lo h else h
+      and h1 = if lh = l then Array.unsafe_get hi h else h in
       let r0 = ite_rec m f0 g0 h0 in
       let r1 = ite_rec m f1 g1 h1 in
       let id = mk m l r0 r1 in
-      Int3_table.replace m.ite_cache f g h id;
+      (* the table may have doubled during the recursion: rehash the key *)
+      cache_store m f g h id;
       id
     end
   end
@@ -413,7 +495,7 @@ let retire_node m id =
   Array.unsafe_set m.lvl id retired_level;
   m.reclaimed <- m.reclaimed + 1
 
-let clear_ite_cache m = Int3_table.clear m.ite_cache
+let clear_ite_cache m = Array.fill m.cache 0 (Array.length m.cache) (-1)
 
 (* An in-place swap permutes the meaning of levels, so a surviving
    [prob_cache]'s level-probability vector must be permuted to match.
@@ -433,9 +515,9 @@ let stats m =
     unique_probes = Int3_table.probes m.unique;
     unique_hits = Int3_table.hits m.unique;
     unique_resizes = Int3_table.resizes m.unique;
-    ite_probes = Int3_table.probes m.ite_cache;
-    ite_hits = Int3_table.hits m.ite_cache;
-    ite_resizes = Int3_table.resizes m.ite_cache;
+    ite_probes = m.cache_probes;
+    ite_hits = m.cache_hits;
+    ite_resizes = m.cache_resizes;
   }
 
 let pp_stats fmt s =
@@ -463,11 +545,11 @@ let c_uhits = mc "bdd.unique.hits" "unique-table hits"
 
 let c_uresizes = mc "bdd.unique.resizes" "unique-table resizes"
 
-let c_iprobes = mc "bdd.ite.probes" "ite-cache probes"
+let c_iprobes = mc "bdd.ite.probes" "ite computed-table lookups"
 
-let c_ihits = mc "bdd.ite.hits" "ite-cache hits"
+let c_ihits = mc "bdd.ite.hits" "ite computed-table hits"
 
-let c_iresizes = mc "bdd.ite.resizes" "ite-cache resizes"
+let c_iresizes = mc "bdd.ite.resizes" "ite computed-table doublings"
 
 let g_manager = Dpa_obs.Metrics.gauge ~help:"nodes in the last published manager" "bdd.manager.nodes"
 

@@ -6,12 +6,23 @@
     also memoizes [ite], the single combinator all Boolean operations are
     built from.
 
-    The kernel is allocation-free on the hot path: node attributes live in
-    dense parallel int arrays indexed by node id, and both the unique table
-    and the ite cache are {!Dpa_util.Int3_table}s — open-addressing tables
-    with the three key ints packed inline, probed once per lookup-or-intern
-    ({!mk} never hashes a key twice). {!stats} exposes the probe/hit/resize
-    counters so benchmarks can report cache behaviour. *)
+    {!ite} allocates nothing unless it creates a node, and a node costs
+    only its slots in arrays that grow by doubling: node attributes live in
+    dense parallel int arrays indexed by node id, the unique table is a
+    {!Dpa_util.Int3_table} (three key ints packed inline, probed once per
+    lookup-or-intern), and no call builds a tuple, closure or float.
+
+    The ite memo is a {e computed table} in the manner of Brace, Rudell and
+    Bryant (DAC 1990): direct-mapped, four ints per entry [(f, g, h,
+    result)], a full-key compare, and a colliding entry simply overwritten.
+    It is a lossy memo: canonicity lives in the unique table, so a lost
+    entry costs a recomputation whose every intern is a unique-table hit.
+    Node ids, allocation order and every budget, deadline and cancellation
+    check (all made at node creation) are therefore independent of the
+    table's size and contents. It starts at the size {!create_sized} is
+    given and doubles while the live node count exceeds its entry count,
+    up to a fixed ceiling of 2{^20} entries. {!stats} exposes the
+    probe/hit/resize counters so benchmarks can report cache behaviour. *)
 
 type manager
 
@@ -22,17 +33,18 @@ val create : nvars:int -> manager
 (** Fresh manager with [nvars] variable levels. *)
 
 val create_sized : nvars:int -> cache_capacity:int -> manager
-(** Like {!create} but presizes the unique table and ite cache
-    ([cache_capacity] slots, rounded up to a power of two; {!create} uses
-    1024) — both grow automatically at 50% load, so presizing only saves
-    the rehash churn of a workload whose final size is known. *)
+(** Like {!create} but presizes the unique table and the computed table
+    ([cache_capacity] slots or entries, rounded up to a power of two of at
+    least 16; {!create} uses 1024). The unique table grows at 50% load and
+    the computed table as described above, so the hint saves only rehash
+    churn and never changes a result. *)
 
 val nvars : manager -> int
 (** Number of variable levels the manager was created with. *)
 
 val adopt : manager -> unit
 (** Transfers manager ownership to the calling domain. A manager is
-    owned by the domain that created it: its unique table, ite cache
+    owned by the domain that created it: its unique table, computed table
     and node store are unsynchronized, so mutating entry points
     ({!var}, {!ite} and the operators built on it, {!set_budget},
     {!prob_cache}) assert that the caller is the owner and raise a
@@ -44,8 +56,8 @@ val adopt : manager -> unit
 (** {2 Resource budget}
 
     A manager optionally carries a node budget and a wall-clock deadline.
-    Every allocation checks them (the deadline is polled once per 1024
-    allocations, so pure cache-hit traffic costs nothing) and raises the
+    Every node creation checks them (the deadline is polled once per 1024
+    creations, so traffic that creates no node costs nothing) and raises the
     typed {!Dpa_util.Dpa_error.Budget_exceeded} — never a bare [Failure] —
     when exhausted. The manager stays valid after exhaustion: already
     interned nodes, probabilities and lookups keep working, so a caller
@@ -66,7 +78,9 @@ val set_budget :
   manager ->
   unit
 (** [set_budget ?max_nodes ?deadline ?cancel m] installs (or, with no
-    arguments, clears) the budget. [max_nodes] bounds {!total_nodes};
+    arguments, clears) the budget. [max_nodes] bounds {!live_nodes} (the
+    same as {!total_nodes} until a sift retires nodes): creating a node
+    raises once [max_nodes] nodes are live;
     [deadline] is an absolute [Unix.gettimeofday] timestamp. [context]
     tags the {!Dpa_util.Dpa_error.budget_report} (e.g. which cone was
     building). [cancel] makes builds under this manager cooperatively
@@ -180,8 +194,9 @@ val cached_probability : prob_cache -> node -> float
     sifter restores the invariants (unique-table consistency, no
     redundant nodes) before returning, and an in-place swap preserves
     the Boolean function denoted by every live node id — which is why
-    ite-cache entries and {!prob_cache} memos survive reordering.
-    Nothing else should call these. *)
+    {!prob_cache} memos survive reordering (computed-table entries would
+    too, but the sifter clears them: see {!clear_ite_cache}). Nothing
+    else should call these. *)
 
 val assert_owner : manager -> string -> unit
 (** Raises the standard single-domain ownership error (named after the
@@ -239,9 +254,9 @@ type stats = {
   unique_probes : int;
   unique_hits : int;
   unique_resizes : int;
-  ite_probes : int;
-  ite_hits : int;
-  ite_resizes : int;
+  ite_probes : int;  (** computed-table lookups (calls no terminal case answered) *)
+  ite_hits : int;  (** lookups that found their full key *)
+  ite_resizes : int;  (** computed-table doublings *)
 }
 
 val stats : manager -> stats

@@ -5,10 +5,10 @@
     [(l, l+1)] rewires only the nodes stored at those two levels — cost
     proportional to nodes touched, never to manager size — and every
     live node id keeps denoting the same Boolean function afterwards.
-    That function-preservation is the load-bearing property: ite-cache
+    That function-preservation is the load-bearing property: ite memo
     entries and {!Robdd.prob_cache} memos keyed by node id remain
-    bit-for-bit valid across arbitrary swap sequences (the ite cache is
-    still cleared at session boundaries, purely so stale entries cannot
+    bit-for-bit valid across arbitrary swap sequences (the computed table
+    is still cleared at session boundaries, purely so stale entries cannot
     resurrect ids the session retired).
 
     On top of the swap sits the classic sift loop: each variable —

@@ -13,20 +13,31 @@ let of_node t root =
   cone
 
 let of_outputs t =
-  (* Memoize per-node cones bottom-up to share work across outputs. *)
+  (* One depth-first walk per output, the cone itself serving as the
+     visited set: memory is one set per output, not one per node. *)
   let n = Netlist.size t in
-  let node_cones = Array.make n None in
-  let rec cone_of i =
-    match node_cones.(i) with
-    | Some c -> c
-    | None ->
-      let c = Bitset.create n in
-      Bitset.add c i;
-      Array.iter (fun x -> Bitset.union_into c (cone_of x)) (Netlist.fanins t i);
-      node_cones.(i) <- Some c;
-      c
-  in
-  Array.map (fun (_, driver) -> Bitset.copy (cone_of driver)) (Netlist.outputs t)
+  let fanins = Array.init n (Netlist.fanins t) in
+  let stack = Array.make (max n 1) 0 in
+  Array.map
+    (fun (_, root) ->
+      let cone = Bitset.create n in
+      Bitset.add cone root;
+      stack.(0) <- root;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        let fi = fanins.(stack.(!top)) in
+        for k = 0 to Array.length fi - 1 do
+          let x = fi.(k) in
+          if not (Bitset.mem cone x) then begin
+            Bitset.add cone x;
+            stack.(!top) <- x;
+            incr top
+          end
+        done
+      done;
+      cone)
+    (Netlist.outputs t)
 
 let support t root =
   let cone = of_node t root in

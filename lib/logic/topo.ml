@@ -30,18 +30,32 @@ let fanouts t =
 let max_level t = Array.fold_left max 0 (levels t)
 
 let fanout_cone_sizes t =
+  let module Bitset = Dpa_util.Bitset in
   let n = Netlist.size t in
   let fo = fanouts t in
-  (* Transitive fanout as bitsets, computed in reverse topological order. *)
-  let cones = Array.init n (fun _ -> Dpa_util.Bitset.create n) in
+  (* A node's set is read only by its fanins, all of lower id, so in
+     descending order its lowest fanin reads it last; it is dropped then.
+     A set lives from its node's turn to its lowest fanin's turn. *)
+  let lowest = Array.make n (-1) in
   for i = n - 1 downto 0 do
+    Array.iter (fun reader -> lowest.(reader) <- i) fo.(i)
+  done;
+  let dropped = Bitset.create 0 in
+  let cones = Array.make n dropped in
+  let sizes = Array.make n 0 in
+  (* Transitive fanout as bitsets, computed in reverse topological order. *)
+  for i = n - 1 downto 0 do
+    let cone = Bitset.create n in
     Array.iter
       (fun reader ->
-        Dpa_util.Bitset.add cones.(i) reader;
-        Dpa_util.Bitset.union_into cones.(i) cones.(reader))
-      fo.(i)
+        Bitset.add cone reader;
+        Bitset.union_into cone cones.(reader))
+      fo.(i);
+    sizes.(i) <- Bitset.cardinal cone;
+    Array.iter (fun reader -> if lowest.(reader) = i then cones.(reader) <- dropped) fo.(i);
+    if lowest.(i) >= 0 then cones.(i) <- cone
   done;
-  Array.map Dpa_util.Bitset.cardinal cones
+  sizes
 
 let gate_traversal t =
   let lv = levels t in

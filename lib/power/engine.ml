@@ -238,6 +238,7 @@ let sift_alloc_cap live = max 500_000 (4 * live)
 let sift_swap_cap live = max 100_000 (2 * live)
 
 let run_sift ~budget ~deadline ~cancel pb =
+  Trace.with_span "engine.sift" @@ fun () ->
   let m = Estimate.partial_manager pb in
   let live = Robdd.live_nodes m in
   match
@@ -320,7 +321,7 @@ let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ma
         ("domain", Trace.Int (Domain.self () :> int));
       ]
   @@ fun () ->
-  let pb = Estimate.start_build ~order mapped in
+  let pb = Estimate.start_build ?max_nodes:budget.max_bdd_nodes ~order mapped in
   let ok0 = Array.make (Array.length members) false in
   build_cones ~budget ~deadline ~cancel ~cones ~rung:"exact" pb members ok0;
   (* extract rung-1 probabilities before any reordering, so cones priced
@@ -351,16 +352,20 @@ let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ma
 let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
   let net = Mapped.net mapped in
   let n_out = Netlist.num_outputs net in
-  let order = Estimate.block_order ~input_probs mapped in
-  let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget.deadline_s in
-  let cones = Dpa_logic.Cone.of_outputs net in
-  let n_shards = max 1 (min n_out max_shards) in
-  let shard_of = plan_shards ~n_shards cones in
-  let groups =
-    List.init n_shards (fun s ->
-        List.filter (fun k -> shard_of.(k) = s) (List.init n_out Fun.id))
-    |> List.filter_map (function [] -> None | g -> Some (Array.of_list g))
-    |> Array.of_list
+  let order, deadline, cones, groups =
+    Trace.with_span "engine.plan" @@ fun () ->
+    let order = Estimate.block_order ~input_probs mapped in
+    let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) budget.deadline_s in
+    let cones = Dpa_logic.Cone.of_outputs net in
+    let n_shards = max 1 (min n_out max_shards) in
+    let shard_of = plan_shards ~n_shards cones in
+    let groups =
+      List.init n_shards (fun s ->
+          List.filter (fun k -> shard_of.(k) = s) (List.init n_out Fun.id))
+      |> List.filter_map (function [] -> None | g -> Some (Array.of_list g))
+      |> Array.of_list
+    in
+    (order, deadline, cones, groups)
   in
   (* rungs 1 and 2, one shard at a time: a pool fans the shards out, but
      [Par.map] rejects nesting, so without one (e.g. inside a speculative

@@ -188,7 +188,7 @@ let block_order ~input_probs mapped =
   check_literals ~input_probs mapped;
   order_of_block mapped
 
-let start_build ~order mapped =
+let start_build ?(max_nodes = max_int) ~order mapped =
   let net = Mapped.net mapped in
   let level_of_orig = Int_table.create ~capacity:(2 * Array.length order) () in
   Array.iteri (fun lvl opos -> Int_table.replace level_of_orig opos lvl) order;
@@ -196,7 +196,8 @@ let start_build ~order mapped =
   Array.iteri (fun k id -> Int_table.replace pos_of_input id k) (Netlist.inputs net);
   {
     pb_manager =
-      Robdd.create_sized ~nvars:(Array.length order) ~cache_capacity:(4 * Netlist.size net);
+      Robdd.create_sized ~nvars:(Array.length order)
+        ~cache_capacity:(4 * min (Netlist.size net) max_nodes);
     pb_mapped = mapped;
     pb_order = Array.copy order;
     pb_roots = Array.make (Netlist.size net) Robdd.bdd_false;

@@ -65,9 +65,11 @@ val block_order : input_probs:float array -> Dpa_domino.Mapped.t -> int array
     positions (the same order {!of_mapped} uses). Validates that
     [input_probs] covers every referenced PI. *)
 
-val start_build : order:int array -> Dpa_domino.Mapped.t -> partial_build
+val start_build : ?max_nodes:int -> order:int array -> Dpa_domino.Mapped.t -> partial_build
 (** Fresh manager over [order] (original PI positions) with nothing built.
-    Install a budget on {!partial_manager} to bound what follows. *)
+    Install a budget on {!partial_manager} to bound what follows; pass its
+    node cap as [max_nodes] too, so the manager's tables are sized for
+    what the cap lets it hold rather than for the whole block. *)
 
 val partial_manager : partial_build -> Dpa_bdd.Robdd.manager
 

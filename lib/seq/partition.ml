@@ -76,5 +76,7 @@ let probabilities ?(symmetry = true) ?(cut_prob = 0.5) ?(refine = 0) ~input_prob
     List.iter (fun v -> ff_probs.(v) <- prob_of_node flops.(v).Seq_netlist.data) fvs;
     pass ()
   done;
-  let node_probs = Array.map (fun root -> Robdd.probability m level_probs root) built.Dpa_bdd.Build.roots in
+  (* one memo over every root: each BDD node is priced once, where a
+     per-root [probability] would allocate and fill a fresh memo per node *)
+  let node_probs = Robdd.probabilities m level_probs built.Dpa_bdd.Build.roots in
   { fvs; ff_probs = Array.copy ff_probs; node_probs; iterations = !iterations }

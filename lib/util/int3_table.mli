@@ -1,18 +1,20 @@
 (** Open-addressing hash table from triples of non-negative ints to ints.
 
-    Purpose-built for the ROBDD unique table (level, low, high → node id)
-    and ite cache (f, g, h → node id), where the generic
-    [((int * int * int), int) Hashtbl.t] pays a boxed tuple allocation and
-    a polymorphic hash on every probe. Here the three key components and
-    the value are packed inline into one int array (a probe reads a single
-    cache line), capacity is a power of two, and collisions resolve by
-    linear probing. {!remove} writes a tombstone rather than emptying the
-    slot (probe chains stay intact); tombstones are reused by later inserts
-    and dropped at the next rehash, so delete-heavy phases (the sifting
-    reorderer retiring dead BDD nodes) cannot strand capacity. The first
-    key component must be non-negative (negative values mark empty and
-    tombstoned slots); values are arbitrary ints except [-1]
-    ({!not_found}). *)
+    Purpose-built for the ROBDD unique table (level, low, high → node id),
+    where the generic [((int * int * int), int) Hashtbl.t] pays a boxed
+    tuple allocation and a polymorphic hash on every probe. Here the three
+    key components and the value are packed inline into one int array (a
+    probe reads a single cache line and allocates nothing), capacity is a
+    power of two, and collisions resolve by linear probing at no more than
+    50% load (live entries plus tombstones). {!remove} writes a tombstone
+    rather than emptying the slot (probe chains stay intact); tombstones
+    are reused by later inserts and dropped at the next rehash, which
+    happens in place when the live entries still fit, so delete-heavy
+    phases (the sifting reorderer retiring dead BDD nodes) neither strand
+    capacity nor allocate. The first key component must be non-negative
+    (negative values mark empty and tombstoned slots); values are
+    arbitrary ints except [-1] ({!not_found}), and non-negative wherever
+    {!find_or_reserve} is used. *)
 
 type t
 
@@ -31,10 +33,18 @@ val find : t -> int -> int -> int -> int
 val replace : t -> int -> int -> int -> int -> unit
 (** Insert or overwrite. *)
 
-val find_or_insert : t -> int -> int -> int -> default:(unit -> int) -> int
-(** Single-probe lookup-or-insert: the key is hashed and probed once; on a
-    miss [default ()] supplies the value, stored directly in the slot the
-    probe ended on. [default] must not modify the table. *)
+val find_or_reserve : t -> int -> int -> int -> int
+(** Single-probe lookup-or-intern, with no closure: [find_or_reserve t a b
+    c] makes room for one insert, then probes once. On a hit it returns
+    the bound value, which must be non-negative; on a miss it returns a
+    {e reservation}, a negative token naming the slot the key belongs in,
+    for {!insert_reserved}. The reservation stays valid until [t] is next
+    modified, so the caller may compute the value in between as long as
+    that does not touch [t]. *)
+
+val insert_reserved : t -> int -> int -> int -> int -> int -> unit
+(** [insert_reserved t r a b c v] binds [(a,b,c) → v] in the slot that
+    reservation [r] (from {!find_or_reserve} on the same key) names. *)
 
 val remove : t -> int -> int -> int -> unit
 (** Deletes the binding of [(a,b,c)] if present (no-op otherwise) by

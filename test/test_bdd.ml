@@ -165,6 +165,203 @@ let test_stats_counters () =
   Alcotest.(check int) "f interned" f (Robdd.apply_and m a b);
   ignore (Format.asprintf "%a" Robdd.pp_stats s1)
 
+(* ---- the computed table is only a memo ---- *)
+
+module Gate = Dpa_logic.Gate
+module Sift = Dpa_bdd.Sift
+
+(* A loop that builds every node of a netlist, in id order, into a
+   manager the test chose, reading gates and input levels from arrays
+   prepared up front: nothing in [build_range] allocates, so whatever Gc
+   counts while it runs is the kernel's own. *)
+type plan = {
+  gates : Gate.t array;
+  level : int array;  (* input node id → current level; -1 for gates *)
+  roots : Robdd.node array;
+  order : int array;  (* level → input position, permuted by a sift *)
+  inputs : int array;
+}
+
+let set_levels p = Array.iteri (fun lvl pos -> p.level.(p.inputs.(pos)) <- lvl) p.order
+
+let plan_of net =
+  let n = Netlist.size net in
+  let p =
+    {
+      gates = Array.init n (Netlist.gate net);
+      level = Array.make n (-1);
+      roots = Array.make n Robdd.bdd_false;
+      order = Ordering.reverse_topological net;
+      inputs = Netlist.inputs net;
+    }
+  in
+  set_levels p;
+  p
+
+let build_range m p lo hi =
+  for i = lo to hi - 1 do
+    let r =
+      match p.gates.(i) with
+      | Gate.Input -> Robdd.var m p.level.(i)
+      | Gate.Const b -> if b then Robdd.bdd_true else Robdd.bdd_false
+      | Gate.Buf x -> p.roots.(x)
+      | Gate.Not x -> Robdd.neg m p.roots.(x)
+      | Gate.And xs ->
+        let acc = ref Robdd.bdd_true in
+        for k = 0 to Array.length xs - 1 do
+          acc := Robdd.apply_and m !acc p.roots.(xs.(k))
+        done;
+        !acc
+      | Gate.Or xs ->
+        let acc = ref Robdd.bdd_false in
+        for k = 0 to Array.length xs - 1 do
+          acc := Robdd.apply_or m !acc p.roots.(xs.(k))
+        done;
+        !acc
+      | Gate.Xor (a, b) -> Robdd.apply_xor m p.roots.(a) p.roots.(b)
+    in
+    p.roots.(i) <- r
+  done
+
+(* non-dyadic input probabilities, so a reassociated sum would show *)
+let level_probs p =
+  let n = Array.length p.inputs in
+  Array.map (fun pos -> float_of_int (pos + 1) /. float_of_int (n + 2)) p.order
+
+let prob_bits m p = Array.map Int64.bits_of_float (Robdd.probabilities m (level_probs p) p.roots)
+
+(* What a build shows apart from its memo traffic: the root ids, the node
+   counts and the probability bits — after a plain build, at the point a
+   node cap stops a build, and across a sift between two half-builds. *)
+type observed = {
+  root_ids : int array;
+  total : int;
+  live : int;
+  probs : int64 array;
+  stop : int * int * int * float;  (* node id, total, live, report's spent *)
+  sifted_roots : int array;
+  sifted_order : int array;
+  sifted_counts : int * int;
+  sifted_probs : int64 array;
+}
+
+let observe net ~cache_capacity =
+  let n = Netlist.size net in
+  let fresh p = Robdd.create_sized ~nvars:(Array.length p.inputs) ~cache_capacity in
+  let p = plan_of net in
+  let m = fresh p in
+  build_range m p 0 n;
+  let total = Robdd.total_nodes m in
+  let probs = prob_bits m p in
+  let capped = plan_of net in
+  let mc = fresh capped in
+  Robdd.set_budget ~max_nodes:(max 3 (total / 2)) mc;
+  let stop = ref (-1, 0, 0, 0.0) in
+  (try
+     for i = 0 to n - 1 do
+       try build_range mc capped i (i + 1)
+       with Dpa_util.Dpa_error.Budget_exceeded r ->
+         stop := (i, Robdd.total_nodes mc, Robdd.live_nodes mc, r.Dpa_util.Dpa_error.spent);
+         raise Exit
+     done
+   with Exit -> ());
+  let s = plan_of net in
+  let ms = fresh s in
+  build_range ms s 0 (n / 2);
+  let built = List.filter (fun r -> not (Robdd.is_terminal r)) (Array.to_list (Array.sub s.roots 0 (n / 2))) in
+  ignore (Sift.sift ~roots:built ~order:s.order ms);
+  set_levels s;
+  build_range ms s (n / 2) n;
+  {
+    root_ids = Array.copy p.roots;
+    total;
+    live = Robdd.live_nodes m;
+    probs;
+    stop = !stop;
+    sifted_roots = Array.copy s.roots;
+    sifted_order = Array.copy s.order;
+    sifted_counts = (Robdd.total_nodes ms, Robdd.live_nodes ms);
+    sifted_probs = prob_bits ms s;
+  }
+
+let check_capacity_invariance name net =
+  let a = observe net ~cache_capacity:1 and b = observe net ~cache_capacity:(1 lsl 16) in
+  let ids msg x y = Alcotest.(check (array int)) (name ^ ": " ^ msg) x y in
+  ids "root ids" a.root_ids b.root_ids;
+  Alcotest.(check (pair int int)) (name ^ ": total and live nodes") (a.total, a.live) (b.total, b.live);
+  Alcotest.(check bool) (name ^ ": probability bits") true (a.probs = b.probs);
+  let i, t, l, spent = a.stop and i', t', l', spent' = b.stop in
+  Alcotest.(check (list int)) (name ^ ": budget stop (node, total, live)") [ i; t; l ] [ i'; t'; l' ];
+  Testkit.check_bits (name ^ ": budget spent") spent spent';
+  ids "root ids across a sift" a.sifted_roots b.sifted_roots;
+  ids "order after the sift" a.sifted_order b.sifted_order;
+  Alcotest.(check (pair int int)) (name ^ ": counts across a sift") a.sifted_counts b.sifted_counts;
+  Alcotest.(check bool) (name ^ ": probability bits across a sift") true
+    (a.sifted_probs = b.sifted_probs)
+
+let prop_cache_capacity_invariance =
+  Testkit.qcheck_case ~count:80 ~name:"computed table size changes no result"
+    (Testkit.arbitrary_netlist ~n_inputs:8 ~max_gates:40 ())
+    (fun net ->
+      check_capacity_invariance "random" net;
+      true)
+
+let test_cache_capacity_invariance_circuits () =
+  List.iter
+    (fun path -> check_capacity_invariance path (Testkit.load_blif path))
+    Testkit.data_files;
+  check_capacity_invariance "mult8" (Testkit.comb_of_profile "mult8")
+
+(* words the measured thunk allocated on the minor heap, net of what the
+   two readings themselves cost *)
+let minor_words_of f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  f ();
+  let c = Gc.minor_words () in
+  int_of_float (c -. b -. (b -. a))
+
+let test_kernel_allocation () =
+  let net = Testkit.comb_of_profile "mult8" in
+  let n = Netlist.size net in
+  let p = plan_of net in
+  let m = Robdd.create_sized ~nvars:(Array.length p.inputs) ~cache_capacity:1 in
+  let fresh = minor_words_of (fun () -> build_range m p 0 n) in
+  let nodes = Robdd.total_nodes m in
+  Alcotest.(check int) "a repeated build allocates nothing" 0
+    (minor_words_of (fun () -> build_range m p 0 n));
+  Alcotest.(check int) "no node was added" nodes (Robdd.total_nodes m);
+  (* three distinct internal nodes, so no terminal case answers the call *)
+  let internal = List.sort_uniq compare (List.filter (fun r -> not (Robdd.is_terminal r)) (Array.to_list p.roots)) in
+  let f, g, h =
+    match List.rev internal with
+    | f :: g :: h :: _ -> (f, g, h)
+    | _ -> Alcotest.fail "mult8 has fewer than three internal roots"
+  in
+  let r = Robdd.ite m f g h in
+  let hits = (Robdd.stats m).Robdd.ite_hits in
+  Alcotest.(check int) "ite hits allocate nothing" 0
+    (minor_words_of (fun () ->
+         for _ = 1 to 1000 do
+           ignore (Robdd.ite m f g h)
+         done));
+  Alcotest.(check bool) "they were hits" true ((Robdd.stats m).Robdd.ite_hits >= hits + 1000);
+  Alcotest.(check int) "same result" r (Robdd.ite m f g h);
+  (* a fresh build pays for the manager's first small arrays; its node
+     store and tables grow on the major heap, so its minor words do not
+     follow its node count *)
+  let small = Testkit.load_blif "../data/frg1_synthetic.blif" in
+  let ps = plan_of small in
+  let ms = Robdd.create_sized ~nvars:(Array.length ps.inputs) ~cache_capacity:1 in
+  let fresh_small = minor_words_of (fun () -> build_range ms ps 0 (Netlist.size small)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "mult8 is the larger build (%d vs %d nodes)" nodes (Robdd.total_nodes ms))
+    true
+    (nodes > 20 * Robdd.total_nodes ms);
+  if fresh > fresh_small + 2048 then
+    Alcotest.failf "fresh mult8 build allocated %d minor words for %d nodes (frg1: %d for %d)"
+      fresh nodes fresh_small (Robdd.total_nodes ms)
+
 (* property: orderings are permutations of input positions *)
 let prop_orderings_are_permutations =
   Testkit.qcheck_case ~count:60 ~name:"orderings are permutations"
@@ -450,4 +647,8 @@ let suite =
     prop_probability_exact_wide;
     prop_prob_cache_consistent;
     Alcotest.test_case "kernel stats counters" `Quick test_stats_counters;
+    prop_cache_capacity_invariance;
+    Alcotest.test_case "computed table size, circuits" `Quick
+      test_cache_capacity_invariance_circuits;
+    Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
     prop_orderings_are_permutations ]

@@ -161,12 +161,12 @@ let test_budgeted_search_deadline () =
 let test_budgeted_search_cancel () =
   (* uncapped, parity_wide's all-positive estimate — the search's first
      measurement and the source of its base probabilities — builds for
-     the best part of a second, so a token firing 0.25 s after the search
-     starts lands inside that BDD work, which polls it as the
-     measurements do *)
+     most of the search's quarter second (2-vCPU host), so a token firing
+     0.05 s after the search starts lands inside that BDD work, which
+     polls it as the measurements do *)
   let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "parity_wide") in
   let cost = Dpa_phase.Cost.make net in
-  let cancel = Dpa_util.Cancel.create ~deadline_in:0.25 () in
+  let cancel = Dpa_util.Cancel.create ~deadline_in:0.05 () in
   let measure =
     Dpa_phase.Measure.create
       ~budget:(Engine.bounded ~max_bdd_nodes:max_int ())

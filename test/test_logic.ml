@@ -210,6 +210,53 @@ let prop_cones_sound =
                (Dpa_util.Bitset.elements cone))
         outs cones)
 
+(* The set-up's former implementations, kept as oracles: [of_outputs]
+   memoized one n-bit cone per node, [fanout_cone_sizes] kept one n-bit
+   fanout set per node for the whole pass. *)
+let of_outputs_oracle t =
+  let n = Netlist.size t in
+  let node_cones = Array.make n None in
+  let rec cone_of i =
+    match node_cones.(i) with
+    | Some c -> c
+    | None ->
+      let c = Dpa_util.Bitset.create n in
+      Dpa_util.Bitset.add c i;
+      Array.iter (fun x -> Dpa_util.Bitset.union_into c (cone_of x)) (Netlist.fanins t i);
+      node_cones.(i) <- Some c;
+      c
+  in
+  Array.map (fun (_, root) -> Dpa_util.Bitset.copy (cone_of root)) (Netlist.outputs t)
+
+let fanout_cone_sizes_oracle t =
+  let n = Netlist.size t in
+  let fo = Topo.fanouts t in
+  let cones = Array.init n (fun _ -> Dpa_util.Bitset.create n) in
+  for i = n - 1 downto 0 do
+    Array.iter
+      (fun reader ->
+        Dpa_util.Bitset.add cones.(i) reader;
+        Dpa_util.Bitset.union_into cones.(i) cones.(reader))
+      fo.(i)
+  done;
+  Array.map Dpa_util.Bitset.cardinal cones
+
+let setup_matches_oracles t =
+  Array.for_all2 Dpa_util.Bitset.equal (Cone.of_outputs t) (of_outputs_oracle t)
+  && Topo.fanout_cone_sizes t = fanout_cone_sizes_oracle t
+
+let prop_setup_matches_oracles =
+  Testkit.qcheck_case ~count:200 ~name:"cones and fanout sizes match the memoizing oracles"
+    (Testkit.arbitrary_netlist ~n_inputs:6 ~max_gates:40 ())
+    setup_matches_oracles
+
+let test_setup_oracles_on_profiles () =
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) name true (setup_matches_oracles (Testkit.comb_of_profile name)))
+    [ "apex7"; "frg1"; "x1"; "x3"; "industry1"; "industry3"; "ctrl_smoke"; "ctrl_dense";
+      "mult8"; "mult16"; "add4x8"; "parity_smoke"; "parity_mix"; "parity_wide" ]
+
 let test_netstats () =
   let t = small_net () in
   let s = Dpa_logic.Netstats.compute t in
@@ -250,6 +297,8 @@ let suite =
     Alcotest.test_case "levels and fanouts" `Quick test_levels_and_fanouts;
     Alcotest.test_case "fanout cone sizes" `Quick test_fanout_cone_sizes;
     Alcotest.test_case "cones and overlap" `Quick test_cones;
+    prop_setup_matches_oracles;
+    Alcotest.test_case "set-up oracles on profiles" `Quick test_setup_oracles_on_profiles;
     Alcotest.test_case "gate traversal ascends" `Quick test_gate_traversal_levels_ascend;
     Alcotest.test_case "builder sharing" `Quick test_builder_sharing;
     Alcotest.test_case "builder constants" `Quick test_builder_constants;

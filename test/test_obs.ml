@@ -345,7 +345,12 @@ let test_budgeted_estimate_tags_ladder_method () =
   Alcotest.(check bool) "ladder instants present" true
     (List.exists (fun (e : Trace.event) -> e.name = "engine.ladder.sim") events);
   Alcotest.(check bool) "budget counter track present" true
-    (List.exists (fun (e : Trace.event) -> e.name = "engine.budget") events)
+    (List.exists (fun (e : Trace.event) -> e.name = "engine.budget") events);
+  (* the set-up and the reorder rung are spans of their own, so neither
+     is booked as [engine.estimate] or [engine.shard] self time *)
+  List.iter
+    (fun name -> Alcotest.(check bool) (name ^ " span present") true (List.mem name (span_names ())))
+    [ "engine.plan"; "engine.shard"; "engine.sift" ]
 
 let test_blif_parse_span () =
   with_trace @@ fun () ->

@@ -375,6 +375,46 @@ let test_partition_cut_prob_override () =
   Testkit.check_approx "seeded cut prob" 0.9 r.Partition.ff_probs.(1);
   Testkit.check_approx "ff0 follows" 0.45 r.Partition.ff_probs.(0)
 
+(* [node_probs] comes from one memo over every root; it must equal each
+   root priced alone, bit for bit, under the final pseudo-input
+   probabilities (real inputs, then each flip-flop's steady Q) *)
+let test_partition_node_probs_shared_memo () =
+  let seq_controller () =
+    match
+      Dpa_logic.Blif.sequential_of_string (Testkit.read_file "../data/seq_controller.blif")
+    with
+    | Ok parsed -> Seq_netlist.of_blif parsed
+    | Error msg -> Alcotest.failf "seq_controller: %s" msg
+  in
+  let ctrl_smoke () =
+    match Dpa_workload.Profiles.find "ctrl_smoke" with
+    | Some p -> (
+      match Dpa_workload.Profiles.build p with
+      | Dpa_workload.Profiles.Seq sn -> sn
+      | Dpa_workload.Profiles.Comb _ -> Alcotest.fail "ctrl_smoke is sequential")
+    | None -> Alcotest.fail "no ctrl_smoke profile"
+  in
+  List.iter
+    (fun (name, sn) ->
+      List.iter
+        (fun p ->
+          let n_real = Seq_netlist.n_real_inputs sn in
+          let input_probs = Array.make n_real p in
+          let r = Partition.probabilities ~refine:2 ~input_probs sn in
+          let b = Dpa_bdd.Build.of_netlist (Seq_netlist.comb sn) in
+          let level_probs =
+            Array.map
+              (fun pos -> if pos < n_real then input_probs.(pos) else r.Partition.ff_probs.(pos - n_real))
+              b.Dpa_bdd.Build.order
+          in
+          Testkit.check_bits_array
+            (Printf.sprintf "%s at p = %g" name p)
+            (Array.map (Dpa_bdd.Robdd.probability b.Dpa_bdd.Build.manager level_probs)
+               b.Dpa_bdd.Build.roots)
+            r.Partition.node_probs)
+        [ 0.5; 0.7 ])
+    [ ("seq_controller", seq_controller ()); ("ctrl_smoke", ctrl_smoke ()) ]
+
 let suite =
   [ Alcotest.test_case "seq netlist validation" `Quick test_seq_netlist_validation;
     Alcotest.test_case "ring simulation" `Quick test_ring_counter_simulation;
@@ -405,6 +445,8 @@ let suite =
     Alcotest.test_case "partition probabilities" `Quick test_partition_probabilities;
     Alcotest.test_case "partition refinement" `Quick test_partition_refinement_converges_ring;
     Alcotest.test_case "partition cut prob" `Quick test_partition_cut_prob_override;
+    Alcotest.test_case "partition node probs, one memo" `Quick
+      test_partition_node_probs_shared_memo;
     prop_mfvs_valid;
     prop_mfvs_valid_without_symmetry;
     prop_reduce_preserves_validity ]

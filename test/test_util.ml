@@ -267,15 +267,22 @@ let test_int3_table_growth () =
       Alcotest.failf "lost triple %d" k
   done
 
-let test_int3_table_find_or_insert () =
+let test_int3_table_find_or_reserve () =
   let t = Int3_table.create () in
-  let calls = ref 0 in
-  let default () = incr calls; 5 in
-  Alcotest.(check int) "inserted" 5 (Int3_table.find_or_insert t 9 8 7 ~default);
-  Alcotest.(check int) "found" 5 (Int3_table.find_or_insert t 9 8 7 ~default);
-  Alcotest.(check int) "default called once" 1 !calls;
+  let r = Int3_table.find_or_reserve t 9 8 7 in
+  Alcotest.(check bool) "miss is a negative reservation" true (r < Int3_table.not_found);
+  Int3_table.insert_reserved t r 9 8 7 5;
+  Alcotest.(check int) "found" 5 (Int3_table.find_or_reserve t 9 8 7);
+  Alcotest.(check int) "find agrees" 5 (Int3_table.find t 9 8 7);
+  Alcotest.(check int) "one entry" 1 (Int3_table.length t);
   Alcotest.(check bool) "stats count probes" true (Int3_table.probes t >= 2);
-  Alcotest.(check bool) "stats count hits" true (Int3_table.hits t >= 1)
+  Alcotest.(check bool) "stats count hits" true (Int3_table.hits t >= 1);
+  (* a reservation over a tombstone reuses that slot *)
+  Int3_table.remove t 9 8 7;
+  let r = Int3_table.find_or_reserve t 9 8 7 in
+  Int3_table.insert_reserved t r 9 8 7 6;
+  Alcotest.(check int) "reinserted" 6 (Int3_table.find t 9 8 7);
+  Alcotest.(check int) "length restored" 1 (Int3_table.length t)
 
 let test_int3_table_remove () =
   let t = Int3_table.create ~capacity:4 () in
@@ -318,7 +325,7 @@ let test_int3_table_tombstone_churn () =
    operation sequences *)
 let prop_int3_table_model =
   let gen =
-    QCheck2.Gen.(list_size (int_range 1 400) (tup4 (int_bound 2) (int_bound 8) (int_bound 8) (int_bound 8)))
+    QCheck2.Gen.(list_size (int_range 1 400) (tup4 (int_bound 3) (int_bound 8) (int_bound 8) (int_bound 8)))
   in
   Testkit.qcheck_case ~count:120 ~name:"int3 table matches model with removes" gen (fun ops ->
       let t = Int3_table.create ~capacity:4 () in
@@ -332,12 +339,56 @@ let prop_int3_table_model =
           | 1 ->
             Int3_table.remove t a b c;
             Hashtbl.remove h (a, b, c)
+          | 2 ->
+            (* lookup-or-intern: a miss binds the key in the reserved slot *)
+            let r = Int3_table.find_or_reserve t a b c in
+            (match Hashtbl.find_opt h (a, b, c) with
+            | Some v when r <> v -> QCheck2.Test.fail_reportf "reserve hit (%d,%d,%d): %d <> %d" a b c r v
+            | Some _ -> ()
+            | None ->
+              if r >= 0 then QCheck2.Test.fail_reportf "reserve (%d,%d,%d): phantom %d" a b c r;
+              Int3_table.insert_reserved t r a b c (a + b + c);
+              Hashtbl.replace h (a, b, c) (a + b + c))
           | _ ->
             let expect = match Hashtbl.find_opt h (a, b, c) with Some v -> v | None -> -1 in
             if Int3_table.find t a b c <> expect then
               QCheck2.Test.fail_reportf "find (%d,%d,%d): got %d, want %d" a b c
                 (Int3_table.find t a b c) expect)
         ops;
+      Int3_table.length t = Hashtbl.length h)
+
+(* property: long insert/remove churn — many in-place tombstone purges,
+   with probe chains wrapping past the end of small tables — loses no
+   entry and resurrects none *)
+let prop_int3_table_churn =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 3000) (tup4 (int_bound 9) (int_bound 1) (int_bound 15) (int_bound 3)))
+  in
+  Testkit.qcheck_case ~count:60 ~name:"int3 table survives churn" gen (fun ops ->
+      let t = Int3_table.create ~capacity:4 () in
+      let h = Hashtbl.create 16 in
+      List.iter
+        (fun (op, a, b, c) ->
+          if op < 5 then begin
+            Int3_table.replace t a b c (op + (a * 7) + b + c);
+            Hashtbl.replace h (a, b, c) (op + (a * 7) + b + c)
+          end
+          else begin
+            Int3_table.remove t a b c;
+            Hashtbl.remove h (a, b, c)
+          end)
+        ops;
+      for a = 0 to 1 do
+        for b = 0 to 15 do
+          for c = 0 to 3 do
+            let expect = Option.value ~default:Int3_table.not_found (Hashtbl.find_opt h (a, b, c)) in
+            if Int3_table.find t a b c <> expect then
+              QCheck2.Test.fail_reportf "(%d,%d,%d): got %d, want %d" a b c
+                (Int3_table.find t a b c) expect
+          done
+        done
+      done;
       Int3_table.length t = Hashtbl.length h)
 
 (* ---- cancellation tokens ---- *)
@@ -466,10 +517,11 @@ let suite =
     test_int_table_vs_hashtbl;
     Alcotest.test_case "int3_table basic" `Quick test_int3_table_basic;
     Alcotest.test_case "int3_table growth" `Quick test_int3_table_growth;
-    Alcotest.test_case "int3_table find_or_insert" `Quick test_int3_table_find_or_insert;
+    Alcotest.test_case "int3_table find_or_reserve" `Quick test_int3_table_find_or_reserve;
     Alcotest.test_case "int3_table remove" `Quick test_int3_table_remove;
     Alcotest.test_case "int3_table tombstone churn" `Quick test_int3_table_tombstone_churn;
     prop_int3_table_model;
+    prop_int3_table_churn;
     Alcotest.test_case "cancel: flag + first reason wins" `Quick test_cancel_flag;
     Alcotest.test_case "cancel: deadline fires" `Quick test_cancel_deadline;
     Alcotest.test_case "cancel: none is inert" `Quick test_cancel_none_inert;
