@@ -241,10 +241,11 @@ let clamp_jobs j = max 1 (min 126 j)
 let pooled body =
   let jobs_arg =
     let doc =
-      "Domains used for intra-request parallelism: per-cone BDD estimation fans \
-       out across $(docv) domains and the phase search prices candidate moves \
-       speculatively. Results are bit-identical at any value (including 1). \
-       Default: the machine's recommended domain count."
+      "Domains used for intra-request parallelism: a budgeted estimate, \
+       including each candidate a budgeted phase search prices, fans its cone \
+       shards out across $(docv) domains, and a budgeted exhaustive search \
+       prices its candidates across them. Results are bit-identical at any \
+       value (including 1). Default: the machine's recommended domain count."
     in
     Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
   in

@@ -61,10 +61,10 @@ type config = {
           and final pricing); [None] = exact, unbounded *)
   par : Dpa_util.Par.t option;
       (** domain pool for intra-request parallelism: budgeted shard
-          builds in every final pricing and speculative candidate
-          pricing inside the phase search. Results are bit-identical
-          with or without a pool, at any jobs count (see DESIGN.md §11);
-          [None] = fully sequential *)
+          builds in every final pricing and in every phase-search
+          candidate ({!Dpa_phase.Optimizer.config}'s [par]). Results are
+          bit-identical with or without a pool, at any jobs count (see
+          DESIGN.md §11); [None] = fully sequential *)
   cancel : Dpa_util.Cancel.t;
       (** cooperative-cancellation token threaded into every estimate and
           search step; a fired token aborts the flow with

@@ -10,6 +10,10 @@ type result = {
 let run measure ~num_outputs =
   let best = ref None in
   let evaluated = ref 0 in
+  (* every candidate is visited, so price them all ahead across the
+     measure's pool; the scan below then answers from its cache, in
+     enumeration order, so the argmin tie-break is unchanged *)
+  Measure.prefetch measure (Phase.enumerate ~num_outputs);
   Seq.iter
     (fun a ->
       let s = Measure.eval measure a in

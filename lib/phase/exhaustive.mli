@@ -13,4 +13,6 @@ type result = {
 
 val run : Measure.t -> num_outputs:int -> result
 (** Minimum power; ties broken by smaller size, then enumeration order.
-    Raises [Invalid_argument] beyond 24 outputs. *)
+    The enumeration is priced ahead across the measure's pool
+    ({!Measure.prefetch}), a no-op without one. Raises
+    [Invalid_argument] beyond 24 outputs. *)

@@ -6,8 +6,7 @@ let c_committed = (Metrics.counter ~help:"greedy moves that lowered measured pow
 
 let c_rejected = (Metrics.counter ~help:"greedy moves measured but not committed" "phase.greedy.moves_rejected")
 
-type initial =
-  [ `All_positive | `Random of Dpa_util.Rng.t | `Given of Phase.assignment ]
+type initial = [ `All_positive | `Random of Dpa_util.Rng.t ]
 
 type step = {
   pair : int * int;
@@ -46,8 +45,6 @@ let gain cost ~averages (i, j) =
   let _, _, best = Cost.best_action_pair cost ~averages i j in
   Cost.k cost ~averages i Cost.Retain j Cost.Retain -. best
 
-(* Mutable search state shared by the sequential loop and the
-   speculative replay: both drive exactly the same trajectory. *)
 type state = {
   measure : Measure.t;
   cost : Cost.t;
@@ -62,20 +59,10 @@ type state = {
   mutable finished : bool;
 }
 
-let remove_candidate st pair =
-  st.candidates <- List.filter (fun p -> p <> pair) st.candidates;
-  if st.candidates = [] then st.finished <- true
-
-let commit_move st ~proposed ~sample =
-  st.current <- proposed;
-  st.current_sample <- sample;
-  st.averages <- Cost.averages_of st.cost st.cone_means st.current;
-  st.commits <- st.commits + 1
-
-(* One sequential iteration: pick the global minimum-K pair (earlier
-   candidate wins ties), measure its proposal if it changes anything,
-   commit when measured power improves. *)
-let sequential_pass st =
+(* One iteration: pick the global minimum-K pair (earlier candidate wins
+   ties), measure its proposal if it changes anything, commit when
+   measured power improves, and drop the pair either way. *)
+let pass st =
   st.passes <- st.passes + 1;
   Trace.with_span "phase.greedy.pass"
     ~args:
@@ -106,7 +93,12 @@ let sequential_pass st =
         let sample = Measure.eval st.measure proposed in
         let better = sample.Measure.power < st.current_sample.Measure.power in
         Metrics.incr (if better then c_committed else c_rejected);
-        if better then commit_move st ~proposed ~sample;
+        if better then begin
+          st.current <- proposed;
+          st.current_sample <- sample;
+          st.averages <- Cost.averages_of st.cost st.cone_means st.current;
+          st.commits <- st.commits + 1
+        end;
         {
           pair;
           actions;
@@ -117,132 +109,8 @@ let sequential_pass st =
       end
     in
     st.steps <- step :: st.steps;
-    remove_candidate st pair
-
-(* Speculative replay: between commits the cone averages are frozen, so
-   the sequential search's successive argmins over the shrinking
-   candidate list are exactly the remaining candidates in a stable sort
-   by (K, original position) — [List.stable_sort] with [Float.compare]
-   reproduces the fold's earlier-wins tie-break. We therefore rank once,
-   prefetch the next [jobs] distinct proposals across the pool, and
-   replay the ranked list in order: every eval, step, commit and removal
-   happens in the same order as the sequential loop, so the trajectory —
-   and with it every measured float, counter and the final assignment —
-   is bit-identical at any jobs count. A commit invalidates the ranking
-   (averages move), so we stop, re-rank, and speculate again. *)
-let replay_pass ~jobs st =
-  let ranked =
-    List.map
-      (fun ((i, j) as p) ->
-        let ai, aj, k = Cost.best_action_pair st.cost ~averages:st.averages i j in
-        (p, (ai, aj), k))
-      st.candidates
-  in
-  let nonretain =
-    List.fold_left
-      (fun acc (_, (ai, aj), _) ->
-        if ai = Cost.Retain && aj = Cost.Retain then acc else acc + 1)
-      0 ranked
-  in
-  if ranked = [] then st.finished <- true
-  else if nonretain = 0 then begin
-    (* the sequential loop burns one pass discovering all_retain *)
-    st.passes <- st.passes + 1;
-    Trace.with_span "phase.greedy.pass"
-      ~args:
-        [ ("pass", Trace.Int st.passes);
-          ("candidates", Trace.Int (List.length st.candidates));
-        ]
-      (fun () -> ());
-    st.finished <- true
-  end
-  else begin
-    let sorted =
-      List.stable_sort (fun (_, _, k1) (_, _, k2) -> Float.compare k1 k2) ranked
-    in
-    let elems =
-      List.map
-        (fun (((i, j) as pair), ((ai, aj) as actions), k) ->
-          let noop = ai = Cost.Retain && aj = Cost.Retain in
-          (pair, actions, k, apply_actions st.current (i, ai) (j, aj), noop))
-        sorted
-    in
-    let measurable_ahead elems =
-      let rec take n = function
-        | _ when n = 0 -> []
-        | [] -> []
-        | (_, _, _, proposed, noop) :: rest ->
-          if noop then take n rest else proposed :: take (n - 1) rest
-      in
-      take jobs elems
-    in
-    (* [covered] counts measurable elements already included in a
-       prefetch window; when it runs out we speculate another window *)
-    let rec walk elems nonretain_left covered =
-      match elems with
-      | [] -> st.finished <- true
-      | _ when nonretain_left = 0 ->
-        (* remaining candidates all retain: sequential would discover
-           all_retain on its next pass and finish without stepping them *)
-        st.passes <- st.passes + 1;
-        Trace.with_span "phase.greedy.pass"
-          ~args:
-            [ ("pass", Trace.Int st.passes);
-              ("candidates", Trace.Int (List.length st.candidates));
-            ]
-          (fun () -> ());
-        st.finished <- true
-      | ((pair, actions, k, proposed, noop) as elem) :: rest ->
-        st.passes <- st.passes + 1;
-        let continue_ =
-          Trace.with_span "phase.greedy.pass"
-            ~args:
-              [ ("pass", Trace.Int st.passes);
-                ("candidates", Trace.Int (List.length st.candidates));
-              ]
-          @@ fun () ->
-          if noop then begin
-            st.steps <-
-              { pair; actions; predicted_cost = k; measured_power = None; committed = false }
-              :: st.steps;
-            remove_candidate st pair;
-            Some (nonretain_left, covered)
-          end
-          else begin
-            let covered =
-              if covered > 0 then covered
-              else begin
-                let window = measurable_ahead (elem :: rest) in
-                Measure.prefetch st.measure window;
-                List.length window
-              end
-            in
-            let sample = Measure.eval st.measure proposed in
-            let better = sample.Measure.power < st.current_sample.Measure.power in
-            Metrics.incr (if better then c_committed else c_rejected);
-            st.steps <-
-              {
-                pair;
-                actions;
-                predicted_cost = k;
-                measured_power = Some sample.Measure.power;
-                committed = better;
-              }
-              :: st.steps;
-            remove_candidate st pair;
-            if better then begin
-              commit_move st ~proposed ~sample;
-              None (* averages moved: re-rank before touching anything else *)
-            end
-            else Some (nonretain_left - 1, covered - 1)
-          end
-        in
-        match continue_ with
-        | Some (nl, cov) -> walk rest nl cov
-        | None -> ()
-    in
-    walk elems nonretain 0
-  end
+    st.candidates <- List.filter (fun p -> p <> pair) st.candidates;
+    if st.candidates = [] then st.finished <- true
 
 let run ?(initial = `All_positive) ?pair_limit measure ~cost =
   let n = Cost.num_outputs cost in
@@ -250,9 +118,6 @@ let run ?(initial = `All_positive) ?pair_limit measure ~cost =
     match initial with
     | `All_positive -> Phase.all_positive n
     | `Random rng -> Phase.random rng ~num_outputs:n
-    | `Given a ->
-      if Array.length a <> n then invalid_arg "Greedy.run: initial assignment length";
-      Array.copy a
   in
   let current_sample = Measure.eval measure current in
   let initial_power = current_sample.Measure.power in
@@ -282,9 +147,8 @@ let run ?(initial = `All_positive) ?pair_limit measure ~cost =
       finished = candidates = [];
     }
   in
-  let jobs = Measure.parallel_jobs measure in
   while not st.finished do
-    if jobs <= 1 then sequential_pass st else replay_pass ~jobs st
+    pass st
   done;
   {
     assignment = st.current;

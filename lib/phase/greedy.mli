@@ -15,8 +15,7 @@
     retain/retain the search terminates early (no commit can change the
     averages any more). *)
 
-type initial =
-  [ `All_positive | `Random of Dpa_util.Rng.t | `Given of Dpa_synth.Phase.assignment ]
+type initial = [ `All_positive | `Random of Dpa_util.Rng.t ]
 
 type step = {
   pair : int * int;

@@ -8,7 +8,7 @@ let c_evals = (Metrics.counter ~help:"candidate assignments priced" "phase.measu
 let c_cache_hits = (Metrics.counter ~help:"assignments answered from the sample cache" "phase.measure.cache_hits")
 
 let c_prefetched =
-  Metrics.counter ~help:"assignments priced speculatively by the prefetch fan-out"
+  Metrics.counter ~help:"assignments priced ahead across the pool by the prefetch fan-out"
     "phase.measure.prefetched"
 
 let c_par_tasks = Metrics.counter ~help:"tasks fanned out to the domain pool" "par.tasks"
@@ -23,11 +23,11 @@ type sample = {
 }
 
 (* What a measurement produces. Degradation is carried alongside the
-   sample instead of being recorded eagerly so that a speculative
-   prefetch can price a candidate without touching the search-trajectory
-   accounting: [degraded_evaluations] and [worst_degradation] only ever
-   advance when {!eval} first visits the assignment, in trajectory
-   order — identical at any jobs count. *)
+   sample instead of being recorded eagerly so that a prefetch, a prime
+   or [base_probs] can price a candidate without touching the
+   search-trajectory accounting: [degraded_evaluations] and
+   [worst_degradation] only ever advance when {!eval} first visits the
+   assignment, in trajectory order — identical at any jobs count. *)
 type entry = {
   sample : sample;
   degradation : Dpa_power.Engine.degradation option;
@@ -50,7 +50,7 @@ type t = {
   cancel : Dpa_util.Cancel.t;
   pricing : pricing;
   par : Par.t option;
-  cache : (string, entry) Hashtbl.t;  (* priced candidates, incl. speculative *)
+  cache : (string, entry) Hashtbl.t;  (* priced candidates, visited or not *)
   seen : (string, unit) Hashtbl.t;  (* assignments the search actually visited *)
   (* the unbudgeted pricers' shared env and slot table, built on first
      use on the calling domain (BDD managers are single-domain) *)
@@ -150,9 +150,11 @@ let env_entry mapped (report : Dpa_power.Estimate.report) =
   }
 
 (* Price one candidate, with its base probabilities when it is the
-   all-positive block ({!block_base}). Only the bounded engine runs on
-   pool workers (see {!prefetch}): it touches no state of [t]. *)
-let price t assignment =
+   all-positive block ({!block_base}). [par] spreads a bounded
+   estimate's shards; the engine's answer is the same without it. Only
+   the bounded engine runs on pool workers (see {!prefetch}, which
+   passes no pool): it touches no state of [t]. *)
+let price ?par t assignment =
   match t.pricing with
   | Pricer f -> ({ sample = f (realize_mapped t assignment); degradation = None }, None)
   | Bounded budget ->
@@ -162,7 +164,8 @@ let price t assignment =
        cones fall back to simulation. *)
     let mapped = realize_mapped t assignment in
     let r =
-      Dpa_power.Engine.estimate ~budget ~cancel:t.cancel ~input_probs:t.input_probs mapped
+      Dpa_power.Engine.estimate ?par ~budget ~cancel:t.cancel ~input_probs:t.input_probs
+        mapped
     in
     (engine_entry mapped r, block_base t assignment mapped r.Dpa_power.Engine.report)
   | Blocks ->
@@ -220,9 +223,9 @@ let eval t assignment =
   end
   else begin
     (* first visit on the search trajectory: counts as an evaluation
-       whether the price comes from a speculative prefetch or is
-       computed here — both yield the same entry, so every counter and
-       degradation record is independent of the speculation schedule *)
+       whether the price was stored ahead (prefetch, prime, base_probs)
+       or is computed here — both yield the same entry, so every counter
+       and degradation record is independent of the pool *)
     Hashtbl.replace t.seen key ();
     t.misses <- t.misses + 1;
     Metrics.incr c_evals;
@@ -233,7 +236,7 @@ let eval t assignment =
         let e, base =
           Trace.with_span "phase.measure.eval" @@ fun () ->
           if Trace.is_enabled () then Trace.add_args [ ("phases", Trace.Str key) ];
-          price t assignment
+          price ?par:t.par t assignment
         in
         keep_base t base;
         Hashtbl.replace t.cache key e;
@@ -243,50 +246,55 @@ let eval t assignment =
     entry.sample
   end
 
-(* How wide a search should speculate: the pool's job count under the
-   bounded engine, whose estimates are worth spreading across domains;
-   1 (no speculation) otherwise. A table price costs too little to
-   spread, the env behind it and behind [Blocks] lives on the calling
-   domain, and a custom pricer is opaque — it may close over
-   single-domain state. *)
-let parallel_jobs t =
-  match t.par, t.pricing with
-  | Some pool, Bounded _ -> Par.jobs pool
-  | Some _, (Pricer _ | Blocks | Table) | None, _ -> 1
-
+(* Exhaustive search visits every candidate, so pricing its enumeration
+   ahead across the pool wastes nothing. The enumeration is taken in
+   chunks of [64 × jobs] candidates, which bounds the work a region
+   holds; each chunk's distinct unpriced candidates run as one
+   [Par.map] region, and each task estimates without the pool, because
+   [Par.map] rejects nesting. Entries are keyed merges, so the order
+   tasks finish in is irrelevant. *)
 let prefetch t assignments =
   match t.par, t.pricing with
-  | Some _, (Pricer _ | Blocks | Table) | None, _ -> ()
-  | Some pool, Bounded _ ->
-    (* dedup (two pairs can propose the same flip) and drop anything
-       already priced; order is irrelevant — entries are keyed merges *)
-    let todo = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        let key = Phase.to_string a in
-        if not (Hashtbl.mem t.cache key || Hashtbl.mem todo key) then
-          Hashtbl.replace todo key a)
-      assignments;
-    if Hashtbl.length todo > 0 then begin
-      let work = Array.of_seq (Hashtbl.to_seq todo) in
-      let before = Par.stats pool in
-      let entries =
-        Par.map pool (Array.length work) (fun i ->
-            let _, assignment = work.(i) in
-            Trace.with_span "phase.measure.prefetch"
-              ~args:[ ("domain", Trace.Int (Domain.self () :> int)) ]
-            @@ fun () -> price t assignment)
+  | Some pool, Bounded _ when Par.jobs pool > 1 ->
+    let chunk = 64 * Par.jobs pool in
+    let rec go seq =
+      let todo = Hashtbl.create chunk in
+      (* fills [todo] from the next [k] candidates; [None] at the end *)
+      let rec fill k seq =
+        if k = 0 then Some seq
+        else
+          match seq () with
+          | Seq.Nil -> None
+          | Seq.Cons (a, rest) ->
+            let key = Phase.to_string a in
+            if not (Hashtbl.mem t.cache key) then Hashtbl.replace todo key a;
+            fill (k - 1) rest
       in
-      let after = Par.stats pool in
-      Metrics.add c_par_tasks (after.Par.tasks - before.Par.tasks);
-      Metrics.add c_par_steals (after.Par.steals - before.Par.steals);
-      Metrics.add c_prefetched (Array.length work);
-      Array.iteri
-        (fun i (e, base) ->
-          keep_base t base;
-          Hashtbl.replace t.cache (fst work.(i)) e)
-        entries
-    end
+      let rest = fill chunk seq in
+      if Hashtbl.length todo > 0 then begin
+        let work = Array.of_seq (Hashtbl.to_seq todo) in
+        let before = Par.stats pool in
+        let entries =
+          Par.map pool (Array.length work) (fun i ->
+              let _, assignment = work.(i) in
+              Trace.with_span "phase.measure.prefetch"
+                ~args:[ ("domain", Trace.Int (Domain.self () :> int)) ]
+              @@ fun () -> price t assignment)
+        in
+        let after = Par.stats pool in
+        Metrics.add c_par_tasks (after.Par.tasks - before.Par.tasks);
+        Metrics.add c_par_steals (after.Par.steals - before.Par.steals);
+        Metrics.add c_prefetched (Array.length work);
+        Array.iteri
+          (fun i (e, base) ->
+            keep_base t base;
+            Hashtbl.replace t.cache (fst work.(i)) e)
+          entries
+      end;
+      Option.iter go rest
+    in
+    go assignments
+  | Some _, (Pricer _ | Blocks | Table | Bounded _) | None, _ -> ()
 
 let prime t assignment mapped result =
   let key = Phase.to_string assignment in
@@ -314,7 +322,7 @@ let base_probs t =
            is unpriced: price it now, as a prefetch would — the search
            counts it only if it visits it *)
         let a = all_positive t in
-        let e, base = price t a in
+        let e, base = price ?par:t.par t a in
         Hashtbl.replace t.cache (Phase.to_string a) e;
         Option.get base
     in

@@ -23,11 +23,14 @@
       custom [pricer]. The env and table are built on first use, on the
       calling domain, inside a [phase.measure.table] trace span.
 
-    Under a bounded budget and with a {!Dpa_util.Par} pool, the searches
-    built on top can {!prefetch} candidates speculatively across
-    domains; the trajectory counters ({!evaluations},
+    A search prices one candidate at a time. Under a bounded budget
+    with a {!Dpa_util.Par} pool, the pool spreads that candidate's
+    shards ({!Dpa_power.Engine.estimate}); the one exception is
+    exhaustive search, which prices its whole enumeration across the
+    pool ({!prefetch}). The trajectory counters ({!evaluations},
     {!degraded_evaluations}, {!worst_degradation}) advance only when
-    {!eval} first visits an assignment — never during speculation.
+    {!eval} first visits an assignment, never when a candidate is priced
+    ahead of the search.
 
     The same pricing supplies the greedy searches' base probabilities
     ({!base_probs}): they are read off the measure's own price of the
@@ -63,9 +66,10 @@ val create :
     Degradations are tallied per distinct candidate (see
     {!degraded_evaluations}, {!worst_degradation}).
 
-    [par] enables speculative parallel pricing via {!prefetch} for the
-    bounded engine; it never changes any measured value, only where and
-    when prices are computed.
+    [par] is the pool the bounded engine prices on: {!eval} and
+    {!base_probs} spread each estimate's shards across it, and
+    {!prefetch} spreads candidates across it. It never changes any
+    measured value, only where and when prices are computed.
 
     [cancel] makes every measurement cooperatively cancellable: the token
     is polled on each {!eval}, threaded into the bounded engine, and
@@ -75,22 +79,24 @@ val create :
 
 val eval : t -> Dpa_synth.Phase.assignment -> sample
 
-val prefetch : t -> Dpa_synth.Phase.assignment list -> unit
-(** Prices the given candidates across the pool's domains and stores the
-    results in the sample cache, so subsequent {!eval} calls answer
-    without recomputing. Duplicates and already-priced candidates are
-    skipped. A no-op unless candidates are priced by the bounded engine
-    with a pool: a table price costs too little to spread, and the
-    shared env lives on the calling domain. Does {e not} touch
-    {!evaluations} or the degradation tallies — those track the search
-    trajectory, which speculation must not perturb. *)
+val prefetch : t -> Dpa_synth.Phase.assignment Seq.t -> unit
+(** Prices the given candidates across the pool's domains, one candidate
+    per task in chunks of [64 × jobs], and stores the results in the
+    sample cache, so subsequent {!eval} calls answer without
+    recomputing. For a search that will visit every candidate
+    ({!Exhaustive.run}), where pricing ahead wastes nothing. Duplicates
+    and already-priced candidates are skipped. A no-op unless candidates
+    are priced by the bounded engine with a pool of at least two jobs: a
+    table price costs too little to spread, and the shared env lives on
+    the calling domain. Does {e not} touch {!evaluations} or the
+    degradation tallies — those track the search trajectory. *)
 
 val prime :
   t -> Dpa_synth.Phase.assignment -> Dpa_domino.Mapped.t -> Dpa_power.Engine.result -> unit
 (** [prime t a mapped r] stores [r], an {!Dpa_power.Engine.estimate} of
     [a]'s mapped block under this measure's budget and cancellation
-    token, as the price of [a], the way {!prefetch} stores a speculative
-    one: [a] counts as an evaluation, and its degradation is tallied,
+    token, as the price of [a], the way {!prefetch} stores one priced
+    ahead: [a] counts as an evaluation, and its degradation is tallied,
     only when the search visits it. When [a] is all-positive, its
     estimate also supplies {!base_probs}. The engine's answer is the
     same with or without a pool, so the caller may have estimated with
@@ -130,15 +136,10 @@ val priced :
     assignment it has not priced, and always [None] when candidates are
     not priced by the bounded engine. *)
 
-val parallel_jobs : t -> int
-(** How wide a search built on this measure should speculate: the pool's
-    job count when {!prefetch} is operational (a pool and the bounded
-    engine), [1] otherwise. *)
-
 val evaluations : t -> int
 (** Number of {e distinct} assignments the search visited via {!eval}
-    (trajectory cache misses — speculative prefetches excluded until the
-    search actually reaches them). *)
+    (trajectory cache misses — candidates priced ahead are excluded until
+    the search actually reaches them). *)
 
 val degraded_evaluations : t -> int
 (** Distinct visited assignments whose estimate degraded below fully

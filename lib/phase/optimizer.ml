@@ -52,31 +52,6 @@ let minimize_power_with measure config net =
   Dpa_obs.Trace.with_span "phase.optimize" ~args:[ ("outputs", Dpa_obs.Trace.Int n) ]
   @@ fun () ->
   let run_exhaustive () =
-    (* Exhaustive search visits every assignment anyway, so speculation
-       is free of waste: price the enumeration across the pool in
-       bounded chunks, then let the sequential scan answer from cache.
-       The scan order — and thus the argmin tie-break — is unchanged. *)
-    (if Measure.parallel_jobs measure > 1 then begin
-       let chunk = 64 * Measure.parallel_jobs measure in
-       let rec go seq =
-         let batch = ref [] and count = ref 0 and rest = ref seq in
-         (try
-            while !count < chunk do
-              match Seq.uncons !rest with
-              | None -> raise Exit
-              | Some (a, tl) ->
-                batch := a :: !batch;
-                incr count;
-                rest := tl
-            done
-          with Exit -> ());
-         if !batch <> [] then begin
-           Measure.prefetch measure !batch;
-           go !rest
-         end
-       in
-       go (Dpa_synth.Phase.enumerate ~num_outputs:n)
-     end);
     let r = Exhaustive.run measure ~num_outputs:n in
     (r.Exhaustive.assignment, r.Exhaustive.power, r.Exhaustive.size, "exhaustive")
   in

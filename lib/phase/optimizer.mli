@@ -26,8 +26,10 @@ type config = {
           pricing, and with it the base probabilities); [None] = exact,
           unbounded *)
   par : Dpa_util.Par.t option;
-      (** domain pool for speculative parallel candidate pricing (greedy
-          lookahead, exhaustive chunked prefetch). Never changes any
+      (** domain pool for budgeted candidate pricing: a search prices
+          one candidate at a time and the pool spreads that candidate's
+          shards, except exhaustive search, which prices its enumeration
+          across the pool ({!Measure.prefetch}). Never changes any
           measured value or the search trajectory — the result is
           bit-identical with or without it, at any jobs count. *)
   cancel : Dpa_util.Cancel.t;

@@ -32,22 +32,13 @@ let apply_actions assignment tuple actions =
     tuple actions;
   a
 
-let run ?(initial = `All_positive) ?(tuple_limit = 5000) ?(vectors_per_tuple = 1) ~k measure
-    ~cost =
+let run ?(tuple_limit = 5000) ?(vectors_per_tuple = 1) ~k measure ~cost =
   if vectors_per_tuple < 1 then
     invalid_arg "Tuple_search.run: vectors_per_tuple must be positive";
   let n = Cost.num_outputs cost in
   if k < 2 || k > n then
     invalid_arg (Printf.sprintf "Tuple_search.run: k = %d outside [2, %d]" k n);
-  let current =
-    ref
-      (match initial with
-      | `All_positive -> Phase.all_positive n
-      | `Random rng -> Phase.random rng ~num_outputs:n
-      | `Given a ->
-        if Array.length a <> n then invalid_arg "Tuple_search.run: initial length";
-        Array.copy a)
-  in
+  let current = ref (Phase.all_positive n) in
   let current_sample = ref (Measure.eval measure !current) in
   let initial_power = !current_sample.Measure.power in
   let cone_means = Cost.averager cost ~base_probs:(Measure.base_probs measure) in

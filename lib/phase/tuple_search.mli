@@ -22,14 +22,14 @@ type result = {
 }
 
 val run :
-  ?initial:Greedy.initial ->
   ?tuple_limit:int ->
   ?vectors_per_tuple:int ->
   k:int ->
   Measure.t ->
   cost:Cost.t ->
   result
-(** Base probabilities are {!Measure.base_probs}, as in {!Greedy.run}.
+(** The search starts from the all-positive assignment. Base
+    probabilities are {!Measure.base_probs}, as in {!Greedy.run}.
     [tuple_limit] caps the candidate set to the tuples with the largest
     predicted gain (default 5000 — [C(n,k)] grows quickly).
     [vectors_per_tuple] (default 1) measures that many K-ranked action

@@ -12,8 +12,6 @@ type budget = {
   deadline_s : float option;
   fallback : fallback;
   sim_halfwidth : float;
-  sim_confidence : float;
-  sim_seed : int;
   reorder_passes : int;
 }
 
@@ -23,8 +21,6 @@ let default_budget =
     deadline_s = None;
     fallback = Simulate;
     sim_halfwidth = 0.01;
-    sim_confidence = 0.95;
-    sim_seed = 1;
     reorder_passes = 2;
   }
 
@@ -44,24 +40,18 @@ let fallback_to_string = function
   | Reorder_retry -> "reorder"
   | Simulate -> "sim"
 
-(* two-sided normal quantile for the common confidence levels; the sample
-   count only needs the right order of magnitude *)
-let z_of_confidence c =
-  if c >= 0.995 then 2.807
-  else if c >= 0.99 then 2.576
-  else if c >= 0.95 then 1.960
-  else if c >= 0.90 then 1.645
-  else 1.282
+let sim_seed = 1
+
+(* the two-sided normal quantile of the 95% confidence level *)
+let z_95 = 1.960
 
 let sim_cycles_of b =
-  let z = z_of_confidence b.sim_confidence in
   let h = Float.max b.sim_halfwidth 1e-4 in
   (* worst-case binomial: halfwidth = z·√(p(1−p)/n) ≤ z/(2√n) *)
-  let n = int_of_float (Float.ceil ((z /. (2.0 *. h)) ** 2.0)) in
+  let n = int_of_float (Float.ceil ((z_95 /. (2.0 *. h)) ** 2.0)) in
   max 1_000 (min 200_000 n)
 
-let ci_halfwidth_of b cycles =
-  z_of_confidence b.sim_confidence /. (2.0 *. sqrt (float_of_int cycles))
+let ci_halfwidth_of cycles = z_95 /. (2.0 *. sqrt (float_of_int cycles))
 
 (* ------------------------------------------------------------------ *)
 (* Degradation report                                                   *)
@@ -368,8 +358,8 @@ let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
     (order, deadline, cones, groups)
   in
   (* rungs 1 and 2, one shard at a time: a pool fans the shards out, but
-     [Par.map] rejects nesting, so without one (e.g. inside a speculative
-     pricing task) they run in order on the calling domain *)
+     [Par.map] rejects nesting, so without one (e.g. inside an exhaustive
+     search's prefetch task) they run in order on the calling domain *)
   let build s =
     build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members:groups.(s)
       mapped
@@ -449,14 +439,14 @@ let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
         ~args:[ ("cycles", Trace.Int cycles); ("cones", Trace.Int n_failed) ];
       Metrics.add c_sim_cycles cycles;
       let act =
-        Dpa_sim.Simulator.measure ~cycles ~cancel (Dpa_util.Rng.create budget.sim_seed)
+        Dpa_sim.Simulator.measure ~cycles ~cancel (Dpa_util.Rng.create sim_seed)
           ~input_probs mapped
       in
       Array.iteri
         (fun i p ->
           if Float.is_nan p then node_probs.(i) <- act.Dpa_sim.Simulator.node_probs.(i))
         node_probs;
-      (cycles, ci_halfwidth_of budget cycles)
+      (cycles, ci_halfwidth_of cycles)
     end
   in
   let report =

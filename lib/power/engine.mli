@@ -16,8 +16,8 @@
     + {b simulate} — cones still unbuilt are priced from one whole-block
       Monte-Carlo run of the domino simulator
       ({!Dpa_sim.Simulator.measure}) with a sample count sized from the
-      requested confidence interval, merged with the exact probabilities
-      of everything that {e did} build.
+      requested 95% confidence-interval half-width, merged with the exact
+      probabilities of everything that {e did} build.
 
     Every answer carries a {!degradation} report saying which rung priced
     which cone, so callers (and the CLI) can surface approximation
@@ -40,19 +40,15 @@ type budget = {
       (** wall-clock seconds for the whole estimate; [None] = unlimited *)
   fallback : fallback;
   sim_halfwidth : float;
-      (** target 95%-style confidence-interval half-width on simulated
+      (** target 95% confidence-interval half-width on simulated
           probabilities; sizes the Monte-Carlo sample count *)
-  sim_confidence : float;  (** confidence level for [sim_halfwidth] *)
-  sim_seed : int;
-      (** deterministic simulator seed — identical inputs give identical
-          fallback numbers, which keeps greedy phase search monotone *)
   reorder_passes : int;
       (** reorder-rung effort in sift passes; [0] disables the rung *)
 }
 
 val default_budget : budget
-(** Unlimited resources, [Simulate] fallback, 1% half-width at 95%
-    confidence, seed 1, 2 reorder passes. *)
+(** Unlimited resources, [Simulate] fallback, 1% half-width, 2 reorder
+    passes. *)
 
 val bounded : ?max_bdd_nodes:int -> ?deadline_s:float -> ?fallback:fallback -> unit -> budget
 (** [default_budget] with the given limits installed. *)
@@ -66,13 +62,19 @@ val fallback_of_string : string -> fallback option
 
 val fallback_to_string : fallback -> string
 
-val sim_cycles_of : budget -> int
-(** Monte-Carlo sample count implied by [sim_halfwidth]/[sim_confidence]:
-    [⌈(z / 2·halfwidth)²⌉] clamped to [1_000 .. 200_000]. *)
+val sim_seed : int
+(** The simulator seed of every Monte-Carlo rung (1): identical inputs
+    give identical fallback numbers, which keeps greedy phase search
+    monotone. *)
 
-val ci_halfwidth_of : budget -> int -> float
-(** Worst-case (p = ½) confidence-interval half-width actually achieved by
-    a run of the given cycle count. *)
+val sim_cycles_of : budget -> int
+(** Monte-Carlo sample count implied by [sim_halfwidth] at 95%
+    confidence: [⌈(z / 2·halfwidth)²⌉] with z = 1.960, clamped to
+    [1_000 .. 200_000]. *)
+
+val ci_halfwidth_of : int -> float
+(** Worst-case (p = ½) 95% confidence-interval half-width actually
+    achieved by a run of the given cycle count. *)
 
 (** {2 Degradation report} *)
 

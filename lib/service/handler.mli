@@ -31,8 +31,8 @@ val execute :
     [Unsupported] here: the pool answers it from its own health record.
 
     [par] is the calling worker's private domain pool for intra-request
-    parallelism (budgeted shard builds, speculative phase-search
-    pricing). It must belong to the calling domain exclusively — pools
+    parallelism (budgeted shard builds, in the final pricing and in every
+    budgeted phase-search candidate). It must belong to the calling domain exclusively — pools
     are one submitter at a time, and each service worker owns its own so
     inter-request and intra-request parallelism compose without sharing.
     Responses are byte-identical with no pool and at every pool width,

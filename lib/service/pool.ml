@@ -45,9 +45,6 @@ type t = {
   cache : Rescache.t option;  (* shared result cache, [None] = disabled *)
   on_shutdown : unit -> unit;
   stopping : bool Atomic.t;
-  soft_limit_s : float;
-  hard_limit_s : float;
-  deadline_grace : float;
   panics : int Atomic.t;
   replacements : int Atomic.t;
   rescues : int Atomic.t;
@@ -223,16 +220,24 @@ let update_ewma t ms =
 (* Worker loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Watchdog thresholds on one request's wall clock: past the soft limit
+   its token fires, past the hard limit its worker is abandoned. *)
+let soft_limit_s = 30.0
+
+let hard_limit_s = 120.0
+
+let deadline_grace = 2.0
+
 (* The cancellation token a request runs under. A request that carries
    [deadline_s] gets a token firing at [deadline_grace ×] that: the
    engine's own budget deadline fires first and degrades gracefully
    through the ladder, and the token is the hard backstop when the
    ladder itself is stuck (an injected stall, a pathological cone). *)
-let token_for t line =
+let token_for line =
   match Protocol.parse_request line with
   | Ok { Protocol.request; _ } -> (
     match Protocol.request_deadline_s request with
-    | Some d when d > 0.0 -> Cancel.create ~deadline_in:(t.deadline_grace *. d) ()
+    | Some d when d > 0.0 -> Cancel.create ~deadline_in:(deadline_grace *. d) ()
     | Some _ | None -> Cancel.create ())
   | Error _ -> Cancel.create ()
 
@@ -251,7 +256,7 @@ let worker_body t slot ~generation par =
         let t0 = Clock.now_ns () in
         Metrics.observe h_wait (float_of_int (t0 - job.enqueued_ns) /. 1e6);
         let infl =
-          { job; started_ns = t0; cancel = token_for t job.line; replied = Atomic.make false }
+          { job; started_ns = t0; cancel = token_for job.line; replied = Atomic.make false }
         in
         let cell = Some infl in
         Atomic.set slot.inflight cell;
@@ -337,7 +342,7 @@ let watch t =
           | None -> ()
           | Some infl as cell ->
             let elapsed_s = float_of_int (now - infl.started_ns) /. 1e9 in
-            if t.hard_limit_s > 0.0 && elapsed_s > t.hard_limit_s then begin
+            if elapsed_s > hard_limit_s then begin
               (* the worker ignored cancellation past the hard limit:
                  answer its client now, retire the hung domain (never
                  joined — it is hung) and restaff the slot *)
@@ -361,17 +366,13 @@ let watch t =
               Metrics.incr c_replaced;
               spawn_slot t slot
             end
-            else if
-              t.soft_limit_s > 0.0
-              && elapsed_s > t.soft_limit_s
-              && not (Cancel.flag_set infl.cancel)
-            then begin
+            else if elapsed_s > soft_limit_s && not (Cancel.flag_set infl.cancel) then begin
               (* soft rescue: fire the request's own token and let the
                  kernel polling unwind it cooperatively *)
               Cancel.cancel
                 ~reason:
                   (Printf.sprintf "watchdog: request exceeded %.3gs soft limit"
-                     t.soft_limit_s)
+                     soft_limit_s)
                 infl.cancel;
               Atomic.incr t.rescues;
               Metrics.incr c_rescued
@@ -389,11 +390,9 @@ let worker_strength t =
 (* Lifecycle                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(jobs = 1) ?(soft_limit_s = 30.0) ?(hard_limit_s = 120.0)
-    ?(deadline_grace = 2.0) ?cache ~workers ~on_shutdown queue =
+let create ?(jobs = 1) ?cache ~workers ~on_shutdown queue =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  if deadline_grace < 1.0 then invalid_arg "Pool.create: deadline_grace must be >= 1";
   let t =
     {
       slots =
@@ -411,9 +410,6 @@ let create ?(jobs = 1) ?(soft_limit_s = 30.0) ?(hard_limit_s = 120.0)
       cache;
       on_shutdown;
       stopping = Atomic.make false;
-      soft_limit_s;
-      hard_limit_s;
-      deadline_grace;
       panics = Atomic.make 0;
       replacements = Atomic.make 0;
       rescues = Atomic.make 0;

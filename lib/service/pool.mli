@@ -13,20 +13,21 @@
     whatever happens to the worker executing it:
 
     - Each request runs under a per-request {!Dpa_util.Cancel} token.
-      Requests carrying [deadline_s] get a token firing at
-      [deadline_grace ×] that value — the engine's budget deadline fires
-      first and degrades through the ladder; the token is the hard
-      backstop when the ladder itself is stuck.
+      Requests carrying [deadline_s] get a token firing at twice that
+      value — the engine's budget deadline fires first and degrades
+      through the ladder; the token is the hard backstop when the ladder
+      itself is stuck.
     - A worker that dies mid-request (a crash, or an injected
       {!Dpa_util.Fault.Injected_panic}) answers its in-flight request
       with a typed [internal] error on the way down and flags its slot;
       the next {!watch} tick joins the corpse and staffs a replacement
       without dropping queued jobs.
-    - {!watch} also rescues overrunning requests: past [soft_limit_s] it
-      fires the request's token (cooperative unwind through the kernel
-      polling); past [hard_limit_s] it answers the client, retires the
-      hung domain and restaffs the slot. Slot generations make a retired
-      domain stand down instead of competing with its successor.
+    - {!watch} also rescues overrunning requests: past a 30 s soft
+      limit it fires the request's token (cooperative unwind through the
+      kernel polling); past a 120 s hard limit it answers the client,
+      retires the hung domain and restaffs the slot. Slot generations
+      make a retired domain stand down instead of competing with its
+      successor.
     - All replies go through an exactly-once latch, so a worker's normal
       reply, its dying reply and a watchdog abandonment reply can race
       without the client ever seeing two responses for one id.
@@ -75,9 +76,6 @@ val process_line :
 
 val create :
   ?jobs:int ->
-  ?soft_limit_s:float ->
-  ?hard_limit_s:float ->
-  ?deadline_grace:float ->
   ?cache:Rescache.t ->
   workers:int ->
   on_shutdown:(unit -> unit) ->
@@ -94,13 +92,6 @@ val create :
     domains — pick [jobs ≈ cores / workers] to avoid oversubscription.
     [jobs = 1] spawns no extra domain. Responses are byte-identical at
     every width.
-
-    [soft_limit_s] (default 30) and [hard_limit_s] (default 120) are
-    the watchdog thresholds on a single request's wall clock: the soft
-    limit fires the request's cancellation token, the hard limit
-    abandons the worker. Either can be disabled by passing [0].
-    [deadline_grace] (default 2, [>= 1]) scales a request's own
-    [deadline_s] into its token's hard deadline.
 
     [cache] (default none) is the result cache shared by every worker;
     it is forwarded to {!process_line} on each request and reported

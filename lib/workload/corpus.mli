@@ -73,9 +73,9 @@ val run_spec :
   ?par:Dpa_util.Par.t -> ?budget:Dpa_power.Engine.budget -> spec -> outcome
 (** Builds the circuit and runs the full MA-vs-MP comparison.
     [?budget] replaces the spec's own (use {!merge_budget} to combine);
-    [?par] fans budgeted shard builds and speculative search pricing
-    across a domain pool — outcomes are bit-identical at any pool width
-    and without one. *)
+    [?par] fans budgeted shard builds, in the final pricing and in every
+    search candidate, across a domain pool — outcomes are bit-identical
+    at any pool width and without one. *)
 
 val json_of_outcome : outcome -> Dpa_util.Jsonlite.t
 

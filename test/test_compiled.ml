@@ -97,12 +97,12 @@ let test_identity_many_seeds () =
 let test_engine_sim_stream () =
   (* the exact stream the engine's sim rung consumes (budgeted
      [estimate], [validate] and [run] alike): the budget's cycle count
-     from its seed *)
+     from the engine's seed *)
   let budget = Engine.bounded ~max_bdd_nodes:50 () in
   let cycles = Engine.sim_cycles_of budget in
   List.iter
     (fun path ->
-      check_identity ~name:(Filename.basename path) ~cycles ~seed:budget.Engine.sim_seed
+      check_identity ~name:(Filename.basename path) ~cycles ~seed:Engine.sim_seed
         (prep (load_blif path)))
     [ "../data/apex7_synthetic.blif"; "../data/frg1_synthetic.blif" ]
 

@@ -1,8 +1,9 @@
 (* The shared work-stealing domain pool and the parallel-identity
    property: everything the pool touches — budgeted shard builds, the
-   speculative greedy replay — must be bit-identical at every jobs count
-   and without a pool. Floats are compared through
-   [Int64.bits_of_float]: "close" is not good enough here. *)
+   budgeted searches that spread each candidate's shards, exhaustive
+   search's prefetch — must be bit-identical at every jobs count and
+   without a pool. Floats are compared through [Int64.bits_of_float]:
+   "close" is not good enough here. *)
 
 module Par = Dpa_util.Par
 module Engine = Dpa_power.Engine
@@ -189,24 +190,41 @@ let check_opt_equal msg (a : Optimizer.result) (b : Optimizer.result) =
    sum would pass unseen. *)
 let identity_probs = [ 0.5; 0.7 ]
 
-let optimize_identity ~strategy path =
+(* Only the bounded engine prices on the pool: an unbudgeted candidate
+   is a slot-table sum on the calling domain. So every search leg runs
+   unbudgeted and again under a 200-node cap, where the ladder sifts and
+   simulates some cones. [capped_pair_limit] bounds the capped leg's
+   greedy candidate set: on apex7 at p = 0.7, 40 pairs take 16 capped
+   measurements, commits and rejections both, where all 630 take 140. *)
+let search_cap = Engine.bounded ~max_bdd_nodes:200 ()
+
+let optimize_identity ?capped_pair_limit ~strategy path =
   let net = Dpa_synth.Opt.optimize (load_blif path) in
   List.iter
-    (fun p ->
-      let input_probs = Array.make (Dpa_logic.Netlist.num_inputs net) p in
-      let base = Optimizer.default_config ~input_probs in
-      let run par = Optimizer.minimize_power { base with Optimizer.strategy; par } net in
-      let seq = run None in
+    (fun (label, budget, pair_limit) ->
       List.iter
-        (fun jobs ->
-          let r = Par.with_pool ~jobs (fun pool -> run (Some pool)) in
-          check_opt_equal (Printf.sprintf "%s p=%g jobs %d" path p jobs) seq r)
-        [ 1; 2; 4 ])
-    identity_probs
+        (fun p ->
+          let input_probs = Array.make (Dpa_logic.Netlist.num_inputs net) p in
+          let base = Optimizer.default_config ~input_probs in
+          let run par =
+            Optimizer.minimize_power
+              { base with Optimizer.strategy; budget; pair_limit; par }
+              net
+          in
+          let seq = run None in
+          List.iter
+            (fun jobs ->
+              let r = Par.with_pool ~jobs (fun pool -> run (Some pool)) in
+              check_opt_equal (Printf.sprintf "%s %s p=%g jobs %d" path label p jobs) seq r)
+            [ 1; 2; 4 ])
+        identity_probs)
+    [ ("unbudgeted", None, None); ("budgeted", Some search_cap, capped_pair_limit) ]
 
 let test_optimize_identity_greedy () =
-  (* apex7 has 36 outputs: the real greedy path with speculative replay *)
-  optimize_identity ~strategy:Optimizer.Greedy "../data/apex7_synthetic.blif"
+  (* apex7 has 36 outputs: the greedy path, whose budgeted leg spreads
+     each candidate's shards across the pool *)
+  optimize_identity ~capped_pair_limit:40 ~strategy:Optimizer.Greedy
+    "../data/apex7_synthetic.blif"
 
 let test_optimize_identity_exhaustive () =
   List.iter
@@ -215,6 +233,40 @@ let test_optimize_identity_exhaustive () =
 
 let test_optimize_identity_multistart () =
   optimize_identity ~strategy:(Optimizer.Multi_start 3) "../data/frg1_synthetic.blif"
+
+(* The identity legs stay green if a budgeted search ignores its pool,
+   so check that the pool is really used: greedy spreads each
+   candidate's shards (the pool runs tasks, nothing is prefetched), and
+   exhaustive search prices its whole enumeration across the pool. *)
+let test_budgeted_search_uses_pool () =
+  let prefetched = Dpa_obs.Metrics.counter "phase.measure.prefetched" in
+  let search ?pair_limit ~strategy path =
+    let net = Dpa_synth.Opt.optimize (load_blif path) in
+    let input_probs = Array.make (Dpa_logic.Netlist.num_inputs net) 0.5 in
+    let config =
+      {
+        (Optimizer.default_config ~input_probs) with
+        Optimizer.strategy;
+        pair_limit;
+        budget = Some search_cap;
+      }
+    in
+    let no_pool = Optimizer.minimize_power config net in
+    Par.with_pool ~jobs:2 @@ fun pool ->
+    let tasks = (Par.stats pool).Par.tasks in
+    let before = Dpa_obs.Metrics.counter_value prefetched in
+    let pooled = Optimizer.minimize_power { config with Optimizer.par = Some pool } net in
+    check_opt_equal (path ^ " pool vs no pool") no_pool pooled;
+    ( (Par.stats pool).Par.tasks - tasks,
+      Dpa_obs.Metrics.counter_value prefetched - before )
+  in
+  let tasks, fetched =
+    search ~pair_limit:40 ~strategy:Optimizer.Greedy "../data/apex7_synthetic.blif"
+  in
+  Alcotest.(check bool) "greedy runs shard tasks on the pool" true (tasks > 0);
+  Alcotest.(check int) "greedy prices nothing ahead" 0 fetched;
+  let _, fetched = search ~strategy:Optimizer.Auto "../data/frg1_synthetic.blif" in
+  Alcotest.(check int) "exhaustive prefetches all 2^3 candidates" 8 fetched
 
 let test_full_flow_identity () =
   (* the whole compare flow (MA + MP + final pricing) through Flow.config,
@@ -289,5 +341,6 @@ let suite =
       test_optimize_identity_exhaustive;
     Alcotest.test_case "optimize identity (multi-start)" `Quick
       test_optimize_identity_multistart;
+    Alcotest.test_case "budgeted search uses the pool" `Quick test_budgeted_search_uses_pool;
     Alcotest.test_case "full flow identity" `Quick test_full_flow_identity;
   ]
