@@ -175,8 +175,8 @@ type prob_cache
 (** A dense per-node-id probability memo bound to one manager and one
     level-probability vector, surviving across calls: re-evaluating a
     function whose nodes were already visited costs one array read. The
-    incremental phase search keeps one of these per shared manager so a
-    candidate flip only pays for BDD nodes it newly creates. *)
+    phase search's slot table creates one before it builds and prices
+    every slot through it as the manager grows. *)
 
 val prob_cache : manager -> float array -> prob_cache
 (** The vector is copied; it must match the manager's [nvars]. *)

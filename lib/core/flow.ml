@@ -175,11 +175,12 @@ let compare_ma_mp_probs ?(config = default_config) ~input_probs raw =
     in
     (* Each distinct assignment is estimated once, base probabilities
        included: a greedy search reads them off its price of the
-       all-positive block. Untimed, the search's bounded-engine price of
-       a block is the final estimate's, bit for bit: MA's estimate seeds
-       the search (and, when MA is all-positive, its base
-       probabilities), and MP's comes from it. The unbudgeted search
-       prices in a shared env (Measure) that differs from a from-scratch
+       all-positive block. Untimed, a search that prices with the engine
+       (a bounded budget, or compound cells) gives a block the final
+       estimate's price, bit for bit: MA's estimate seeds the search
+       (and, when MA is all-positive, its base probabilities), and MP's
+       comes from it. The slot table (Measure) sums under one variable
+       order for every candidate, which differs from a from-scratch
        estimate in the last ulp, and the timed flow prices resized
        blocks, so those estimate MP unless it is MA. *)
     let untimed = Option.is_none config.timing in

@@ -37,10 +37,10 @@ type entry = {
    library. *)
 type pricing =
   | Pricer of (Dpa_domino.Mapped.t -> sample)  (* opaque, caller-supplied *)
-  | Bounded of Dpa_power.Engine.budget  (* one Engine.estimate per candidate *)
-  | Blocks
-    (* compound cells: absorption reads each block's fanout counts, so
-       every candidate's block is realized, mapped and built in the env *)
+  | Engine of Dpa_power.Engine.budget
+    (* one Engine.estimate per candidate: under a bounded budget, or under
+       compound cells — absorption reads each block's fanout counts — with
+       the unbounded one, which is Estimate.of_mapped *)
   | Table  (* summed from the slot table *)
 
 type t = {
@@ -52,9 +52,8 @@ type t = {
   par : Par.t option;
   cache : (string, entry) Hashtbl.t;  (* priced candidates, visited or not *)
   seen : (string, unit) Hashtbl.t;  (* assignments the search actually visited *)
-  (* the unbudgeted pricers' shared env and slot table, built on first
-     use on the calling domain (BDD managers are single-domain) *)
-  mutable env : Dpa_power.Estimate.env option;
+  (* the slot table, built on first use on the calling domain (BDD
+     managers are single-domain) *)
   mutable table : Dpa_power.Estimate.table option;
   (* the all-positive block's original-node probabilities, the only
      per-node vector kept (see {!base_probs}) *)
@@ -69,32 +68,19 @@ let realize_mapped t assignment =
 
 let all_positive t = Phase.all_positive (Dpa_logic.Netlist.num_outputs t.net)
 
-(* The env is seeded from the all-positive realization — not from
-   whichever candidate happens to be measured first — so the variable
-   order is assignment-independent and the search deterministic. *)
-let env_of t =
-  match t.env with
-  | Some e -> e
-  | None ->
-    let e =
-      Dpa_power.Estimate.make_env ~cancel:t.cancel ~input_probs:t.input_probs
-        (realize_mapped t (all_positive t))
-    in
-    t.env <- Some e;
-    e
-
 let table_of t =
   match t.table with
   | Some tb -> tb
   | None ->
     Trace.with_span "phase.measure.table" @@ fun () ->
-    let env = env_of t in
-    let tb = Dpa_power.Estimate.table env t.library t.net in
+    let tb =
+      Dpa_power.Estimate.table ~cancel:t.cancel ~input_probs:t.input_probs t.library t.net
+    in
     Trace.add_args
       [
         ("slots", Trace.Int (Dpa_power.Estimate.table_slots tb));
         ("cells", Trace.Int (Dpa_power.Estimate.table_cells tb));
-        ("bdd_nodes", Trace.Int (Dpa_bdd.Robdd.total_nodes (Dpa_power.Estimate.env_manager env)));
+        ("bdd_nodes", Trace.Int (Dpa_power.Estimate.table_bdd_nodes tb));
       ];
     t.table <- Some tb;
     tb
@@ -138,17 +124,6 @@ let keep_base t = function
   | Some b when Option.is_none t.base -> t.base <- Some b
   | Some _ | None -> ()
 
-let env_entry mapped (report : Dpa_power.Estimate.report) =
-  {
-    sample =
-      {
-        power = report.Dpa_power.Estimate.total;
-        size = Dpa_domino.Mapped.size mapped;
-        domino_switching = report.Dpa_power.Estimate.domino_switching;
-      };
-    degradation = None;
-  }
-
 (* Price one candidate, with its base probabilities when it is the
    all-positive block ({!block_base}). [par] spreads a bounded
    estimate's shards; the engine's answer is the same without it. Only
@@ -157,7 +132,7 @@ let env_entry mapped (report : Dpa_power.Estimate.report) =
 let price ?par t assignment =
   match t.pricing with
   | Pricer f -> ({ sample = f (realize_mapped t assignment); degradation = None }, None)
-  | Bounded budget ->
+  | Engine budget ->
     (* Every candidate is priced under the same budget policy with a
        deterministic simulator seed, so comparisons between candidates
        stay consistent and greedy descent stays monotone even when some
@@ -168,10 +143,6 @@ let price ?par t assignment =
         mapped
     in
     (engine_entry mapped r, block_base t assignment mapped r.Dpa_power.Engine.report)
-  | Blocks ->
-    let mapped = realize_mapped t assignment in
-    let report = Dpa_power.Estimate.of_mapped_env (env_of t) mapped in
-    (env_entry mapped report, block_base t assignment mapped report)
   | Table ->
     let p = Dpa_power.Estimate.of_table (table_of t) assignment in
     ( {
@@ -194,8 +165,10 @@ let create ?(library = Dpa_domino.Library.default) ?budget
   let pricing =
     match pricer, budget with
     | Some f, _ -> Pricer f
-    | None, Some b when not (Dpa_power.Engine.is_unbounded b) -> Bounded b
-    | None, (Some _ | None) -> if Dpa_domino.Mapped.absorbs library then Blocks else Table
+    | None, Some b when not (Dpa_power.Engine.is_unbounded b) -> Engine b
+    | None, (Some _ | None) ->
+      if Dpa_domino.Mapped.absorbs library then Engine Dpa_power.Engine.default_budget
+      else Table
   in
   {
     net;
@@ -206,7 +179,6 @@ let create ?(library = Dpa_domino.Library.default) ?budget
     par;
     cache = Hashtbl.create 64;
     seen = Hashtbl.create 64;
-    env = None;
     table = None;
     base = None;
     misses = 0;
@@ -222,13 +194,6 @@ let eval t assignment =
     (Hashtbl.find t.cache key).sample
   end
   else begin
-    (* first visit on the search trajectory: counts as an evaluation
-       whether the price was stored ahead (prefetch, prime, base_probs)
-       or is computed here — both yield the same entry, so every counter
-       and degradation record is independent of the pool *)
-    Hashtbl.replace t.seen key ();
-    t.misses <- t.misses + 1;
-    Metrics.incr c_evals;
     let entry =
       match Hashtbl.find_opt t.cache key with
       | Some e -> e
@@ -242,6 +207,15 @@ let eval t assignment =
         Hashtbl.replace t.cache key e;
         e
     in
+    (* first visit on the search trajectory, marked only once the price
+       is in, so a price that raised leaves nothing half-recorded: counts
+       as an evaluation whether the price was stored ahead (prefetch,
+       prime, base_probs) or is computed here — both yield the same
+       entry, so every counter and degradation record is independent of
+       the pool *)
+    Hashtbl.replace t.seen key ();
+    t.misses <- t.misses + 1;
+    Metrics.incr c_evals;
     Option.iter (record_degradation t) entry.degradation;
     entry.sample
   end
@@ -255,7 +229,8 @@ let eval t assignment =
    tasks finish in is irrelevant. *)
 let prefetch t assignments =
   match t.par, t.pricing with
-  | Some pool, Bounded _ when Par.jobs pool > 1 ->
+  | Some pool, Engine budget
+    when Par.jobs pool > 1 && not (Dpa_power.Engine.is_unbounded budget) ->
     let chunk = 64 * Par.jobs pool in
     let rec go seq =
       let todo = Hashtbl.create chunk in
@@ -294,17 +269,17 @@ let prefetch t assignments =
       Option.iter go rest
     in
     go assignments
-  | Some _, (Pricer _ | Blocks | Table | Bounded _) | None, _ -> ()
+  | Some _, (Pricer _ | Table | Engine _) | None, _ -> ()
 
 let prime t assignment mapped result =
   let key = Phase.to_string assignment in
   match t.pricing with
-  | Bounded _ ->
+  | Engine _ ->
     if not (Hashtbl.mem t.cache key) then begin
       Hashtbl.replace t.cache key (engine_entry mapped result);
       keep_base t (block_base t assignment mapped result.Dpa_power.Engine.report)
     end
-  | Pricer _ | Blocks | Table -> ()
+  | Pricer _ | Table -> ()
 
 let base_probs t =
   match t.base with
@@ -312,12 +287,15 @@ let base_probs t =
   | None ->
     let b =
       match t.pricing with
-      | Table -> Dpa_power.Estimate.table_original_probabilities (table_of t)
-      | Pricer _ ->
-        (* the custom pricer's sample is opaque: read the env's report *)
+      | Pricer _ when Dpa_domino.Mapped.absorbs t.library ->
+        (* the custom pricer's sample is opaque: read the estimate the
+           engine gives the all-positive block under compound cells *)
         let mapped = realize_mapped t (all_positive t) in
-        original t mapped (Dpa_power.Estimate.of_mapped_env (env_of t) mapped)
-      | Bounded _ | Blocks ->
+        original t mapped
+          (Dpa_power.Engine.estimate ~cancel:t.cancel ~input_probs:t.input_probs mapped)
+            .Dpa_power.Engine.report
+      | Pricer _ | Table -> Dpa_power.Estimate.table_original_probabilities (table_of t)
+      | Engine _ ->
         (* every price of the all-positive block keeps its vector, so it
            is unpriced: price it now, as a prefetch would — the search
            counts it only if it visits it *)
@@ -339,8 +317,3 @@ let evaluations t = t.misses
 let degraded_evaluations t = t.degraded
 
 let worst_degradation t = t.worst
-
-let publish_metrics t =
-  Option.iter
-    (fun e -> Dpa_bdd.Robdd.publish_metrics (Dpa_power.Estimate.env_manager e))
-    t.env

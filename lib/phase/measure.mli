@@ -2,26 +2,26 @@
     memoized per assignment, so a search never pays twice for the same
     candidate.
 
-    How a candidate is priced follows from the request and the library:
+    How a candidate is priced follows from the request and the library,
+    in this order:
     - a custom [pricer] gets the candidate's realized, mapped block;
-    - under a bounded [budget], every candidate gets its own
-      {!Dpa_power.Engine.estimate};
-    - otherwise the price comes from one BDD env shared by every
-      candidate ({!Dpa_power.Estimate.make_env}, its variable order
-      fixed from the all-positive realization). Under a library without
-      compound cells the env prices a slot table once
-      ({!Dpa_power.Estimate.table}), and each candidate is summed from
-      it — no realization, mapping or BDD build per candidate; this is
-      the paper's Property 4.1 (a phase flip only complements a cone's
-      probabilities). Under compound cells, whose absorption reads each
-      block's fanout counts, each candidate's block is realized, mapped
-      and built in the env. Either way the price is bit-identical to
-      {!Dpa_power.Estimate.of_mapped_env} on the candidate's block, and
-      within the last ulp of a from-scratch
+    - the engine: every candidate gets its own
+      {!Dpa_power.Engine.estimate}, under a bounded [budget], or under
+      a library with compound cells, whose absorption reads each block's
+      fanout counts, with the unbounded budget — that is,
+      {!Dpa_power.Estimate.of_mapped};
+    - otherwise the slot table: one {!Dpa_power.Estimate.table} priced
+      once, and each candidate summed from it — no realization, mapping
+      or BDD build per candidate; this is the paper's Property 4.1 (a
+      phase flip only complements a cone's probabilities). The table
+      builds in its own manager under one variable order, the
+      all-positive block's extended by the PIs it does not reference,
+      so its price is bit-identical to a build of the candidate's block
+      under that order, and within the last ulp of a from-scratch
       {!Dpa_power.Estimate.of_mapped} (its per-block order sums in
       another order), which the tests check by passing that oracle as a
-      custom [pricer]. The env and table are built on first use, on the
-      calling domain, inside a [phase.measure.table] trace span.
+      custom [pricer]. The table is built on first use, on the calling
+      domain, inside a [phase.measure.table] trace span.
 
     A search prices one candidate at a time. Under a bounded budget
     with a {!Dpa_util.Par} pool, the pool spreads that candidate's
@@ -64,7 +64,10 @@ val create :
     seed, so a greedy search ranks candidates consistently even when the
     degradation ladder kicks in — fallback never breaks monotonicity.
     Degradations are tallied per distinct candidate (see
-    {!degraded_evaluations}, {!worst_degradation}).
+    {!degraded_evaluations}, {!worst_degradation}). Without one, a
+    [library] with compound cells prices every candidate with the engine
+    too, exactly ({!Dpa_power.Estimate.of_mapped}), and any other
+    library prices from the slot table.
 
     [par] is the pool the bounded engine prices on: {!eval} and
     {!base_probs} spread each estimate's shards across it, and
@@ -72,12 +75,16 @@ val create :
     measured value, only where and when prices are computed.
 
     [cancel] makes every measurement cooperatively cancellable: the token
-    is polled on each {!eval}, threaded into the bounded engine, and
-    installed on the shared env's manager, so a firing token aborts a
-    search mid-candidate with [Dpa_error.Error (Cancelled _)]. The checks
-    never change measured values. *)
+    is polled on each {!eval}, threaded into the engine, and installed on
+    the slot table's manager, so a firing token aborts a search
+    mid-candidate with [Dpa_error.Error (Cancelled _)]. The checks never
+    change measured values. *)
 
 val eval : t -> Dpa_synth.Phase.assignment -> sample
+(** The price of an assignment; its first visit counts as an
+    evaluation. A price that raises (a fired token, a budget error under
+    [fallback none], a custom pricer's exception) records nothing, so a
+    later [eval] of the same assignment prices it afresh. *)
 
 val prefetch : t -> Dpa_synth.Phase.assignment Seq.t -> unit
 (** Prices the given candidates across the pool's domains, one candidate
@@ -86,10 +93,11 @@ val prefetch : t -> Dpa_synth.Phase.assignment Seq.t -> unit
     recomputing. For a search that will visit every candidate
     ({!Exhaustive.run}), where pricing ahead wastes nothing. Duplicates
     and already-priced candidates are skipped. A no-op unless candidates
-    are priced by the bounded engine with a pool of at least two jobs: a
-    table price costs too little to spread, and the shared env lives on
-    the calling domain. Does {e not} touch {!evaluations} or the
-    degradation tallies — those track the search trajectory. *)
+    are priced by the engine under a bounded budget with a pool of at
+    least two jobs: a table price costs too little to spread, and the
+    table's manager lives on the calling domain. Does {e not} touch
+    {!evaluations} or the degradation tallies — those track the search
+    trajectory. *)
 
 val prime :
   t -> Dpa_synth.Phase.assignment -> Dpa_domino.Mapped.t -> Dpa_power.Engine.result -> unit
@@ -100,10 +108,10 @@ val prime :
     only when the search visits it. When [a] is all-positive, its
     estimate also supplies {!base_probs}. The engine's answer is the
     same with or without a pool, so the caller may have estimated with
-    one. A no-op unless candidates are priced by the bounded engine (a
-    non-unbounded [budget] and no custom [pricer]): the shared env's
-    price differs from a from-scratch estimate in the last ulp. An
-    assignment already priced keeps its entry. *)
+    one. A no-op unless candidates are priced by the engine (a bounded
+    [budget], or compound cells, and no custom [pricer]): the slot
+    table's price differs from a from-scratch estimate in the last ulp.
+    An assignment already priced keeps its entry. *)
 
 val base_probs : t -> float array
 (** The K cost's base probabilities (paper §4.1): the signal probability
@@ -112,29 +120,31 @@ val base_probs : t -> float array
     ({!Dpa_power.Estimate.original_probabilities}; NaN for a node outside
     every PO cone). Where the block's probabilities come from follows how
     candidates are priced:
-    - the slot table's per-slot root probabilities
+    - under the engine, the all-positive estimate's [node_probs] at each
+      slot's root: the one {!prime} stored (a flow primes MA's estimate,
+      which is all-positive when MA is), else the one the search's first
+      measurement computed;
+    - under the slot table, its per-slot root probabilities
       ({!Dpa_power.Estimate.table_original_probabilities});
-    - under the bounded engine, the all-positive estimate's [node_probs]
-      at each slot's root: the one {!prime} stored (a flow primes MA's
-      estimate, which is all-positive when MA is), else the one the
-      search's first measurement computed;
-    - under compound cells or a custom [pricer], the shared env's report
-      of the all-positive block.
+    - under a custom [pricer], whose sample is opaque, the slot table's,
+      or under compound cells the engine's estimate of the all-positive
+      block.
 
     Pricing the all-positive assignment only to get these counts as an
     evaluation only when the search visits it, as with {!prime} and
-    {!prefetch}. Computed once; only this one vector is kept. Under a
-    table or the env the values equal {!Dpa_bdd.Build.probabilities}
-    bit for bit at input probability 0.5 on the circuits the tests
-    check, and to within a few ulps elsewhere (the env's variable order
-    differs); under a budget they carry the estimate's degradation. *)
+    {!prefetch}. Computed once; only this one vector is kept.
+    Unbudgeted, the values equal {!Dpa_bdd.Build.probabilities} bit for
+    bit at input probability 0.5 on the circuits the tests check, and to
+    within a few ulps elsewhere (the block's variable order differs from
+    the netlist build's); under a budget they carry the estimate's
+    degradation. *)
 
 val priced :
   t -> Dpa_synth.Phase.assignment -> (sample * Dpa_power.Engine.degradation) option
-(** The bounded engine's sample and degradation for an assignment this
-    measure has priced (visited, prefetched or primed); [None] for an
-    assignment it has not priced, and always [None] when candidates are
-    not priced by the bounded engine. *)
+(** The engine's sample and degradation for an assignment this measure
+    has priced (visited, prefetched or primed); [None] for an assignment
+    it has not priced, and always [None] when candidates are not priced
+    by the engine. *)
 
 val evaluations : t -> int
 (** Number of {e distinct} assignments the search visited via {!eval}
@@ -151,9 +161,3 @@ val worst_degradation : t -> Dpa_power.Engine.degradation option
 
 val realize_mapped : t -> Dpa_synth.Phase.assignment -> Dpa_domino.Mapped.t
 (** The mapped block for an assignment (not cached). *)
-
-val publish_metrics : t -> unit
-(** Folds the kernel counters of the shared env's manager into the
-    {!Dpa_obs.Metrics} registry (a no-op until the first unbudgeted
-    evaluation). The registry is the one source of truth for BDD
-    counters; call this after a search. *)

@@ -89,7 +89,6 @@ let minimize_power_with measure config net =
       (r.Annealing.assignment, r.Annealing.power, r.Annealing.size, "annealing")
     | Auto -> if n <= config.exhaustive_limit then run_exhaustive () else run_greedy ()
   in
-  Measure.publish_metrics measure;
   Dpa_obs.Trace.add_args
     [
       ("strategy", Dpa_obs.Trace.Str strategy_used);

@@ -42,58 +42,6 @@ let order_of_block mapped =
     block_order;
   Array.of_list (List.rev !order)
 
-(* Build the BDD of every block node inside [m], mapping each PI literal to
-   its original position's level via [level_of_orig] (complemented literals
-   are negations of the same variable). Shared sub-BDDs across calls on one
-   manager are interned once — that is what makes repeated candidate
-   evaluation incremental. *)
-let build_block_roots m level_of_orig mapped =
-  let net = Mapped.net mapped in
-  let lits = Mapped.literals mapped in
-  let pos_of_input_id = Int_table.create ~capacity:32 () in
-  Array.iteri (fun k id -> Int_table.replace pos_of_input_id id k) (Netlist.inputs net);
-  let roots = Array.make (Netlist.size net) Robdd.bdd_false in
-  Netlist.iter_nodes
-    (fun i g ->
-      roots.(i) <-
-        (match g with
-        | Gate.Input ->
-          let bpos = Int_table.find pos_of_input_id i in
-          let opos, pol = lits.(bpos) in
-          let v = Robdd.var m (Int_table.find level_of_orig opos) in
-          (match pol with Inverterless.Pos -> v | Inverterless.Neg -> Robdd.neg m v)
-        | Gate.Const b -> if b then Robdd.bdd_true else Robdd.bdd_false
-        | Gate.And xs ->
-          Array.fold_left (fun acc x -> Robdd.apply_and m acc roots.(x)) Robdd.bdd_true xs
-        | Gate.Or xs ->
-          Array.fold_left (fun acc x -> Robdd.apply_or m acc roots.(x)) Robdd.bdd_false xs
-        | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
-          invalid_arg "Estimate: mapped block must be a pure AND/OR network"))
-    net;
-  roots
-
-(* Signal probability of every block node, with both literals of one
-   original PI sharing a single BDD variable. Returns the probabilities and
-   the manager size. *)
-let block_probabilities ?(cancel = Dpa_util.Cancel.none) ~input_probs mapped =
-  check_literals ~input_probs mapped;
-  let order = order_of_block mapped in
-  let level_of_orig = Int_table.create ~capacity:(2 * Array.length order) () in
-  Array.iteri (fun lvl opos -> Int_table.replace level_of_orig opos lvl) order;
-  let m =
-    Robdd.create_sized ~nvars:(Array.length order)
-      ~cache_capacity:(4 * Netlist.size (Mapped.net mapped))
-  in
-  if not (Dpa_util.Cancel.is_none cancel) then Robdd.set_budget ~cancel m;
-  let roots = build_block_roots m level_of_orig mapped in
-  let level_probs = Array.map (fun opos -> input_probs.(opos)) order in
-  let probs = Robdd.probabilities m level_probs roots in
-  Robdd.publish_metrics m;
-  probs, Robdd.total_nodes m
-
-let probabilities_of_block ~input_probs mapped =
-  fst (block_probabilities ~input_probs mapped)
-
 (* S·C·drive·(1+P) of one dynamic cell with signal probability [s]. *)
 let cell_power lib cell ~drive s =
   s *. lib.Dpa_domino.Library.capacitance cell *. drive
@@ -155,16 +103,6 @@ let price mapped ~node_probs ~input_toggle =
     total;
     bdd_nodes = 0;
   }
-
-let of_mapped ?(cancel = Dpa_util.Cancel.none) ~input_probs mapped =
-  Dpa_obs.Trace.with_span "estimate.block" @@ fun () ->
-  let node_probs, bdd_nodes = block_probabilities ~cancel ~input_probs mapped in
-  let report =
-    price mapped ~node_probs ~input_toggle:(fun opos ->
-        Model.static_switching input_probs.(opos))
-  in
-  Dpa_obs.Trace.add_args [ ("bdd_nodes", Dpa_obs.Trace.Int bdd_nodes) ];
-  { report with bdd_nodes }
 
 let of_activity mapped (a : Dpa_sim.Simulator.activity) =
   price mapped ~node_probs:a.Dpa_sim.Simulator.node_probs ~input_toggle:(fun opos ->
@@ -269,60 +207,23 @@ let partial_probabilities pb ~input_probs =
     (fun i ->
       if node_built pb i then Robdd.cached_probability cache pb.pb_roots.(i) else Float.nan)
 
-(* ------------------------------------------------------------------ *)
-(* Incremental estimation: one shared manager across many blocks        *)
-(* ------------------------------------------------------------------ *)
-
-type env = {
-  manager : Robdd.manager;
-  cache : Robdd.prob_cache;
-  level_of_orig : Int_table.t;
-  env_input_probs : float array;
-}
-
-let make_env ?(cancel = Dpa_util.Cancel.none) ~input_probs mapped =
-  check_literals ~input_probs mapped;
-  (* Seed the variable order from this block (canonically the all-positive
-     realization), then append every remaining PI position: re-phased
-     variants of the same circuit reference the same PI set, but the tail
-     keeps the environment total for any block over these inputs. *)
-  let seed_order = order_of_block mapped in
-  let n_pi = Array.length input_probs in
-  let in_seed = Array.make n_pi false in
-  Array.iter (fun opos -> in_seed.(opos) <- true) seed_order;
-  let rest = ref [] in
-  for opos = n_pi - 1 downto 0 do
-    if not in_seed.(opos) then rest := opos :: !rest
-  done;
-  let order = Array.append seed_order (Array.of_list !rest) in
-  let level_of_orig = Int_table.create ~capacity:(2 * n_pi) () in
-  Array.iteri (fun lvl opos -> Int_table.replace level_of_orig opos lvl) order;
-  let manager =
-    Robdd.create_sized ~nvars:(Array.length order)
-      ~cache_capacity:(8 * Netlist.size (Mapped.net mapped))
-  in
-  if not (Dpa_util.Cancel.is_none cancel) then Robdd.set_budget ~cancel manager;
-  let level_probs = Array.map (fun opos -> input_probs.(opos)) order in
-  {
-    manager;
-    cache = Robdd.prob_cache manager level_probs;
-    level_of_orig;
-    env_input_probs = Array.copy input_probs;
-  }
-
-let env_manager env = env.manager
-
-let of_mapped_env env mapped =
-  Dpa_obs.Trace.with_span "estimate.block.incremental" @@ fun () ->
-  check_literals ~input_probs:env.env_input_probs mapped;
-  let roots = build_block_roots env.manager env.level_of_orig mapped in
-  let node_probs = Array.map (Robdd.cached_probability env.cache) roots in
+(* The whole block in one manager under its own order: a partial build
+   of every node. *)
+let of_mapped ?(cancel = Dpa_util.Cancel.none) ~input_probs mapped =
+  Dpa_obs.Trace.with_span "estimate.block" @@ fun () ->
+  let pb = start_build ~order:(block_order ~input_probs mapped) mapped in
+  let m = pb.pb_manager in
+  if not (Dpa_util.Cancel.is_none cancel) then Robdd.set_budget ~cancel m;
+  build_nodes pb ~within:(fun _ -> true);
+  let node_probs = partial_probabilities pb ~input_probs in
+  Robdd.publish_metrics m;
+  let bdd_nodes = Robdd.total_nodes m in
   let report =
     price mapped ~node_probs ~input_toggle:(fun opos ->
-        Model.static_switching env.env_input_probs.(opos))
+        Model.static_switching input_probs.(opos))
   in
-  Robdd.publish_metrics env.manager;
-  { report with bdd_nodes = Robdd.total_nodes env.manager }
+  Dpa_obs.Trace.add_args [ ("bdd_nodes", Dpa_obs.Trace.Int bdd_nodes) ];
+  { report with bdd_nodes }
 
 (* ------------------------------------------------------------------ *)
 (* Slot table: candidate prices without realizing a block               *)
@@ -341,14 +242,39 @@ type table = {
   t_cell_prob : float array;
   t_cell_power : float array;
   t_slots : int;
+  t_bdd_nodes : int;
 }
 
 let slot i pol = (2 * i) + match pol with Inverterless.Pos -> 0 | Inverterless.Neg -> 1
 
-let table env library net =
+let table ?(cancel = Dpa_util.Cancel.none) ~input_probs library net =
   if Mapped.absorbs library then
     invalid_arg "Estimate.table: compound cells depend on the whole block";
-  let m = env.manager in
+  let n_out = Netlist.num_outputs net in
+  let seed =
+    Mapped.map ~library (Inverterless.realize net (Dpa_synth.Phase.all_positive n_out))
+  in
+  (* the all-positive block's order, then every PI it does not reference,
+     ascending: one order whichever candidate is priced *)
+  let n_pi = Array.length input_probs in
+  let level = Array.make n_pi (-1) and levels = ref 0 in
+  let place opos =
+    if level.(opos) < 0 then begin
+      level.(opos) <- !levels;
+      incr levels
+    end
+  in
+  Array.iter place (block_order ~input_probs seed);
+  for opos = 0 to n_pi - 1 do
+    place opos
+  done;
+  let level_probs = Array.make n_pi 0.0 in
+  Array.iteri (fun opos l -> level_probs.(l) <- input_probs.(opos)) level;
+  let m =
+    Robdd.create_sized ~nvars:n_pi ~cache_capacity:(8 * Netlist.size (Mapped.net seed))
+  in
+  if not (Dpa_util.Cancel.is_none cancel) then Robdd.set_budget ~cancel m;
+  let cache = Robdd.prob_cache m level_probs in
   let n = Netlist.size net in
   let first = Array.make (2 * n) (-1) and last = Array.make (2 * n) 0 in
   let root = Array.make (2 * n) (-1) and root_prob = Array.make (2 * n) Float.nan in
@@ -357,8 +283,8 @@ let table env library net =
   Array.iteri (fun pos id -> pi_position.(id) <- pos) (Netlist.inputs net);
   let probs = Vec.create ~dummy:0.0 () and powers = Vec.create ~dummy:0.0 () in
   let slots = ref 0 in
-  (* one mapped cell: the BDD [build_block_roots] would give it, priced
-     at drive 1.0 as [price] prices a freshly mapped block *)
+  (* one mapped cell: the BDD [build_nodes] would give it, priced at
+     drive 1.0 as [price] prices a freshly mapped block *)
   let add g =
     let bdd =
       match g with
@@ -367,7 +293,7 @@ let table env library net =
       | Gate.Input | Gate.Const _ | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
         invalid_arg "Estimate.table: cells are AND/OR gates"
     in
-    let p = Robdd.cached_probability env.cache bdd in
+    let p = Robdd.cached_probability cache bdd in
     ignore (Vec.push probs p);
     ignore
       (Vec.push powers
@@ -385,7 +311,7 @@ let table env library net =
         match g with
         | Gate.Input ->
           let opos = pi_position.(i) in
-          let v = Robdd.var m (Int_table.find env.level_of_orig opos) in
+          let v = Robdd.var m level.(opos) in
           (match pol with
           | Inverterless.Pos -> v
           | Inverterless.Neg ->
@@ -397,19 +323,18 @@ let table env library net =
       in
       last.(s) <- Vec.length probs;
       root.(s) <- bdd;
-      root_prob.(s) <- Robdd.cached_probability env.cache bdd;
+      root_prob.(s) <- Robdd.cached_probability cache bdd;
       incr slots;
       bdd
     end
   in
-  let n_out = Netlist.num_outputs net in
   List.iter
     (fun phase -> ignore (Inverterless.demand net (Array.make n_out phase) ~emit))
     [ Dpa_synth.Phase.Positive; Dpa_synth.Phase.Negative ];
   Robdd.publish_metrics m;
   {
     t_net = net;
-    t_input_probs = env.env_input_probs;
+    t_input_probs = Array.copy input_probs;
     t_first = first;
     t_last = last;
     t_root_prob = root_prob;
@@ -417,11 +342,14 @@ let table env library net =
     t_cell_prob = Vec.to_array probs;
     t_cell_power = Vec.to_array powers;
     t_slots = !slots;
+    t_bdd_nodes = Robdd.total_nodes m;
   }
 
 let table_slots t = t.t_slots
 
 let table_cells t = Array.length t.t_cell_prob
+
+let table_bdd_nodes t = t.t_bdd_nodes
 
 type table_price = {
   power : float;

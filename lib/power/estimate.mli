@@ -24,10 +24,14 @@ type report = {
 val of_mapped :
   ?cancel:Dpa_util.Cancel.t -> input_probs:float array -> Dpa_domino.Mapped.t -> report
 (** [input_probs] is indexed by {e original} primary-input position and
-    must cover every PI the block references. [cancel] installs a
-    cooperative-cancellation token on the internal manager: the build
-    raises [Dpa_error.Error (Cancelled _)] promptly once the token fires,
-    and the checks never change the numeric result. *)
+    must cover every PI the block references. The block is one
+    {!partial_build} of every node in a fresh manager under
+    {!block_order}, so there is one exact builder: the engine's shards
+    run the same code a cone at a time. [bdd_nodes] is the manager's
+    {!Dpa_bdd.Robdd.total_nodes}. [cancel] installs a
+    cooperative-cancellation token on the manager: the build raises
+    [Dpa_error.Error (Cancelled _)] promptly once the token fires, and the
+    checks never change the numeric result. *)
 
 val price :
   Dpa_domino.Mapped.t ->
@@ -41,10 +45,6 @@ val price :
     BDD estimator (analytic activity) and the simulator (measured
     activity); [bdd_nodes] is 0. *)
 
-val probabilities_of_block :
-  input_probs:float array -> Dpa_domino.Mapped.t -> float array
-(** Just the per-node signal probabilities (no pricing). *)
-
 val of_activity : Dpa_domino.Mapped.t -> Dpa_sim.Simulator.activity -> report
 (** Prices {e measured} activity from the domino simulator with the same
     model as the BDD estimator — the two totals are directly comparable.
@@ -52,11 +52,11 @@ val of_activity : Dpa_domino.Mapped.t -> Dpa_sim.Simulator.activity -> report
 
 (** {2 Partial building}
 
-    The resource-bounded engine ({!Engine}) builds a block's BDDs one
-    output cone at a time under a manager budget, so exhaustion can be
-    attributed to — and recovered from — per cone. These hooks expose the
-    estimator's literal-aware building (both polarities of a PI share one
-    BDD variable) at that granularity. *)
+    The estimator's one BDD builder, literal-aware (both polarities of a
+    PI share one BDD variable). {!of_mapped} builds every node at once;
+    the resource-bounded engine ({!Engine}) builds a block one output
+    cone at a time under a manager budget, so exhaustion can be
+    attributed to — and recovered from — per cone. *)
 
 type partial_build
 
@@ -78,8 +78,6 @@ val build_nodes : partial_build -> within:(int -> bool) -> unit
     cone membership), in topological order; fanins of a selected node must
     be selected too. May raise {!Dpa_util.Dpa_error.Budget_exceeded}; the
     partial build stays valid and a retry resumes from what was interned. *)
-
-val node_built : partial_build -> int -> bool
 
 val partial_probabilities : partial_build -> input_probs:float array -> float array
 (** Exact signal probability per block node; [Float.nan] where the node is
@@ -105,35 +103,6 @@ val sift_partial :
     {!Dpa_util.Dpa_error.Budget_exceeded} or cancellation (the manager is
     consistent at every swap boundary). Parameters as {!Dpa_bdd.Sift.sift}. *)
 
-(** {2 Shared-manager estimation}
-
-    An {!env} keeps one BDD manager with a fixed variable order and a
-    persistent probability cache, so pricing many re-phased variants of
-    one circuit in it interns every shared subfunction once: a block
-    built after another only constructs the BDD nodes its flipped cones
-    introduce. The probability of a node depends only on its function
-    and the env's order, never on which block built it. *)
-
-type env
-(** Shared BDD manager + probability cache for repeated estimation of
-    blocks over one set of primary inputs. *)
-
-val make_env :
-  ?cancel:Dpa_util.Cancel.t -> input_probs:float array -> Dpa_domino.Mapped.t -> env
-(** [make_env ~input_probs mapped] fixes the variable order from [mapped]
-    (canonically the all-positive realization, mirroring {!of_mapped}'s
-    per-block order) extended with any PI positions the block does not
-    reference. [input_probs] is copied. [cancel] makes every build under
-    the env's shared manager cooperatively cancellable. *)
-
-val of_mapped_env : env -> Dpa_domino.Mapped.t -> report
-(** Like {!of_mapped} under the env's manager and cached probabilities.
-    Exact — the cache memoizes per BDD node, never approximates.
-    [bdd_nodes] reports the {e shared} manager size. *)
-
-val env_manager : env -> Dpa_bdd.Robdd.manager
-(** The underlying manager, e.g. for {!Dpa_bdd.Robdd.stats}. *)
-
 (** {2 Slot-table pricing}
 
     A {e slot} is an (original node, polarity) pair that a phase
@@ -148,20 +117,34 @@ val env_manager : env -> Dpa_bdd.Robdd.manager
 
 type table
 
-val table : env -> Dpa_domino.Library.t -> Dpa_logic.Netlist.t -> table
-(** [table env library net] prices, in [env], every slot of the
+val table :
+  ?cancel:Dpa_util.Cancel.t ->
+  input_probs:float array ->
+  Dpa_domino.Library.t ->
+  Dpa_logic.Netlist.t ->
+  table
+(** [table ~input_probs library net] prices every slot of the
     all-positive and the all-negative realization of [net] (a
-    domino-ready network over [env]'s inputs); together their slots
-    cover every assignment's. Raises [Invalid_argument] for a library
-    with compound cells ({!Dpa_domino.Mapped.absorbs}): absorption reads
-    each block's fanout counts, so a slot's cells depend on the rest of
-    the block. *)
+    domino-ready network; [input_probs] has one entry per PI, and is
+    copied); together their slots cover every assignment's. All of it is
+    built in one fresh manager whose variable order is the all-positive
+    block's {!block_order}, then every PI that block does not reference,
+    ascending — so the order is the same whichever candidate is priced.
+    The manager's kernel counters are published
+    ({!Dpa_bdd.Robdd.publish_metrics}) once it is built. [cancel] is
+    installed on the manager as in {!of_mapped}. Raises
+    [Invalid_argument] for a library with compound cells
+    ({!Dpa_domino.Mapped.absorbs}): absorption reads each block's fanout
+    counts, so a slot's cells depend on the rest of the block. *)
 
 val table_slots : table -> int
 (** Slots priced into the table. *)
 
 val table_cells : table -> int
 (** Mapped cells held over all slots. *)
+
+val table_bdd_nodes : table -> int
+(** {!Dpa_bdd.Robdd.total_nodes} of the table's manager. *)
 
 type table_price = {
   power : float;  (** the report's [total] *)
@@ -170,9 +153,13 @@ type table_price = {
 }
 
 val of_table : table -> Dpa_synth.Phase.assignment -> table_price
-(** The price of [a] bit for bit as {!of_mapped_env} [env] gives it for
-    [Mapped.map ~library (Inverterless.realize net a)]: the same terms
-    summed in the same order. *)
+(** The price of [a], bit for bit what {!price} gives for
+    [Mapped.map ~library (Inverterless.realize net a)] with that block's
+    probabilities built under the table's variable order ({!start_build}
+    with that order, {!build_nodes} on every node,
+    {!partial_probabilities}): the same terms summed in the same order.
+    A node's probability depends only on its BDD under a fixed order,
+    not on which manager holds it. *)
 
 (** {2 Probabilities of the original network}
 
@@ -200,7 +187,9 @@ val original_probabilities :
 val table_original_probabilities : table -> float array
 (** The same for the all-positive block, read off the table's slot root
     probabilities — bit for bit what {!original_probabilities} gives on
-    that block priced by {!of_mapped_env} in the table's env. *)
+    that block built under the table's variable order, and so what
+    {!of_mapped} gives on it (the table's order is that block's own,
+    extended by PIs it does not reference). *)
 
 val by_cell_type :
   ?input_toggle:(int -> float) ->

@@ -33,7 +33,6 @@ let report_json r =
       ("replacements", num r.replacements);
       ("rescues", num r.rescues);
       ("injections", Jsonlite.Obj (List.map (fun (k, n) -> (k, num n)) r.injections));
-      ("lost", num 0);
     ]
 
 let default_faults =
@@ -198,6 +197,11 @@ let soak ?(seed = 1) ?(workers = 4) ?(jobs = 1) ?(queue_capacity = 8) ?(requests
             0 garbage_probes
         end
       in
+      if answered_garbage < garbage then
+        Dpa_util.Dpa_error.error
+          (Dpa_util.Dpa_error.Internal
+             (Printf.sprintf "soak got %d structured errors for %d garbage probes"
+                answered_garbage garbage));
       (* quiesce: the accounting phase observes the pool's recovery and
          must not itself be panicked/torn. Injection counts are final
          now — snapshot them before clear resets the registry (the

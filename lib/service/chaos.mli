@@ -9,10 +9,10 @@
     probes, and then interrogates the server's [stats] endpoint.
 
     The soak's invariants, checked here rather than by the caller:
-    every request id is answered exactly once ({!Dpa_util.Dpa_error}
-    [Internal] is raised otherwise — the retrying client already raises
-    when attempts run out with ids unanswered), every garbage probe gets
-    a structured error, and the pool is back at full worker strength at
+    every request id is answered exactly once and every garbage probe
+    gets a structured error ({!Dpa_util.Dpa_error} [Internal] is raised
+    otherwise — the retrying client already raises when attempts run out
+    with ids unanswered), and the pool is back at full worker strength at
     the end (reported, so the caller can assert [strength = workers]).
     Responses may legitimately be errors — [deadline_exceeded] from the
     cancellation backstop, [internal] from a panicked worker — the
@@ -26,7 +26,7 @@ type report = {
   requests : int;
   ok : int;
   errors : (string * int) list;  (** error-kind → count over final answers *)
-  garbage_probes : int;  (** garbage lines that got a structured answer *)
+  garbage_probes : int;  (** garbage lines that got a structured error: all of them *)
   elapsed_s : float;
   workers : int;
   strength : int;  (** staffed workers at the end; [= workers] on a pass *)

@@ -17,6 +17,7 @@ let () =
       ("workload", Test_workload.suite);
       ("corpus", Test_corpus.suite);
       ("core", Test_core.suite);
+      ("golden", Test_golden.suite);
       ("engine", Test_engine.suite);
       ("obs", Test_obs.suite);
       ("service", Test_service.suite);

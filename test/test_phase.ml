@@ -70,6 +70,28 @@ let test_measure_caching () =
   Alcotest.(check int) "one evaluation" 1 (Measure.evaluations m);
   Testkit.check_approx "same power" s1.Measure.power s2.Measure.power
 
+(* A price that raises records no visit: the retry prices the
+   assignment afresh and counts it once. *)
+let test_measure_retry_after_failed_price () =
+  let net = Dpa_synth.Opt.optimize (Testkit.load_blif "../data/frg1_synthetic.blif") in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
+  let calls = ref 0 in
+  let pricer mapped =
+    incr calls;
+    if !calls = 1 then failwith "first price fails";
+    { Measure.power = 1.0; size = Dpa_domino.Mapped.size mapped; domino_switching = 0.5 }
+  in
+  let m = Measure.create ~pricer ~input_probs net in
+  let a = Phase.all_positive (Netlist.num_outputs net) in
+  Alcotest.check_raises "first price raises" (Failure "first price fails") (fun () ->
+      ignore (Measure.eval m a));
+  Alcotest.(check int) "no evaluation yet" 0 (Measure.evaluations m);
+  let s = Measure.eval m a in
+  Testkit.check_bits "the retry's sample" 1.0 s.Measure.power;
+  Alcotest.(check int) "one evaluation" 1 (Measure.evaluations m);
+  ignore (Measure.eval m a);
+  Alcotest.(check int) "priced twice, the second time for good" 2 !calls
+
 let test_measure_rejects_xor () =
   let t = Netlist.create () in
   let a = Netlist.add_input t in
@@ -372,42 +394,6 @@ let test_incremental_greedy_matches_rebuild () =
         inc.Greedy.power)
     (example_circuits ())
 
-let test_incremental_probs_exact () =
-  (* every single-output flip away from all-positive — the moves a greedy
-     step measures — prices identically (1e-12) through the shared env and
-     through a from-scratch per-block build *)
-  List.iter
-    (fun (name, net) ->
-      let probs = example_probs net in
-      let n_out = Netlist.num_outputs net in
-      let m = Measure.create ~input_probs:probs net in
-      let env =
-        Dpa_power.Estimate.make_env ~input_probs:probs
-          (Measure.realize_mapped m (Phase.all_positive n_out))
-      in
-      let check_assignment a =
-        let mapped = Measure.realize_mapped m a in
-        let inc = Dpa_power.Estimate.of_mapped_env env mapped in
-        let fresh = Dpa_power.Estimate.of_mapped ~input_probs:probs mapped in
-        Array.iteri
-          (fun i e ->
-            Testkit.check_approx ~eps:1e-12
-              (Printf.sprintf "%s %s node %d" name (Phase.to_string a) i)
-              e
-              inc.Dpa_power.Estimate.node_probs.(i))
-          fresh.Dpa_power.Estimate.node_probs;
-        Testkit.check_approx ~eps:1e-12
-          (name ^ " total " ^ Phase.to_string a)
-          fresh.Dpa_power.Estimate.total inc.Dpa_power.Estimate.total
-      in
-      check_assignment (Phase.all_positive n_out);
-      for i = 0 to n_out - 1 do
-        let a = Phase.all_positive n_out in
-        a.(i) <- Phase.Negative;
-        check_assignment a
-      done)
-    (example_circuits ())
-
 (* ---- compound cells: every candidate's block is built ---- *)
 
 (* f = (a∧b) ∨ (c∧d∧e) ∨ g absorbs both AND terms into one compound
@@ -429,17 +415,11 @@ let test_compound_search_prices_blocks () =
   List.iter
     (fun (name, net) ->
       let probs = example_probs net in
-      let n_out = Netlist.num_outputs net in
-      (* the oracle: realize → map → of_mapped_env for every candidate, in
-         an env seeded from the all-positive block *)
-      let env =
-        Dpa_power.Estimate.make_env ~input_probs:probs
-          (Dpa_domino.Mapped.map ~library
-             (Dpa_synth.Inverterless.realize net (Phase.all_positive n_out)))
-      in
+      (* the oracle: realize → map → a from-scratch of_mapped for every
+         candidate *)
       let visited = ref [] in
       let oracle mapped =
-        let r = Dpa_power.Estimate.of_mapped_env env mapped in
+        let r = Dpa_power.Estimate.of_mapped ~input_probs:probs mapped in
         let s =
           {
             Measure.power = r.Dpa_power.Estimate.total;
@@ -539,19 +519,24 @@ let test_base_probs_ulps () =
       Array.init (Netlist.num_inputs net) (fun _ -> Dpa_util.Rng.float rng 1.0))
 
 let test_base_probs_same_across_pricings () =
-  (* the slot table, the env's report behind a custom pricer, and a
-     compound library's env blocks all read the same all-positive BDDs *)
+  (* the slot table, a custom pricer's base (the table's, or under
+     compound cells the engine's all-positive estimate) and the compound
+     engine's own price all read the same all-positive BDDs *)
   let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "apex7") in
   let input_probs = example_probs net in
   let table = Measure.base_probs (Measure.create ~input_probs net) in
   let pricer _ = { Measure.power = 0.0; size = 0; domino_switching = 0.0 } in
   let priced = Measure.base_probs (Measure.create ~pricer ~input_probs net) in
   let library = Dpa_domino.Library.with_compound Dpa_domino.Library.default in
-  let blocks = Measure.base_probs (Measure.create ~library ~input_probs net) in
+  let engine = Measure.base_probs (Measure.create ~library ~input_probs net) in
+  let priced_compound = Measure.base_probs (Measure.create ~library ~pricer ~input_probs net) in
   List.iter
     (fun i ->
       Testkit.check_bits (Printf.sprintf "pricer node %d" i) table.(i) priced.(i);
-      Testkit.check_bits (Printf.sprintf "blocks node %d" i) table.(i) blocks.(i))
+      Testkit.check_bits (Printf.sprintf "engine node %d" i) table.(i) engine.(i);
+      Testkit.check_bits
+        (Printf.sprintf "compound pricer node %d" i)
+        table.(i) priced_compound.(i))
     (cone_nodes net)
 
 (* Property 4.1 read backwards works off any assignment's block: every
@@ -636,14 +621,14 @@ let suite =
     prop_original_probabilities;
     Alcotest.test_case "incremental greedy = rebuild greedy" `Quick
       test_incremental_greedy_matches_rebuild;
-    Alcotest.test_case "incremental probabilities exact" `Quick
-      test_incremental_probs_exact;
     Alcotest.test_case "compound search prices every block" `Quick
       test_compound_search_prices_blocks;
     Alcotest.test_case "averager matches averages" `Quick test_averager_matches_averages;
     Alcotest.test_case "cost formulas" `Quick test_cost_formulas;
     Alcotest.test_case "best action pair" `Quick test_best_action_pair;
     Alcotest.test_case "measure caching" `Quick test_measure_caching;
+    Alcotest.test_case "measure retries a failed price" `Quick
+      test_measure_retry_after_failed_price;
     Alcotest.test_case "measure rejects xor" `Quick test_measure_rejects_xor;
     Alcotest.test_case "exhaustive fig5" `Quick test_exhaustive_fig5;
     Alcotest.test_case "greedy improves" `Quick test_greedy_never_worse_than_initial;

@@ -71,7 +71,7 @@ let test_shared_variable_correctness () =
   let g = Netlist.add_gate t (Dpa_logic.Gate.Or [| a; na |]) in
   Netlist.add_output t "g" g;
   let mapped = Mapped.map (Inverterless.realize t [| Phase.Positive |]) in
-  let probs = Estimate.probabilities_of_block ~input_probs:[| 0.3 |] mapped in
+  let probs = (Estimate.of_mapped ~input_probs:[| 0.3 |] mapped).Estimate.node_probs in
   let _, driver = (Netlist.outputs (Mapped.net mapped)).(0) in
   Testkit.check_approx "tautology has probability 1" 1.0 probs.(driver)
 
@@ -84,7 +84,7 @@ let prop_block_probs_exact =
       let net = Dpa_synth.Opt.optimize net in
       let a = Phase.all_positive (Netlist.num_outputs net) in
       let mapped = Mapped.map (Inverterless.realize net a) in
-      let probs = Estimate.probabilities_of_block ~input_probs mapped in
+      let probs = (Estimate.of_mapped ~input_probs mapped).Estimate.node_probs in
       (* brute force over original inputs *)
       let blk = Mapped.net mapped in
       let lits = Mapped.literals mapped in
@@ -201,11 +201,30 @@ let test_domino_static_ratio () =
   Alcotest.(check bool) "domino costs more" true (ratio > 1.0);
   Alcotest.(check bool) "within sane band" true (ratio < 10.0)
 
-(* ---- slot table: bit for bit against the per-candidate env ---- *)
+(* ---- slot table: bit for bit against each candidate's own build ---- *)
 
-let env_for ~library ~input_probs net =
-  Estimate.make_env ~input_probs
-    (Mapped.map ~library (Inverterless.realize net (Phase.all_positive (Netlist.num_outputs net))))
+(* The table's documented variable order: the all-positive block's, then
+   every PI that block does not reference, ascending. *)
+let table_order ~library ~input_probs net =
+  let seed =
+    Mapped.map ~library (Inverterless.realize net (Phase.all_positive (Netlist.num_outputs net)))
+  in
+  let head = Estimate.block_order ~input_probs seed in
+  let rest =
+    List.filter
+      (fun opos -> not (Array.mem opos head))
+      (List.init (Array.length input_probs) Fun.id)
+  in
+  Array.append head (Array.of_list rest)
+
+(* The candidate's block built whole under [order] in a fresh manager,
+   then priced as [of_mapped] prices. *)
+let build_under ~order ~input_probs mapped =
+  let pb = Estimate.start_build ~order mapped in
+  Estimate.build_nodes pb ~within:(fun _ -> true);
+  Estimate.price mapped
+    ~node_probs:(Estimate.partial_probabilities pb ~input_probs)
+    ~input_toggle:(fun opos -> Dpa_power.Model.static_switching input_probs.(opos))
 
 (* A seeded per-PI vector away from the dyadic rationals, where float
    sums reassociate visibly. *)
@@ -217,18 +236,17 @@ let libraries =
   [ ("default", Dpa_domino.Library.default);
     ("series penalty", Dpa_domino.Library.with_series_penalty Dpa_domino.Library.default) ]
 
-(* The table's price of each assignment against the oracle: realize, map
-   and build the candidate in an env seeded as the table's is (a separate
-   one, so nothing is shared but the variable order). Returns the
-   mismatches. *)
+(* The table's price of each assignment against the oracle: realize and
+   map the candidate, and build its block under the table's order.
+   Returns the mismatches. *)
 let table_mismatches ~library ~input_probs net assignments =
-  let table = Estimate.table (env_for ~library ~input_probs net) library net in
-  let env = env_for ~library ~input_probs net in
+  let table = Estimate.table ~input_probs library net in
+  let order = table_order ~library ~input_probs net in
   let bits = Int64.bits_of_float in
   List.filter_map
     (fun a ->
       let mapped = Mapped.map ~library (Inverterless.realize net a) in
-      let r = Estimate.of_mapped_env env mapped in
+      let r = build_under ~order ~input_probs mapped in
       let p = Estimate.of_table table a in
       if
         bits p.Estimate.power = bits r.Estimate.total
@@ -237,7 +255,7 @@ let table_mismatches ~library ~input_probs net assignments =
       then None
       else
         Some
-          (Printf.sprintf "%s: table %h / %h / %d, env %h / %h / %d" (Phase.to_string a)
+          (Printf.sprintf "%s: table %h / %h / %d, build %h / %h / %d" (Phase.to_string a)
              p.Estimate.power p.Estimate.switching p.Estimate.size r.Estimate.total
              r.Estimate.domino_switching (Mapped.size mapped)))
     assignments
@@ -253,10 +271,10 @@ let each_case net ~seed f =
         [ ("p=0.5", Array.make n 0.5); ("seeded", nondyadic_probs seed n) ])
     libraries
 
-let prop_table_matches_env =
+let prop_table_matches_build =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:100 ~print:Testkit.print_wide_case
-       ~name:"slot table = per-candidate env, bit for bit" Testkit.gen_wide_netlist
+       ~name:"slot table = per-candidate build" Testkit.gen_wide_netlist
        (fun (net, seed) ->
          let every = List.of_seq (Phase.enumerate ~num_outputs:(Netlist.num_outputs net)) in
          match
@@ -266,7 +284,7 @@ let prop_table_matches_env =
          | [] -> true
          | m :: _ -> QCheck2.Test.fail_report m))
 
-let test_table_matches_env_on_circuits () =
+let test_table_matches_build_on_circuits () =
   let circuits =
     List.map (fun path -> (path, Testkit.load_blif path)) Testkit.data_files
     @ List.map
@@ -289,6 +307,17 @@ let test_table_matches_env_on_circuits () =
              table_mismatches ~library ~input_probs net assignments)))
     circuits
 
+(* The token an unbudgeted phase search passes reaches the table's
+   manager: one fired before the build stops it with [Cancelled]. *)
+let test_table_cancelled () =
+  let net = Dpa_synth.Opt.optimize (Testkit.load_blif "../data/apex7_synthetic.blif") in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
+  let cancel = Dpa_util.Cancel.create () in
+  Dpa_util.Cancel.cancel cancel;
+  match Estimate.table ~cancel ~input_probs Dpa_domino.Library.default net with
+  | _ -> Alcotest.fail "a fired token let the table build"
+  | exception Dpa_util.Dpa_error.Error (Dpa_util.Dpa_error.Cancelled _) -> ()
+
 let suite =
   [ Alcotest.test_case "fig2 model" `Quick test_model_fig2;
     Alcotest.test_case "static model values" `Quick test_static_model_values;
@@ -304,6 +333,7 @@ let suite =
     prop_block_probs_exact;
     prop_total_is_sum;
     prop_unit_pricing;
-    prop_table_matches_env;
-    Alcotest.test_case "slot table = env on data and profiles" `Quick
-      test_table_matches_env_on_circuits ]
+    prop_table_matches_build;
+    Alcotest.test_case "slot table = build on data and profiles" `Quick
+      test_table_matches_build_on_circuits;
+    Alcotest.test_case "slot table honours a fired token" `Quick test_table_cancelled ]

@@ -53,7 +53,7 @@ let test_property_2_1_empirical () =
      must match the BDD signal probabilities *)
   let probs = Array.make 4 0.5 in
   let mapped = fig5_mapped (Phase.all_positive 2) in
-  let est_probs = Estimate.probabilities_of_block ~input_probs:probs mapped in
+  let est_probs = (Estimate.of_mapped ~input_probs:probs mapped).Estimate.node_probs in
   let rng = Dpa_util.Rng.create 23 in
   let meas = Simulator.measure ~cycles:50_000 rng ~input_probs:probs mapped in
   Netlist.iter_nodes
