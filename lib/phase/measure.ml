@@ -287,14 +287,13 @@ let base_probs t =
   | None ->
     let b =
       match t.pricing with
-      | Pricer _ when Dpa_domino.Mapped.absorbs t.library ->
-        (* the custom pricer's sample is opaque: read the estimate the
-           engine gives the all-positive block under compound cells *)
+      | Pricer _ ->
+        (* the custom pricer's sample is opaque: read the all-positive
+           block's exact estimate *)
         let mapped = realize_mapped t (all_positive t) in
         original t mapped
-          (Dpa_power.Engine.estimate ~cancel:t.cancel ~input_probs:t.input_probs mapped)
-            .Dpa_power.Engine.report
-      | Pricer _ | Table -> Dpa_power.Estimate.table_original_probabilities (table_of t)
+          (Dpa_power.Estimate.of_mapped ~cancel:t.cancel ~input_probs:t.input_probs mapped)
+      | Table -> Dpa_power.Estimate.table_original_probabilities (table_of t)
       | Engine _ ->
         (* every price of the all-positive block keeps its vector, so it
            is unpriced: price it now, as a prefetch would — the search

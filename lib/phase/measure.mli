@@ -126,9 +126,10 @@ val base_probs : t -> float array
       measurement computed;
     - under the slot table, its per-slot root probabilities
       ({!Dpa_power.Estimate.table_original_probabilities});
-    - under a custom [pricer], whose sample is opaque, the slot table's,
-      or under compound cells the engine's estimate of the all-positive
-      block.
+    - under a custom [pricer], whose sample is opaque,
+      {!Dpa_power.Estimate.of_mapped} of the all-positive block; for a
+      library without compound cells these are the slot table's bits
+      (the table builds that block under the block's own order).
 
     Pricing the all-positive assignment only to get these counts as an
     evaluation only when the search visits it, as with {!prime} and

@@ -118,6 +118,32 @@ let error_kind_of line =
     | _ -> Some "unknown")
   | Error _ -> Some "unparseable"
 
+(* A garbage probe must come back as a response with ok = false; a reply
+   that does not parse is no structured error. *)
+let structured_error line =
+  match Protocol.parse_response line with
+  | Ok { Protocol.ok; _ } -> not ok
+  | Error _ -> false
+
+let probe_garbage ~socket probes =
+  let answered =
+    match probes with
+    | [] -> 0
+    | _ ->
+      let c = Client.connect socket in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      List.fold_left
+        (fun acc g -> if structured_error (Client.request c g) then acc + 1 else acc)
+        0 probes
+  in
+  let sent = List.length probes in
+  if answered < sent then
+    Dpa_util.Dpa_error.error
+      (Dpa_util.Dpa_error.Internal
+         (Printf.sprintf "soak got %d structured errors for %d garbage probes" answered
+            sent));
+  answered
+
 let stats_of ~socket =
   let c = Client.connect socket in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -185,23 +211,7 @@ let soak ?(seed = 1) ?(workers = 4) ?(jobs = 1) ?(queue_capacity = 8) ?(requests
                 (List.length responses) requests));
       (* garbage probes ride a clean connection: every one must come
          back as a structured error, not a dropped line *)
-      let answered_garbage =
-        if garbage = 0 then 0
-        else begin
-          let c = Client.connect socket in
-          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-          List.fold_left
-            (fun acc g ->
-              let r = Client.request c g in
-              match error_kind_of r with Some _ -> acc + 1 | None -> acc)
-            0 garbage_probes
-        end
-      in
-      if answered_garbage < garbage then
-        Dpa_util.Dpa_error.error
-          (Dpa_util.Dpa_error.Internal
-             (Printf.sprintf "soak got %d structured errors for %d garbage probes"
-                answered_garbage garbage));
+      let answered_garbage = probe_garbage ~socket garbage_probes in
       (* quiesce: the accounting phase observes the pool's recovery and
          must not itself be panicked/torn. Injection counts are final
          now — snapshot them before clear resets the registry (the

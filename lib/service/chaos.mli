@@ -39,6 +39,14 @@ type report = {
 val report_json : report -> Dpa_util.Jsonlite.t
 (** The report as the JSON object [dominoflow chaos --json] prints. *)
 
+val probe_garbage : socket:string -> string list -> int
+(** [probe_garbage ~socket probes] sends each line on one connection to
+    the server at [socket] and returns how many replies were structured
+    errors: responses that parse with [ok = false]. Raises
+    {!Dpa_util.Dpa_error} [Internal] when any reply is not one (an
+    unparseable line or a success). {!soak} runs it on its garbage
+    probes. *)
+
 val soak :
   ?seed:int ->
   ?workers:int ->

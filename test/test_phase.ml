@@ -519,8 +519,8 @@ let test_base_probs_ulps () =
       Array.init (Netlist.num_inputs net) (fun _ -> Dpa_util.Rng.float rng 1.0))
 
 let test_base_probs_same_across_pricings () =
-  (* the slot table, a custom pricer's base (the table's, or under
-     compound cells the engine's all-positive estimate) and the compound
+  (* the slot table, a custom pricer's base (of_mapped of the
+     all-positive block, in a manager of its own) and the compound
      engine's own price all read the same all-positive BDDs *)
   let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "apex7") in
   let input_probs = example_probs net in

@@ -635,6 +635,47 @@ let test_chaos_soak_small () =
   Alcotest.(check int) "garbage all answered" 5 r.Chaos.garbage_probes;
   Alcotest.(check int) "pool back at full strength" 2 r.Chaos.strength
 
+let test_chaos_garbage_needs_structured_errors () =
+  (* a hand-rolled server that answers every line with a non-JSON line:
+     the soak's garbage check must refuse those replies, not count them *)
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dpa_garbage_%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX path);
+  Unix.listen lsock 1;
+  let srv =
+    Domain.spawn (fun () ->
+        match Unix.accept lsock with
+        | exception Unix.Unix_error _ -> ()
+        | fd, _ ->
+          let ic = Unix.in_channel_of_descr fd in
+          (try
+             while true do
+               ignore (input_line ic);
+               ignore (Unix.write_substring fd "zzz\n" 0 4)
+             done
+           with End_of_file | Unix.Unix_error _ -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ()))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* unblock a still-pending accept so the join cannot hang *)
+      (try
+         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+         (try Unix.connect fd (Unix.ADDR_UNIX path) with Unix.Unix_error _ -> ());
+         Unix.close fd
+       with Unix.Unix_error _ -> ());
+      Domain.join srv;
+      Unix.close lsock;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  match Chaos.probe_garbage ~socket:path [ "{garbage 1"; "zzzzzzzz" ] with
+  | n -> Alcotest.failf "non-JSON replies counted as %d structured errors" n
+  | exception Dpa_util.Dpa_error.Error (Dpa_util.Dpa_error.Internal _) -> ()
+
 let suite =
   [
     Alcotest.test_case "roundtrip: ping/shutdown" `Quick test_roundtrip_simple;
@@ -672,4 +713,6 @@ let suite =
     Alcotest.test_case "client: retry survives mid-batch drop" `Quick
       test_client_retry_survives_midbatch_drop;
     Alcotest.test_case "chaos: small soak, nothing lost" `Quick test_chaos_soak_small;
+    Alcotest.test_case "chaos: a non-JSON probe reply fails the soak" `Quick
+      test_chaos_garbage_needs_structured_errors;
   ]
