@@ -361,7 +361,7 @@ let price ~pool ~source ~input_prob ~phases ~budget k =
 let estimate_cmd =
   let cycles_arg =
     let doc = "Also simulate this many cycles and report measured power." in
-    Arg.(value & opt (some int) None & info [ "simulate" ] ~docv:"CYCLES" ~doc)
+    Arg.(value & opt (some positive) None & info [ "simulate" ] ~docv:"CYCLES" ~doc)
   in
   let action source input_prob phases cycles budget pool =
     price ~pool ~source ~input_prob ~phases ~budget @@ fun ~input_probs mapped r ->
@@ -376,14 +376,14 @@ let estimate_cmd =
          ~input_toggle:(fun pos -> Dpa_power.Model.static_switching input_probs.(pos))
          mapped ~node_probs:r.Dpa_power.Estimate.node_probs);
     match cycles with
-    | Some c when c > 0 ->
+    | Some c ->
       let rng = Dpa_util.Rng.create 1 in
       let m =
         Dpa_power.Estimate.of_activity mapped
           (Dpa_sim.Simulator.measure ~cycles:c rng ~input_probs mapped)
       in
       Printf.printf "  simulated (%d cycles) %9.4f\n" c m.Dpa_power.Estimate.total
-    | Some _ | None -> ()
+    | None -> ()
   in
   let doc = "Estimate (and optionally simulate) domino power for a phase assignment." in
   command "estimate" ~doc
@@ -560,13 +560,11 @@ let workers_arg =
     & opt positive (max 1 (min 4 (Domain.recommended_domain_count () - 1)))
     & info [ "workers"; "j" ] ~docv:"N" ~doc)
 
-(* Fault-injection plumbing shared by serve and chaos: an explicit
-   --fault spec wins over the DPA_FAULT environment variable. *)
+(* Fault-injection plumbing shared by serve and chaos. *)
 let fault_arg =
   let doc =
     "Arm fault injection: $(docv) is \"point:rate[:param],...\" over slow_cone, \
-     worker_panic, garbage_frame, torn_frame, drop_conn, write_stall. Overrides \
-     $(b,DPA_FAULT)."
+     worker_panic, torn_frame, drop_conn, write_stall."
   in
   Arg.(value & opt (some string) None & info [ "fault" ] ~docv:"SPEC" ~doc)
 
@@ -576,16 +574,13 @@ let fault_seed_arg =
 
 let arm_faults ~fault ~fault_seed =
   match fault with
+  | None -> Ok ()
   | Some spec -> (
     match Dpa_util.Fault.parse_config spec with
     | Ok cfg ->
       Dpa_util.Fault.configure ~seed:fault_seed cfg;
       Ok ()
     | Error msg -> Error ("--fault: " ^ msg))
-  | None -> (
-    match Dpa_util.Fault.from_env () with
-    | Ok () -> Ok ()
-    | Error msg -> Error ("DPA_FAULT: " ^ msg))
 
 let max_request_bytes_arg =
   let doc =
@@ -818,7 +813,7 @@ let batch_cmd =
   in
   let repeat_arg =
     let doc = "Send each request $(docv) times (throughput measurement)." in
-    Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"K" ~doc)
+    Arg.(value & opt positive 1 & info [ "repeat" ] ~docv:"K" ~doc)
   in
   let request_jobs_arg =
     let doc =
@@ -834,7 +829,7 @@ let batch_cmd =
        jitter, honoring the server's retry_after_ms hint). Requires distinct \
        positive request ids (the default numbering provides them); 0 disables."
     in
-    Arg.(value & opt int 3 & info [ "retries" ] ~docv:"K" ~doc)
+    Arg.(value & opt non_negative 3 & info [ "retries" ] ~docv:"K" ~doc)
   in
   let action socket workers request_jobs retries jobs files cmd repeat inline input_prob
       phases seed budget cache () =
@@ -971,11 +966,11 @@ let chaos_cmd =
   in
   let garbage_arg =
     let doc = "Garbage probe lines (each must get a structured error back)." in
-    Arg.(value & opt int 9 & info [ "garbage" ] ~docv:"N" ~doc)
+    Arg.(value & opt non_negative 9 & info [ "garbage" ] ~docv:"N" ~doc)
   in
   let deadline_every_arg =
     let doc = "Attach a tight 50ms deadline budget to every $(docv)th request (0 = never)." in
-    Arg.(value & opt int 5 & info [ "deadline-every" ] ~docv:"K" ~doc)
+    Arg.(value & opt non_negative 5 & info [ "deadline-every" ] ~docv:"K" ~doc)
   in
   let chaos_queue_arg =
     let doc = "Job-queue bound (small on purpose, so overload shedding triggers)." in

@@ -65,9 +65,9 @@ let check a b =
       if k >= Array.length outs then Equivalent
       else begin
         let _, d = outs.(k) in
-        let root = built.Build.roots.(d) in
+        let root = (Build.roots built).(d) in
         if root = Robdd.bdd_false then scan (k + 1)
-        else Differ { output = k; witness = any_sat built.Build.manager root n }
+        else Differ { output = k; witness = any_sat (Build.manager built) root n }
       end
     in
     scan 0

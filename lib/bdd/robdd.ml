@@ -368,13 +368,13 @@ let support m root =
   done;
   !acc
 
-let to_dot m ?(var_name = Printf.sprintf "x%d") roots =
+let to_dot m roots =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "digraph robdd {\n  rankdir=TB;\n";
   Buffer.add_string buf "  t0 [shape=box,label=\"0\"];\n  t1 [shape=box,label=\"1\"];\n";
   visit_reachable m (List.map snd roots) (fun n ->
       Buffer.add_string buf
-        (Printf.sprintf "  n%d [shape=circle,label=\"%s\"];\n" n (var_name (level m n)));
+        (Printf.sprintf "  n%d [shape=circle,label=\"x%d\"];\n" n (level m n));
       let edge child style =
         if is_terminal child then
           Buffer.add_string buf (Printf.sprintf "  n%d -> t%d [style=%s];\n" n child style)
@@ -393,9 +393,9 @@ let to_dot m ?(var_name = Printf.sprintf "x%d") roots =
   Buffer.contents buf
 
 (* Probability evaluation memoizes per node id in a dense float array (NaN =
-   not yet computed; terminals are seeded). One memo serves any number of
-   roots in the same manager — and, through [prob_cache], any number of
-   calls — so re-evaluating an already-visited function is a lookup. *)
+   not yet computed; terminals are seeded). Through [prob_cache] one memo
+   serves any number of roots in the same manager and any number of
+   calls, so re-evaluating an already-visited function is a lookup. *)
 
 let fill_prob_memo memo =
   Array.fill memo 0 (Array.length memo) Float.nan;
@@ -424,11 +424,6 @@ let probability m probs root =
   check_probs m probs;
   let memo = fill_prob_memo (Array.make m.n Float.nan) in
   prob_go m probs memo root
-
-let probabilities m probs roots =
-  check_probs m probs;
-  let memo = fill_prob_memo (Array.make m.n Float.nan) in
-  Array.map (prob_go m probs memo) roots
 
 type prob_cache = {
   pm : manager;

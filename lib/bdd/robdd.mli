@@ -154,20 +154,16 @@ val reclaimed_nodes : manager -> int
 val support : manager -> node -> int list
 (** Levels the function actually depends on, ascending. *)
 
-val to_dot : manager -> ?var_name:(int -> string) -> (string * node) list -> string
+val to_dot : manager -> (string * node) list -> string
 (** Graphviz rendering of the shared graph of the given labelled roots
-    (dashed = low edge, solid = high edge). [var_name] labels decision
-    levels, default ["x<level>"]. *)
+    (dashed = low edge, solid = high edge); decision nodes are labelled
+    ["x<level>"]. *)
 
 val probability : manager -> float array -> node -> float
 (** [probability m p f] is the exact probability that [f] evaluates true
     when level [l] is independently true with probability [p.(l)] — linear
-    in the node count (memoized descent). *)
-
-val probabilities : manager -> float array -> node array -> float array
-(** Probability of every root under one shared memo: nodes reachable from
-    several roots are evaluated once, so the cost is linear in the size of
-    the {e union} of the graphs rather than the sum. *)
+    in the node count (memoized descent). The single-root reference;
+    many roots share one memo through {!prob_cache}. *)
 
 (** {2 Persistent probability cache} *)
 

@@ -229,8 +229,12 @@ exception Capped
    reproduces the best size exactly. A budget raised mid-walk still
    walks back (with the budget checks off) before it propagates, so a
    session never leaves the store larger than it found it — which is
-   what keeps a post-sift retry under the caller's node cap. *)
-let sift_var s cur0 ~max_growth =
+   what keeps a post-sift retry under the caller's node cap. A direction
+   is abandoned once the graph grows past [max_growth ×] its size at the
+   variable's start. *)
+let max_growth = 1.2
+
+let sift_var s cur0 =
   let cur = ref cur0 in
   let start_live = Robdd.live_nodes s.m in
   let cap = int_of_float (ceil (max_growth *. float_of_int start_live)) in
@@ -293,7 +297,7 @@ let sift_var s cur0 ~max_growth =
      raise e);
   assert (Robdd.live_nodes s.m = !best_size)
 
-let sift ?(passes = 1) ?(max_growth = 1.2) ?max_swaps ?max_new_nodes ?deadline ?cancel ~roots
+let sift ?(passes = 1) ?max_swaps ?max_new_nodes ?deadline ?cancel ~roots
     ~order m =
   Robdd.assert_owner m "sift";
   let nv = Robdd.nvars m in
@@ -394,7 +398,7 @@ let sift ?(passes = 1) ?(max_growth = 1.2) ?max_swaps ?max_new_nodes ?deadline ?
                let cur = ref (-1) in
                Array.iteri (fun l v' -> if v' = v then cur := l) s.order;
                if s.lsize.(!cur) > 0 then begin
-                 sift_var s !cur ~max_growth;
+                 sift_var s !cur;
                  incr vars_sifted
                end)
              by_size;

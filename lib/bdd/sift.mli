@@ -14,10 +14,10 @@
     On top of the swap sits the classic sift loop: each variable —
     largest level first — walks to the nearer boundary, then the far
     one, then back to the best position seen, abandoning a direction
-    when the graph grows past [max_growth ×] its size at that
-    variable's start. The caller's [order] array is permuted in place,
-    swap by swap, so it always names the manager's current order — even
-    when the session ends early by budget or cancellation.
+    when the graph grows past 1.2 × its size at that variable's start.
+    The caller's [order] array is permuted in place, swap by swap, so it
+    always names the manager's current order — even when the session
+    ends early by budget or cancellation.
 
     A session opens with a reachability sweep from [roots]: unreachable
     debris (typically from budget-aborted cone builds) is retired, its
@@ -46,7 +46,6 @@ type result = {
 
 val sift :
   ?passes:int ->
-  ?max_growth:float ->
   ?max_swaps:int ->
   ?max_new_nodes:int ->
   ?deadline:float ->
@@ -62,9 +61,8 @@ val sift :
     unreachable from them is retired when the session opens.
 
     [passes] (default 1) bounds full sift passes; a pass that fails to
-    shrink the graph ends the loop early. [max_growth] (default 1.2)
-    caps transient growth per sifted variable. [max_swaps] /
-    [max_new_nodes] bound total session work and allocation
+    shrink the graph ends the loop early. [max_swaps] / [max_new_nodes]
+    bound total session work and allocation
     ([Budget_exceeded] with context ["sift.max_swaps"] /
     ["sift.max_new_nodes"]); [deadline] is an absolute
     [Unix.gettimeofday] timestamp ([Budget_exceeded], [Wall_clock]).

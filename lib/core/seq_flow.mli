@@ -13,6 +13,11 @@ type result = {
   supervertices : int;  (** symmetry groups formed on the s-graph *)
 }
 
+val core : Dpa_seq.Seq_netlist.t -> Dpa_logic.Netlist.t
+(** The combinational core the flow prices: a copy of
+    {!Dpa_seq.Seq_netlist.comb} with flip-flop [k]'s D pin added as
+    output ["ff<k>.d"], after the real outputs. *)
+
 val compare_ma_mp :
   ?config:Flow.config -> ?refine:int -> Dpa_seq.Seq_netlist.t -> result
 (** Real primary inputs take [config.input_prob]; cut flip-flops seed at

@@ -15,9 +15,7 @@ let default =
     penalty = (fun _ -> 0.0);
   }
 
-let with_compound ?(legs = 4) lib =
-  if legs < 2 then invalid_arg "Library.with_compound: need at least 2 legs";
-  { lib with compound_legs = legs }
+let with_compound lib = { lib with compound_legs = 4 }
 
 let with_series_penalty ?(per_stage = 0.25) lib =
   let penalty cell =

@@ -21,9 +21,9 @@ val default : t
 (** AND up to 4 wide, OR up to 8 wide, no compound cells, [C_i = 1],
     [P_i = 0] — the paper's experimental configuration. *)
 
-val with_compound : ?legs:int -> t -> t
-(** Enables compound OR-of-AND cells with up to [legs] pulldown legs
-    (default 4). The mapper then absorbs single-fanout AND terms into the
+val with_compound : t -> t
+(** Enables compound OR-of-AND cells with up to 4 pulldown legs. The
+    mapper then absorbs single-fanout AND terms into the
     consuming OR's pulldown network — one dynamic node instead of
     several, eliminating the absorbed terms' precharge power. *)
 

@@ -16,11 +16,9 @@ type result = {
   accepted : int;
 }
 
-let run ?(params = default_params) ?initial rng measure ~num_outputs =
+let run ?(params = default_params) rng measure ~num_outputs =
   if num_outputs < 1 then invalid_arg "Annealing.run: no outputs";
-  let current =
-    ref (match initial with Some a -> Array.copy a | None -> Phase.all_positive num_outputs)
-  in
+  let current = ref (Phase.all_positive num_outputs) in
   let current_power = ref (Measure.eval measure !current).Measure.power in
   let best = ref (Array.copy !current) in
   let best_sample = ref (Measure.eval measure !current) in

@@ -23,12 +23,6 @@ type result = {
   accepted : int;
 }
 
-val run :
-  ?params:params ->
-  ?initial:Dpa_synth.Phase.assignment ->
-  Dpa_util.Rng.t ->
-  Measure.t ->
-  num_outputs:int ->
-  result
-(** Tracks and returns the best assignment ever visited (not merely the
-    final state). *)
+val run : ?params:params -> Dpa_util.Rng.t -> Measure.t -> num_outputs:int -> result
+(** Starts from the all-positive assignment. Tracks and returns the best
+    assignment ever visited (not merely the final state). *)

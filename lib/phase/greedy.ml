@@ -6,8 +6,6 @@ let c_committed = (Metrics.counter ~help:"greedy moves that lowered measured pow
 
 let c_rejected = (Metrics.counter ~help:"greedy moves measured but not committed" "phase.greedy.moves_rejected")
 
-type initial = [ `All_positive | `Random of Dpa_util.Rng.t ]
-
 type step = {
   pair : int * int;
   actions : Cost.action * Cost.action;
@@ -112,13 +110,9 @@ let pass st =
     st.candidates <- List.filter (fun p -> p <> pair) st.candidates;
     if st.candidates = [] then st.finished <- true
 
-let run ?(initial = `All_positive) ?pair_limit measure ~cost =
+let run ?pair_limit measure ~cost =
   let n = Cost.num_outputs cost in
-  let current =
-    match initial with
-    | `All_positive -> Phase.all_positive n
-    | `Random rng -> Phase.random rng ~num_outputs:n
-  in
+  let current = Phase.all_positive n in
   let current_sample = Measure.eval measure current in
   let initial_power = current_sample.Measure.power in
   let cone_means = Cost.averager cost ~base_probs:(Measure.base_probs measure) in

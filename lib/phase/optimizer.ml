@@ -4,7 +4,6 @@ type strategy =
   | Auto
   | Exhaustive
   | Greedy
-  | Multi_start of int
   | Annealing of Annealing.params
 
 type config = {
@@ -59,30 +58,10 @@ let minimize_power_with measure config net =
     let r = Greedy.run ?pair_limit:config.pair_limit measure ~cost:(Cost.make net) in
     (r.Greedy.assignment, r.Greedy.power, r.Greedy.size, "greedy")
   in
-  let run_multi_start restarts =
-    if restarts < 1 then invalid_arg "Optimizer: Multi_start needs at least one run";
-    let cost = Cost.make net in
-    let rng = Dpa_util.Rng.create config.seed in
-    let run initial = Greedy.run ~initial ?pair_limit:config.pair_limit measure ~cost in
-    let first = run `All_positive in
-    let best = ref first in
-    for _ = 2 to restarts do
-      let r = run (`Random rng) in
-      if
-        r.Greedy.power < !best.Greedy.power
-        || (r.Greedy.power = !best.Greedy.power && r.Greedy.size < !best.Greedy.size)
-      then best := r
-    done;
-    ( !best.Greedy.assignment,
-      !best.Greedy.power,
-      !best.Greedy.size,
-      Printf.sprintf "multi-start(%d)" restarts )
-  in
   let assignment, power, size, strategy_used =
     match config.strategy with
     | Exhaustive -> run_exhaustive ()
     | Greedy -> run_greedy ()
-    | Multi_start restarts -> run_multi_start restarts
     | Annealing params ->
       let rng = Dpa_util.Rng.create config.seed in
       let r = Annealing.run ~params rng measure ~num_outputs:n in

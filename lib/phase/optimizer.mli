@@ -8,10 +8,6 @@ type strategy =
   | Auto  (** exhaustive up to [exhaustive_limit] outputs, else greedy *)
   | Exhaustive
   | Greedy
-  | Multi_start of int
-      (** best of N greedy runs — one from all-positive, the rest from
-          seeded random initial assignments; the measurement cache is
-          shared so repeated candidates cost nothing *)
   | Annealing of Annealing.params
 
 type config = {
@@ -20,7 +16,7 @@ type config = {
   strategy : strategy;
   exhaustive_limit : int;  (** [Auto] threshold, default 10 *)
   pair_limit : int option;  (** greedy candidate cap, default none *)
-  seed : int;  (** randomized strategies *)
+  seed : int;  (** annealing's proposal stream *)
   budget : Dpa_power.Engine.budget option;
       (** resource budget for every estimate in the search (per-candidate
           pricing, and with it the base probabilities); [None] = exact,

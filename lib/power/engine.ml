@@ -1,6 +1,7 @@
 module Netlist = Dpa_logic.Netlist
 module Mapped = Dpa_domino.Mapped
 module Robdd = Dpa_bdd.Robdd
+module Build = Dpa_bdd.Build
 module Bitset = Dpa_util.Bitset
 module Dpa_error = Dpa_util.Dpa_error
 module Par = Dpa_util.Par
@@ -207,11 +208,11 @@ let plan_shards ~n_shards cones =
   shard_of
 
 (* Rung 2: dynamically reorder the shard's rung-1 store in place
-   ({!Dpa_bdd.Sift}) and retry the failed cones in the {e same} partial
-   build. Every already-built cone survives with node ids and probability
-   memos intact, the interned prefixes of budget-aborted cones compact,
-   and whatever became unreachable is retired — handing its node count
-   back to the manager budget for the retry. *)
+   ({!Build.sift}) and retry the failed cones in the {e same} build.
+   Every already-built cone survives with node ids and probability memos
+   intact, the interned prefixes of budget-aborted cones compact, and
+   whatever became unreachable is retired — handing its node count back
+   to the manager budget for the retry. *)
 
 (* Sift allocates transiently while swapping (retired slots are not yet
    reused), so bound the session's raw allocation independently of the
@@ -227,14 +228,12 @@ let sift_alloc_cap live = max 500_000 (4 * live)
    largest levels first, so the early swaps carry most of the gain). *)
 let sift_swap_cap live = max 100_000 (2 * live)
 
-let run_sift ~budget ~deadline ~cancel pb =
+let run_sift ~budget ~deadline ~cancel b =
   Trace.with_span "engine.sift" @@ fun () ->
-  let m = Estimate.partial_manager pb in
-  let live = Robdd.live_nodes m in
+  let live = Robdd.live_nodes (Build.manager b) in
   match
-    Estimate.sift_partial ~passes:budget.reorder_passes
-      ~max_swaps:(sift_swap_cap live) ~max_new_nodes:(sift_alloc_cap live)
-      ?deadline ~cancel pb
+    Build.sift ~passes:budget.reorder_passes ~max_swaps:(sift_swap_cap live)
+      ~max_new_nodes:(sift_alloc_cap live) ?deadline ~cancel b
   with
   | r ->
     Trace.instant "engine.ladder.sift"
@@ -256,8 +255,8 @@ let run_sift ~budget ~deadline ~cancel pb =
    whatever sharing was interned before exhaustion). The cap bounds the
    manager's live node count — the same [max_bdd_nodes] for rung 1 and
    for the post-sift retry. *)
-let build_cones ~budget ~deadline ~cancel ~cones ~rung pb members ok =
-  let m = Estimate.partial_manager pb in
+let build_cones ~budget ~deadline ~cancel ~cones ~rung b members ok =
+  let m = Build.manager b in
   Array.iteri
     (fun t k ->
       if not ok.(t) then begin
@@ -270,7 +269,7 @@ let build_cones ~budget ~deadline ~cancel ~cones ~rung pb members ok =
           @@ fun () ->
           if Dpa_util.Fault.fire Dpa_util.Fault.Slow_cone then
             Dpa_util.Fault.sleep ~cancel Dpa_util.Fault.Slow_cone;
-          match Estimate.build_nodes pb ~within:(Bitset.mem cones.(k)) with
+          match Build.build b ~within:(Bitset.mem cones.(k)) with
           | () ->
             Trace.add_args [ ("built", Trace.Bool true) ];
             true
@@ -311,12 +310,12 @@ let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ma
         ("domain", Trace.Int (Domain.self () :> int));
       ]
   @@ fun () ->
-  let pb = Estimate.start_build ?max_nodes:budget.max_bdd_nodes ~order mapped in
+  let b = Estimate.start_build ?max_nodes:budget.max_bdd_nodes ~order mapped in
   let ok0 = Array.make (Array.length members) false in
-  build_cones ~budget ~deadline ~cancel ~cones ~rung:"exact" pb members ok0;
+  build_cones ~budget ~deadline ~cancel ~cones ~rung:"exact" b members ok0;
   (* extract rung-1 probabilities before any reordering, so cones priced
      by rung 1 keep bit-identical values whatever the sift does *)
-  let probs0 = Estimate.partial_probabilities pb ~input_probs in
+  let probs0 = Build.node_probabilities b ~input_probs in
   let okf, probs =
     if
       budget.fallback = No_fallback
@@ -324,14 +323,14 @@ let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ma
       || Array.for_all Fun.id ok0
     then (ok0, probs0)
     else begin
-      run_sift ~budget ~deadline ~cancel pb;
+      run_sift ~budget ~deadline ~cancel b;
       let okf = Array.copy ok0 in
-      build_cones ~budget ~deadline ~cancel ~cones ~rung:"sift" pb members okf;
-      let probs1 = Estimate.partial_probabilities pb ~input_probs in
+      build_cones ~budget ~deadline ~cancel ~cones ~rung:"sift" b members okf;
+      let probs1 = Build.node_probabilities b ~input_probs in
       (okf, Array.mapi (fun i p0 -> if Float.is_nan p0 then probs1.(i) else p0) probs0)
     end
   in
-  let m = Estimate.partial_manager pb in
+  let m = Build.manager b in
   Robdd.publish_metrics m;
   { sb_ok0 = ok0; sb_okf = okf; sb_nodes = Robdd.live_nodes m; sb_probs = probs }
 

@@ -109,113 +109,30 @@ let of_activity mapped (a : Dpa_sim.Simulator.activity) =
       a.Dpa_sim.Simulator.input_toggles.(opos))
 
 (* ------------------------------------------------------------------ *)
-(* Partial (cone-by-cone) building, for the resource-bounded engine     *)
+(* Exact BDD pricing                                                    *)
 (* ------------------------------------------------------------------ *)
-
-type partial_build = {
-  pb_manager : Robdd.manager;
-  pb_mapped : Mapped.t;
-  pb_order : int array;
-  pb_roots : Robdd.node array;
-  pb_built : Bytes.t; (* per block node id; '\001' = root valid *)
-  pb_level_of_orig : Int_table.t;
-  pb_pos_of_input : Int_table.t;
-}
 
 let block_order ~input_probs mapped =
   check_literals ~input_probs mapped;
   order_of_block mapped
 
-let start_build ?(max_nodes = max_int) ~order mapped =
-  let net = Mapped.net mapped in
-  let level_of_orig = Int_table.create ~capacity:(2 * Array.length order) () in
-  Array.iteri (fun lvl opos -> Int_table.replace level_of_orig opos lvl) order;
-  let pos_of_input = Int_table.create ~capacity:32 () in
-  Array.iteri (fun k id -> Int_table.replace pos_of_input id k) (Netlist.inputs net);
-  {
-    pb_manager =
-      Robdd.create_sized ~nvars:(Array.length order)
-        ~cache_capacity:(4 * min (Netlist.size net) max_nodes);
-    pb_mapped = mapped;
-    pb_order = Array.copy order;
-    pb_roots = Array.make (Netlist.size net) Robdd.bdd_false;
-    pb_built = Bytes.make (Netlist.size net) '\000';
-    pb_level_of_orig = level_of_orig;
-    pb_pos_of_input = pos_of_input;
-  }
+(* The literal leaf: both literals of a PI read its one variable. *)
+let start_build ?max_nodes ~order mapped =
+  let lits = Mapped.literals mapped in
+  Dpa_bdd.Build.start ?max_nodes ~order
+    ~leaf:(fun k ->
+      let opos, pol = lits.(k) in
+      (opos, match pol with Inverterless.Neg -> true | Inverterless.Pos -> false))
+    (Mapped.net mapped)
 
-let partial_manager pb = pb.pb_manager
-
-let node_built pb i = Bytes.get pb.pb_built i = '\001'
-
-(* Build every not-yet-built node selected by [within], in id (= topologic)
-   order. A budget exhaustion mid-node leaves that node unbuilt but keeps
-   everything interned so far: a later retry, or another cone sharing the
-   prefix, resumes from unique-table hits. *)
-let build_nodes pb ~within =
-  let m = pb.pb_manager in
-  let lits = Mapped.literals pb.pb_mapped in
-  let roots = pb.pb_roots in
-  Netlist.iter_nodes
-    (fun i g ->
-      if within i && not (node_built pb i) then begin
-        roots.(i) <-
-          (match g with
-          | Gate.Input ->
-            let bpos = Int_table.find pb.pb_pos_of_input i in
-            let opos, pol = lits.(bpos) in
-            let v = Robdd.var m (Int_table.find pb.pb_level_of_orig opos) in
-            (match pol with Inverterless.Pos -> v | Inverterless.Neg -> Robdd.neg m v)
-          | Gate.Const b -> if b then Robdd.bdd_true else Robdd.bdd_false
-          | Gate.And xs ->
-            Array.fold_left (fun acc x -> Robdd.apply_and m acc roots.(x)) Robdd.bdd_true xs
-          | Gate.Or xs ->
-            Array.fold_left (fun acc x -> Robdd.apply_or m acc roots.(x)) Robdd.bdd_false xs
-          | Gate.Buf _ | Gate.Not _ | Gate.Xor _ ->
-            invalid_arg "Estimate: mapped block must be a pure AND/OR network");
-        Bytes.set pb.pb_built i '\001'
-      end)
-    (Mapped.net pb.pb_mapped)
-
-(* In-place dynamic reordering of a partial build. Roots are every
-   already-built block node — including the interned prefixes of cones
-   whose build blew the budget, which is the point: sifting compacts the
-   prefix (and the opening sweep retires the rest), so the retry both
-   shares more and starts with reclaimed headroom. [pb_order] is permuted
-   in place by the sifter; [pb_level_of_orig] is rebuilt to match even
-   when the session ends early (budget, cancellation), so [build_nodes]
-   keeps placing PI literals at the right levels afterwards. *)
-let sift_partial ?passes ?max_growth ?max_swaps ?max_new_nodes ?deadline ?cancel pb =
-  let roots = ref [] in
-  Array.iteri
-    (fun i r -> if node_built pb i && not (Robdd.is_terminal r) then roots := r :: !roots)
-    pb.pb_roots;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iteri
-        (fun lvl opos -> Int_table.replace pb.pb_level_of_orig opos lvl)
-        pb.pb_order)
-    (fun () ->
-      Dpa_bdd.Sift.sift ?passes ?max_growth ?max_swaps ?max_new_nodes ?deadline ?cancel
-        ~roots:!roots ~order:pb.pb_order pb.pb_manager)
-
-let partial_probabilities pb ~input_probs =
-  let level_probs = Array.map (fun opos -> input_probs.(opos)) pb.pb_order in
-  let cache = Robdd.prob_cache pb.pb_manager level_probs in
-  Array.init
-    (Array.length pb.pb_roots)
-    (fun i ->
-      if node_built pb i then Robdd.cached_probability cache pb.pb_roots.(i) else Float.nan)
-
-(* The whole block in one manager under its own order: a partial build
-   of every node. *)
+(* The whole block in one manager under its own order. *)
 let of_mapped ?(cancel = Dpa_util.Cancel.none) ~input_probs mapped =
   Dpa_obs.Trace.with_span "estimate.block" @@ fun () ->
-  let pb = start_build ~order:(block_order ~input_probs mapped) mapped in
-  let m = pb.pb_manager in
+  let b = start_build ~order:(block_order ~input_probs mapped) mapped in
+  let m = Dpa_bdd.Build.manager b in
   if not (Dpa_util.Cancel.is_none cancel) then Robdd.set_budget ~cancel m;
-  build_nodes pb ~within:(fun _ -> true);
-  let node_probs = partial_probabilities pb ~input_probs in
+  Dpa_bdd.Build.build b ~within:(fun _ -> true);
+  let node_probs = Dpa_bdd.Build.node_probabilities b ~input_probs in
   Robdd.publish_metrics m;
   let bdd_nodes = Robdd.total_nodes m in
   let report =
@@ -283,8 +200,8 @@ let table ?(cancel = Dpa_util.Cancel.none) ~input_probs library net =
   Array.iteri (fun pos id -> pi_position.(id) <- pos) (Netlist.inputs net);
   let probs = Vec.create ~dummy:0.0 () and powers = Vec.create ~dummy:0.0 () in
   let slots = ref 0 in
-  (* one mapped cell: the BDD [build_nodes] would give it, priced at
-     drive 1.0 as [price] prices a freshly mapped block *)
+  (* one mapped cell: the BDD [start_build] and [Build.build] would give
+     it, priced at drive 1.0 as [price] prices a freshly mapped block *)
   let add g =
     let bdd =
       match g with

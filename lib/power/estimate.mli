@@ -25,9 +25,9 @@ val of_mapped :
   ?cancel:Dpa_util.Cancel.t -> input_probs:float array -> Dpa_domino.Mapped.t -> report
 (** [input_probs] is indexed by {e original} primary-input position and
     must cover every PI the block references. The block is one
-    {!partial_build} of every node in a fresh manager under
-    {!block_order}, so there is one exact builder: the engine's shards
-    run the same code a cone at a time. [bdd_nodes] is the manager's
+    {!start_build} of every node in a fresh manager under {!block_order},
+    so there is one exact builder: the engine's shards run the same code
+    a cone at a time. [bdd_nodes] is the manager's
     {!Dpa_bdd.Robdd.total_nodes}. [cancel] installs a
     cooperative-cancellation token on the manager: the build raises
     [Dpa_error.Error (Cancelled _)] promptly once the token fires, and the
@@ -50,58 +50,25 @@ val of_activity : Dpa_domino.Mapped.t -> Dpa_sim.Simulator.activity -> report
     model as the BDD estimator — the two totals are directly comparable.
     [bdd_nodes] is 0. *)
 
-(** {2 Partial building}
+(** {2 Exact BDD pricing}
 
-    The estimator's one BDD builder, literal-aware (both polarities of a
-    PI share one BDD variable). {!of_mapped} builds every node at once;
-    the resource-bounded engine ({!Engine}) builds a block one output
-    cone at a time under a manager budget, so exhaustion can be
+    A block is built by {!Dpa_bdd.Build} under the {e literal leaf}: both
+    polarities of a PI read one BDD variable. {!of_mapped} builds every
+    node at once; the resource-bounded engine ({!Engine}) builds a block
+    one output cone at a time under a manager budget, so exhaustion can be
     attributed to — and recovered from — per cone. *)
-
-type partial_build
 
 val block_order : input_probs:float array -> Dpa_domino.Mapped.t -> int array
 (** The paper's variable-order heuristic on the block, as {e original} PI
     positions (the same order {!of_mapped} uses). Validates that
     [input_probs] covers every referenced PI. *)
 
-val start_build : ?max_nodes:int -> order:int array -> Dpa_domino.Mapped.t -> partial_build
-(** Fresh manager over [order] (original PI positions) with nothing built.
-    Install a budget on {!partial_manager} to bound what follows; pass its
-    node cap as [max_nodes] too, so the manager's tables are sized for
-    what the cap lets it hold rather than for the whole block. *)
-
-val partial_manager : partial_build -> Dpa_bdd.Robdd.manager
-
-val build_nodes : partial_build -> within:(int -> bool) -> unit
-(** Builds every not-yet-built block node selected by [within] (typically
-    cone membership), in topological order; fanins of a selected node must
-    be selected too. May raise {!Dpa_util.Dpa_error.Budget_exceeded}; the
-    partial build stays valid and a retry resumes from what was interned. *)
-
-val partial_probabilities : partial_build -> input_probs:float array -> float array
-(** Exact signal probability per block node; [Float.nan] where the node is
-    not built. *)
-
-val sift_partial :
-  ?passes:int ->
-  ?max_growth:float ->
-  ?max_swaps:int ->
-  ?max_new_nodes:int ->
-  ?deadline:float ->
-  ?cancel:Dpa_util.Cancel.t ->
-  partial_build ->
-  Dpa_bdd.Sift.result
-(** In-place dynamic reordering ({!Dpa_bdd.Sift}) of the partial build:
-    every built block root survives with its function (and node id)
-    intact, the interned prefixes of budget-aborted cones are compacted,
-    and everything unreachable from built roots is retired — handing its
-    node count back to the manager budget for the retry. The build's
-    variable order and PI-to-level map are updated in place, so
-    {!build_nodes} / {!partial_probabilities} keep working afterwards,
-    including when the sift itself ends early on
-    {!Dpa_util.Dpa_error.Budget_exceeded} or cancellation (the manager is
-    consistent at every swap boundary). Parameters as {!Dpa_bdd.Sift.sift}. *)
+val start_build : ?max_nodes:int -> order:int array -> Dpa_domino.Mapped.t -> Dpa_bdd.Build.t
+(** {!Dpa_bdd.Build.start} on the block's netlist under [order] (original
+    PI positions, the build's tokens) with the literal leaf: block input
+    [k] reads the variable of its literal's PI, complemented for a [Neg]
+    literal. {!Dpa_bdd.Build.node_probabilities} then takes [input_probs]
+    indexed by original PI position. *)
 
 (** {2 Slot-table pricing}
 
@@ -156,8 +123,9 @@ val of_table : table -> Dpa_synth.Phase.assignment -> table_price
 (** The price of [a], bit for bit what {!price} gives for
     [Mapped.map ~library (Inverterless.realize net a)] with that block's
     probabilities built under the table's variable order ({!start_build}
-    with that order, {!build_nodes} on every node,
-    {!partial_probabilities}): the same terms summed in the same order.
+    with that order, {!Dpa_bdd.Build.build} on every node,
+    {!Dpa_bdd.Build.node_probabilities}): the same terms summed in the
+    same order.
     A node's probability depends only on its BDD under a fixed order,
     not on which manager holds it. *)
 

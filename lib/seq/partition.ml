@@ -48,24 +48,23 @@ let probabilities ?(symmetry = true) ?(cut_prob = 0.5) ?(refine = 0) ~input_prob
   let { Mfvs.fvs; _ } = Mfvs.solve ~symmetry (Sgraph.of_seq_netlist sn) in
   let topo = ff_topo_order sn fvs in
   (* BDDs over all core inputs (real PIs and Q pseudo-inputs) are built
-     once; only the level probabilities change between passes. *)
+     once; only the input probabilities change between passes. *)
   let built = Dpa_bdd.Build.of_netlist core in
-  let m = built.Dpa_bdd.Build.manager in
-  let level_of_pos = Array.make (Netlist.num_inputs core) 0 in
-  Array.iteri (fun lvl pos -> level_of_pos.(pos) <- lvl) built.Dpa_bdd.Build.order;
-  let level_probs = Array.make (Robdd.nvars m) 0.5 in
-  let set_input_prob pos p = level_probs.(level_of_pos.(pos)) <- p in
-  Array.iteri set_input_prob input_probs;
+  let m = Dpa_bdd.Build.manager built and roots = Dpa_bdd.Build.roots built in
+  let probs = Array.make (Netlist.num_inputs core) 0.5 in
+  Array.blit input_probs 0 probs 0 n_real;
   let ff_probs = Array.make n_ff cut_prob in
-  let prob_of_node id = Robdd.probability m level_probs built.Dpa_bdd.Build.roots.(id) in
+  let prob_of_node id =
+    Robdd.probability m
+      (Array.map (fun pos -> probs.(pos)) (Dpa_bdd.Build.order built))
+      roots.(id)
+  in
   let pass () =
-    for k = 0 to n_ff - 1 do
-      set_input_prob (n_real + k) ff_probs.(k)
-    done;
+    Array.blit ff_probs 0 probs n_real n_ff;
     List.iter
       (fun v ->
         ff_probs.(v) <- prob_of_node flops.(v).Seq_netlist.data;
-        set_input_prob (n_real + v) ff_probs.(v))
+        probs.(n_real + v) <- ff_probs.(v))
       topo
   in
   pass ();
@@ -76,7 +75,5 @@ let probabilities ?(symmetry = true) ?(cut_prob = 0.5) ?(refine = 0) ~input_prob
     List.iter (fun v -> ff_probs.(v) <- prob_of_node flops.(v).Seq_netlist.data) fvs;
     pass ()
   done;
-  (* one memo over every root: each BDD node is priced once, where a
-     per-root [probability] would allocate and fill a fresh memo per node *)
-  let node_probs = Robdd.probabilities m level_probs built.Dpa_bdd.Build.roots in
+  let node_probs = Dpa_bdd.Build.node_probabilities built ~input_probs:probs in
   { fvs; ff_probs = Array.copy ff_probs; node_probs; iterations = !iterations }

@@ -7,7 +7,13 @@ type result = {
   iterations : int;
 }
 
-let analyze ?(max_iterations = 10_000) ?(tolerance = 1e-9) ~input_probs sn =
+(* power iteration stops once the distribution moves less than this in L1,
+   or after [max_iterations] steps *)
+let tolerance = 1e-9
+
+let max_iterations = 10_000
+
+let analyze ~input_probs sn =
   let n_ff = Seq_netlist.n_ffs sn in
   let n_in = Seq_netlist.n_real_inputs sn in
   if n_ff > 16 || n_in > 16 || n_ff + n_in > 20 then

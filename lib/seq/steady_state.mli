@@ -17,14 +17,8 @@ type result = {
   iterations : int;
 }
 
-val analyze :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  input_probs:float array ->
-  Seq_netlist.t ->
-  result
+val analyze : input_probs:float array -> Seq_netlist.t -> result
 (** Raises [Invalid_argument] beyond 16 flip-flops or 16 primary inputs
     (the chain is built by exhaustive enumeration). Power iteration runs
     from the circuit's reset state until the distribution moves less than
-    [tolerance] in L1 (default 1e-9, at most [max_iterations] = 10_000
-    steps). *)
+    1e-9 in L1, for at most 10,000 steps. *)

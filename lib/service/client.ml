@@ -294,9 +294,7 @@ let fresh_socket_path () =
   path
 
 let with_self_hosted ~workers ?(jobs = 1) ?(queue_capacity = Server.default_queue_capacity)
-    ?(max_request_bytes = Server.default_max_request_bytes)
-    ?(cache_mb = Server.default_cache_mb) ?(cache_entries = Server.default_cache_entries)
-    ?cache_snapshot f =
+    ?(max_request_bytes = Server.default_max_request_bytes) ?cache_snapshot f =
   let socket = fresh_socket_path () in
   let mutex = Mutex.create () in
   let cond = Condition.create () in
@@ -317,8 +315,8 @@ let with_self_hosted ~workers ?(jobs = 1) ?(queue_capacity = Server.default_queu
               jobs;
               queue_capacity;
               max_request_bytes;
-              cache_mb;
-              cache_entries;
+              cache_mb = Server.default_cache_mb;
+              cache_entries = Server.default_cache_entries;
               cache_snapshot;
             }
         with e ->

@@ -74,8 +74,6 @@ val with_self_hosted :
   ?jobs:int ->
   ?queue_capacity:int ->
   ?max_request_bytes:int ->
-  ?cache_mb:int ->
-  ?cache_entries:int ->
   ?cache_snapshot:string ->
   (socket:string -> 'a) ->
   'a
@@ -84,8 +82,8 @@ val with_self_hosted :
     then stops the server gracefully (draining in-flight work) and joins
     its domain — including when [f] raises. [jobs] (default 1) is the
     per-worker intra-request parallelism; [queue_capacity],
-    [max_request_bytes] and the cache knobs forward to {!Server.config}
-    (result cache on at the server defaults; [cache_mb:0] disables it;
-    [cache_snapshot] makes the private server persist and reload its
-    cache — how the warm-restart tests drive two server lifetimes over
-    one snapshot file). *)
+    [max_request_bytes] and [cache_snapshot] forward to {!Server.config}
+    (the result cache runs at the server defaults; [cache_snapshot] makes
+    the private server persist and reload its cache — how the
+    warm-restart tests drive two server lifetimes over one snapshot
+    file). *)

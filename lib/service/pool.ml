@@ -87,17 +87,6 @@ let h_latency =
 let h_wait =
   Metrics.histogram ~help:"time a request waited in the queue" "service.queue.wait_ms"
 
-(* Best-effort id recovery for error responses: a request that fails
-   protocol decoding still gets its id echoed when the line parses as an
-   object with a numeric id. *)
-let salvage_id line =
-  match Jsonlite.parse line with
-  | exception Jsonlite.Parse_error _ -> 0
-  | json -> (
-    match Jsonlite.member_opt "id" json with
-    | Some (Jsonlite.Num f) when Float.is_integer f -> int_of_float f
-    | _ -> 0)
-
 let reply_once infl response =
   if not (Atomic.exchange infl.replied true) then infl.job.reply response
 
@@ -109,7 +98,7 @@ let process_line ?par ?(cancel = Cancel.none) ?stats ?cache line =
   match Protocol.parse_request line with
   | Error e ->
     Metrics.incr c_errors;
-    (Protocol.error_response ~id:(salvage_id line) e, false)
+    (Protocol.error_response ~id:(Protocol.salvage_id line) e, false)
   | Ok { Protocol.id; request; cache = mode } -> (
     let cmd = Protocol.cmd_name request in
     let is_shutdown = request = Protocol.Shutdown in
@@ -287,7 +276,7 @@ let worker_body t slot ~generation par =
                (Printexc.to_string e)
            in
            reply_once infl
-             (Protocol.error_response ~id:(salvage_id job.line) (Dpa_error.Internal msg));
+             (Protocol.error_response ~id:(Protocol.salvage_id job.line) (Dpa_error.Internal msg));
            ignore (Atomic.compare_and_set slot.inflight cell None);
            raise e);
         loop ()
@@ -352,7 +341,7 @@ let watch t =
                   elapsed_s slot.index
               in
               reply_once infl
-                (Protocol.error_response ~id:(salvage_id infl.job.line)
+                (Protocol.error_response ~id:(Protocol.salvage_id infl.job.line)
                    (Dpa_error.Internal msg));
               Metrics.incr c_errors;
               ignore (Atomic.compare_and_set slot.inflight cell None);

@@ -277,6 +277,14 @@ let ok_response_text ~id ~cmd result =
       "}";
     ]
 
+let salvage_id line =
+  match Jsonlite.parse line with
+  | exception Jsonlite.Parse_error _ -> 0
+  | json -> (
+    match Jsonlite.member_opt "id" json with
+    | Some (Jsonlite.Num f) when Float.is_integer f -> int_of_float f
+    | _ -> 0)
+
 let error_response ~id e =
   let extra =
     match e with

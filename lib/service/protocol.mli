@@ -118,6 +118,11 @@ val ok_response_text : id:int -> cmd:string -> string -> string
     [result] payload in a fresh envelope without a decode/re-encode
     round trip. The equality is pinned by a test. *)
 
+val salvage_id : string -> int
+(** Best-effort id recovery for an error response to a request line that
+    failed decoding (or was never decoded): its integer [id] when the line
+    parses as an object with one, else 0. *)
+
 val error_response : id:int -> Dpa_util.Dpa_error.t -> string
 
 val error_kind : Dpa_util.Dpa_error.t -> string

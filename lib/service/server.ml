@@ -77,16 +77,6 @@ let wake t =
 let stop t =
   if not (Atomic.exchange t.stopping true) then wake t
 
-(* Best-effort id recovery for error responses produced before (or
-   instead of) protocol decoding. *)
-let salvage_id line =
-  match Dpa_util.Jsonlite.parse line with
-  | exception Dpa_util.Jsonlite.Parse_error _ -> 0
-  | json -> (
-    match Dpa_util.Jsonlite.member_opt "id" json with
-    | Some (Dpa_util.Jsonlite.Num f) when Float.is_integer f -> int_of_float f
-    | _ -> 0)
-
 (* Worker-side reply: append the response line to the connection's write
    buffer under its mutex and wake the select loop, which owns the fd.
    Workers never touch the socket, so a stalled client can only slow its
@@ -155,7 +145,7 @@ let drain_error =
 let reject t conn line =
   Metrics.incr c_rejected;
   Mutex.protect conn.wmutex (fun () -> conn.pending <- conn.pending + 1);
-  conn_reply t conn (Protocol.error_response ~id:(salvage_id line) drain_error)
+  conn_reply t conn (Protocol.error_response ~id:(Protocol.salvage_id line) drain_error)
 
 let submit t conn line =
   if Atomic.get t.stopping then reject t conn line
@@ -176,7 +166,7 @@ let submit t conn line =
         match t.pool with Some p -> Pool.suggest_retry_ms p | None -> 100
       in
       conn_reply t conn
-        (Protocol.error_response ~id:(salvage_id line)
+        (Protocol.error_response ~id:(Protocol.salvage_id line)
            (Dpa_error.Overloaded { retry_after_ms }))
   end
 

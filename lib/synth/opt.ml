@@ -2,7 +2,7 @@ module Netlist = Dpa_logic.Netlist
 module Gate = Dpa_logic.Gate
 module Builder = Dpa_logic.Builder
 
-let optimize ?(decompose_xor = true) t =
+let optimize t =
   let b = Builder.create ~name:(Netlist.name t) () in
   let n = Netlist.size t in
   let mapping = Array.make n (-1) in
@@ -24,11 +24,8 @@ let optimize ?(decompose_xor = true) t =
         | Gate.Or xs -> Builder.or_ b (List.map f (Array.to_list xs))
         | Gate.Xor (x, y) ->
           let ix = f x and iy = f y in
-          if decompose_xor then
-            Builder.or_ b
-              [ Builder.and_ b [ ix; Builder.not_ b iy ];
-                Builder.and_ b [ Builder.not_ b ix; iy ] ]
-          else Builder.xor_ b ix iy
+          Builder.or_ b
+            [ Builder.and_ b [ ix; Builder.not_ b iy ]; Builder.and_ b [ Builder.not_ b ix; iy ] ]
       in
       mapping.(i) <- id;
       id

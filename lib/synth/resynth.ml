@@ -11,7 +11,7 @@ type stats = {
 
 let rebuild ~express ?(max_support = 12) t =
   let built = Dpa_bdd.Build.of_netlist t in
-  let m = built.Dpa_bdd.Build.manager in
+  let m = Dpa_bdd.Build.manager built in
   let b = Builder.create ~name:(Netlist.name t) () in
   let mapping = Array.make (Netlist.size t) (-1) in
   Array.iter
@@ -43,12 +43,13 @@ let rebuild ~express ?(max_support = 12) t =
   (* new-builder input id for a BDD level *)
   let input_of_level =
     let ins = Netlist.inputs t in
-    fun level -> mapping.(ins.(built.Dpa_bdd.Build.order.(level)))
+    let order = Dpa_bdd.Build.order built in
+    fun level -> mapping.(ins.(order.(level)))
   in
   let collapsed = ref 0 and kept = ref 0 and cubes_total = ref 0 and lits_total = ref 0 in
   Array.iter
     (fun (po, driver) ->
-      let root = built.Dpa_bdd.Build.roots.(driver) in
+      let root = (Dpa_bdd.Build.roots built).(driver) in
       let support = Dpa_bdd.Robdd.support m root in
       if List.length support > max_support then begin
         incr kept;

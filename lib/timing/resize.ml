@@ -8,8 +8,12 @@ type result = {
   upsized_cells : int;
 }
 
-let meet ?(model = Delay.default) ?(step = 1.25) ?(max_drive = 8.0) ?(max_iterations = 64)
-    ~clock mapped =
+(* drive multiplier per round, and the round cap *)
+let step = 1.25
+
+let max_iterations = 64
+
+let meet ?(model = Delay.default) ?(max_drive = 8.0) ~clock mapped =
   if clock <= 0.0 then invalid_arg "Resize.meet: clock must be positive";
   let initial_delay = (Sta.analyze ~model mapped).Sta.critical_delay in
   let rec loop iter delay =

@@ -17,12 +17,6 @@ type result = {
 }
 
 val meet :
-  ?model:Delay.model ->
-  ?step:float ->
-  ?max_drive:float ->
-  ?max_iterations:int ->
-  clock:float ->
-  Dpa_domino.Mapped.t ->
-  result
-(** Defaults: [step = 1.25] (drive multiplier per round), [max_drive = 8],
-    [max_iterations = 64]. *)
+  ?model:Delay.model -> ?max_drive:float -> clock:float -> Dpa_domino.Mapped.t -> result
+(** Each round multiplies the critical cells' drives by 1.25, up to
+    [max_drive] (default 8), for at most 64 rounds. *)

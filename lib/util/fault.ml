@@ -1,7 +1,6 @@
 type point =
   | Slow_cone
   | Worker_panic
-  | Garbage_frame
   | Torn_frame
   | Drop_conn
   | Write_stall
@@ -9,22 +8,20 @@ type point =
 exception Injected_panic
 
 let all_points =
-  [ Slow_cone; Worker_panic; Garbage_frame; Torn_frame; Drop_conn; Write_stall ]
+  [ Slow_cone; Worker_panic; Torn_frame; Drop_conn; Write_stall ]
 
 let n_points = List.length all_points
 
 let index = function
   | Slow_cone -> 0
   | Worker_panic -> 1
-  | Garbage_frame -> 2
-  | Torn_frame -> 3
-  | Drop_conn -> 4
-  | Write_stall -> 5
+  | Torn_frame -> 2
+  | Drop_conn -> 3
+  | Write_stall -> 4
 
 let point_to_string = function
   | Slow_cone -> "slow_cone"
   | Worker_panic -> "worker_panic"
-  | Garbage_frame -> "garbage_frame"
   | Torn_frame -> "torn_frame"
   | Drop_conn -> "drop_conn"
   | Write_stall -> "write_stall"
@@ -32,7 +29,6 @@ let point_to_string = function
 let point_of_string = function
   | "slow_cone" -> Some Slow_cone
   | "worker_panic" -> Some Worker_panic
-  | "garbage_frame" -> Some Garbage_frame
   | "torn_frame" -> Some Torn_frame
   | "drop_conn" -> Some Drop_conn
   | "write_stall" -> Some Write_stall
@@ -42,7 +38,7 @@ let default_param = function
   | Slow_cone -> 0.25
   | Write_stall -> 0.2
   | Torn_frame -> 0.02
-  | Worker_panic | Garbage_frame | Drop_conn -> 0.0
+  | Worker_panic | Drop_conn -> 0.0
 
 (* Rates and params are only written under [mutex] by [configure]; reads
    from [fire]/[param] are unsynchronized float-array loads, which is
@@ -147,18 +143,3 @@ let parse_config s =
       match parse_spec part with Ok spec -> go (spec :: acc) rest | Error e -> Error e)
   in
   go [] specs
-
-let from_env () =
-  match Sys.getenv_opt "DPA_FAULT" with
-  | None | Some "" -> Ok ()
-  | Some config -> (
-    match parse_config config with
-    | Error e -> Error (Printf.sprintf "DPA_FAULT: %s" e)
-    | Ok specs ->
-      let seed =
-        match Sys.getenv_opt "DPA_FAULT_SEED" with
-        | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 1)
-        | None -> 1
-      in
-      configure ~seed specs;
-      Ok ())

@@ -7,16 +7,13 @@
     and the call is a single atomic load when injection is disabled, so
     the instrumentation is free in normal operation.
 
-    Configuration is explicit ({!configure}) or environment-driven
-    ({!from_env}: [DPA_FAULT="point:rate[:param],..."] with
-    [DPA_FAULT_SEED] for the decision stream), which is how the chaos
-    soak arms a server it spawns. Decisions come from a seeded
-    {!Dpa_util.Rng} stream, so a soak run is reproducible. *)
+    Configuration is explicit ({!configure}, or {!parse_config} on the
+    [--fault] flag's ["point:rate[:param],..."]). Decisions come from a
+    seeded {!Dpa_util.Rng} stream, so a soak run is reproducible. *)
 
 type point =
   | Slow_cone  (** stall an engine cone build (param: seconds, default 0.25) *)
   | Worker_panic  (** kill a service worker domain mid-request *)
-  | Garbage_frame  (** client sends an unparseable request line *)
   | Torn_frame  (** client splits a request line across delayed writes *)
   | Drop_conn  (** client drops its connection mid-batch *)
   | Write_stall  (** server stops flushing a connection (param: seconds, default 0.2) *)
@@ -41,10 +38,6 @@ val configure : ?seed:int -> (point * float * float option) list -> unit
 val parse_config : string -> ((point * float * float option) list, string) result
 (** Parses ["slow_cone:0.1,worker_panic:0.02:0,write_stall:0.05:0.5"];
     the optional third field is the parameter. *)
-
-val from_env : unit -> (unit, string) result
-(** Arms the registry from [DPA_FAULT] / [DPA_FAULT_SEED]; does nothing
-    (and succeeds) when [DPA_FAULT] is unset or empty. *)
 
 val clear : unit -> unit
 

@@ -283,8 +283,6 @@ let map pool n f =
     end
   end
 
-let reduce pool n ~map:f ~fold ~init = Array.fold_left fold init (map pool n f)
-
 let stats pool =
   Mutex.lock pool.mutex;
   let s = { tasks = pool.tasks_total; steals = pool.steals_total } in

@@ -2,17 +2,15 @@
 
     One pool owns [jobs - 1] resident worker domains; the submitting
     domain is the remaining participant, so [jobs = 1] runs everything
-    inline and spawns nothing. A parallel region ({!map} / {!reduce})
-    partitions its index space into per-participant ranges; an idle
-    participant steals the upper half of the fullest remaining range, so
-    irregular task costs (one hostile BDD cone among cheap siblings)
-    still load-balance.
+    inline and spawns nothing. A parallel region ({!map}) partitions its
+    index space into per-participant ranges; an idle participant steals
+    the upper half of the fullest remaining range, so irregular task
+    costs (one hostile BDD cone among cheap siblings) still load-balance.
 
     Determinism contract: {!map} always returns results in task-index
-    order and {!reduce} folds them in task-index order, whatever
-    interleaving executed them — callers that keep per-task work
-    self-contained (a private [Dpa_bdd.Robdd] manager per task) get
-    bit-identical results at any [jobs] value. The pool is a scheduling
+    order, whatever interleaving executed them — callers that keep
+    per-task work self-contained (a private [Dpa_bdd.Robdd] manager per
+    task) get bit-identical results at any [jobs] value. The pool is a scheduling
     device only; it never reorders observable effects of the merge.
 
     The pool layers below [Dpa_obs]: it keeps plain counters
@@ -56,12 +54,6 @@ val map : t -> int -> (int -> 'a) -> 'a array
 
     [f] runs on an arbitrary participant domain. Anything it touches
     must be domain-safe or task-private. *)
-
-val reduce : t -> int -> map:(int -> 'a) -> fold:('acc -> 'a -> 'acc) -> init:'acc -> 'acc
-(** Ordered reduce: [fold (… (fold init (map 0)) …) (map (n-1))] with
-    the [map] calls run in parallel as {!map} and the [fold] applied
-    sequentially in index order on the submitter — deterministic even
-    for non-commutative [fold]. *)
 
 type stats = {
   tasks : int;  (** tasks executed over the pool's lifetime *)

@@ -133,20 +133,6 @@ let merge_budget spec ~max_bdd_nodes ~deadline_s ~fallback =
 
 (* ---- running one spec -------------------------------------------------- *)
 
-(* The sequential flow prices the combinational core with every
-   flip-flop's D pin promoted to a block output (Seq_flow); the baseline
-   digest must cover exactly that network or two controllers differing
-   only in D taps would collide. *)
-let seq_core sn =
-  let core = Dpa_logic.Netlist.copy (Dpa_seq.Seq_netlist.comb sn) in
-  Array.iteri
-    (fun k ff ->
-      Dpa_logic.Netlist.add_output core
-        (Printf.sprintf "ff%d.d" k)
-        ff.Dpa_seq.Seq_netlist.data)
-    (Dpa_seq.Seq_netlist.ffs sn);
-  core
-
 let run_spec ?par ?budget spec =
   let profile = spec.profile in
   let budget = match budget with Some _ -> budget | None -> spec.budget in
@@ -172,7 +158,9 @@ let run_spec ?par ?budget spec =
         net )
     | Profiles.Seq sn ->
       let r = Dpa_core.Seq_flow.compare_ma_mp ~config sn in
-      let core = seq_core sn in
+      (* the baseline digest covers exactly the network the flow priced,
+         or two controllers differing only in D taps would collide *)
+      let core = Dpa_core.Seq_flow.core sn in
       ( r.Dpa_core.Seq_flow.comb,
         Dpa_logic.Struct_hash.digest core,
         Dpa_logic.Netlist.gate_count core,

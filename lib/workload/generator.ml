@@ -54,7 +54,7 @@ let is_proper_gate net id =
   | Dpa_logic.Gate.Input | Dpa_logic.Gate.Const _ | Dpa_logic.Gate.Buf _
   | Dpa_logic.Gate.Xor _ -> false
 
-let build_into b ~inputs p =
+let generate_into b ~inputs p =
   let rng = Rng.create p.seed in
   (* Shallow gates (created early in the previous cone, near the inputs)
      are the sharing currency between neighbouring outputs: real control
@@ -193,14 +193,14 @@ let combinational p =
   let inputs =
     Array.init p.n_inputs (fun k -> Builder.input ~name:(Printf.sprintf "pi%d" k) b)
   in
-  build_into b ~inputs p;
+  generate_into b ~inputs p;
   Builder.finish b
 
 (* ---- corpus-scale families ---------------------------------------- *)
 
 (* Shared sliding window: output [j]'s cone reads [support] consecutive
    inputs, offset so neighbouring cones overlap (same scheme as
-   [build_into]). *)
+   [generate_into]). *)
 let window_of ~inputs ~n_outputs ~support j =
   let n_inputs = Array.length inputs in
   let span = n_inputs - support in
@@ -393,7 +393,7 @@ let controller p =
   let qs = Array.init p.n_ffs (fun k -> Builder.input ~name:(Printf.sprintf "q%d" k) b) in
   let rng = Rng.create p.seed in
   (* One bounded-support cone per D pin / primary output. Cones do not
-     share logic across each other (unlike [build_into]) so the support of
+     share logic across each other (unlike [generate_into]) so the support of
      every node stays within its own pool — the sequential probability
      partitioning builds exact BDDs for the whole core and needs that
      bound. *)
@@ -506,7 +506,7 @@ let sequential p ~n_ffs =
   let real = Array.init p.n_inputs (fun k -> Builder.input ~name:(Printf.sprintf "pi%d" k) b) in
   let qs = Array.init n_ffs (fun k -> Builder.input ~name:(Printf.sprintf "q%d" k) b) in
   let p' = { p with n_inputs = p.n_inputs + n_ffs } in
-  build_into b ~inputs:(Array.append real qs) p';
+  generate_into b ~inputs:(Array.append real qs) p';
   let net = Builder.finish b in
   (* D pins tap random proper gates (deterministically from the seed) *)
   let rng = Rng.create (p.seed lxor 0x5EC1) in

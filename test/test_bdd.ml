@@ -2,6 +2,7 @@ module Robdd = Dpa_bdd.Robdd
 module Ordering = Dpa_bdd.Ordering
 module Build = Dpa_bdd.Build
 module Netlist = Dpa_logic.Netlist
+module Gate = Dpa_logic.Gate
 module Eval = Dpa_logic.Eval
 
 let test_terminals () =
@@ -65,7 +66,7 @@ let prop_bdd_equals_eval =
     (fun net ->
       let check_order order =
         let b = Build.of_netlist ~order net in
-        let pos_of_level = b.Build.order in
+        let pos_of_level = Build.order b in
         let level_of_pos = Array.make (Array.length pos_of_level) 0 in
         Array.iteri (fun lvl pos -> level_of_pos.(pos) <- lvl) pos_of_level;
         Testkit.same_function (Netlist.num_inputs net)
@@ -75,7 +76,7 @@ let prop_bdd_equals_eval =
             Array.iteri (fun pos v -> assignment.(level_of_pos.(pos)) <- v) vec;
             Array.to_list
               (Array.map
-                 (fun (_, d) -> Robdd.eval b.Build.manager b.Build.roots.(d) assignment)
+                 (fun (_, d) -> Robdd.eval (Build.manager b) (Build.roots b).(d) assignment)
                  (Netlist.outputs net)))
       in
       check_order (Ordering.reverse_topological net)
@@ -97,8 +98,8 @@ let prop_probability_exact =
       !ok)
 
 (* property: at full width (12 inputs), the packed-table kernel still agrees
-   with exhaustive truth-table enumeration to 1e-12, through both the
-   fresh-memo and the shared-memo entry points *)
+   with exhaustive truth-table enumeration to 1e-12, through both a built
+   netlist's read-out and the one-call entry point *)
 let prop_probability_exact_wide =
   Testkit.qcheck_case ~count:20 ~name:"bdd probabilities exact at 12 inputs"
     QCheck2.Gen.(
@@ -106,7 +107,7 @@ let prop_probability_exact_wide =
     (fun (net, probs) ->
       let expected = Eval.exact_probabilities net probs in
       let b = Build.of_netlist net in
-      let shared = Build.probabilities_of_built ~input_probs:probs b in
+      let shared = Build.node_probabilities b ~input_probs:probs in
       let fresh = Build.probabilities ~input_probs:probs net in
       let ok = ref true in
       Array.iteri
@@ -126,28 +127,125 @@ let prop_prob_cache_consistent =
     QCheck2.Gen.(pair (Testkit.arbitrary_netlist ()) (Testkit.probs_gen 5))
     (fun (net, probs) ->
       let b = Build.of_netlist net in
-      let level_probs = Array.map (fun pos -> probs.(pos)) b.Build.order in
-      let cache = Robdd.prob_cache b.Build.manager level_probs in
+      let level_probs = Array.map (fun pos -> probs.(pos)) (Build.order b) in
+      let cache = Robdd.prob_cache (Build.manager b) level_probs in
       let before =
-        Array.map (Robdd.cached_probability cache) b.Build.roots
+        Array.map (Robdd.cached_probability cache) (Build.roots b)
       in
       (* grow the manager after the cache was created *)
       let extra =
-        Robdd.apply_xor b.Build.manager b.Build.roots.(0)
-          (Robdd.neg b.Build.manager b.Build.roots.(Array.length b.Build.roots - 1))
+        Robdd.apply_xor (Build.manager b) (Build.roots b).(0)
+          (Robdd.neg (Build.manager b) (Build.roots b).(Array.length (Build.roots b) - 1))
       in
       let ok = ref (Testkit.approx ~eps:1e-12
-                      (Robdd.probability b.Build.manager level_probs extra)
+                      (Robdd.probability (Build.manager b) level_probs extra)
                       (Robdd.cached_probability cache extra)) in
       Array.iteri
         (fun i root ->
           if
             not
               (Testkit.approx ~eps:1e-12 before.(i)
-                 (Robdd.probability b.Build.manager level_probs root))
+                 (Robdd.probability (Build.manager b) level_probs root))
           then ok := false)
-        b.Build.roots;
+        (Build.roots b);
       !ok)
+
+(* ---- the shared builder on gates a mapped block never holds ---- *)
+
+(* Random netlists over NOT, BUF, XOR, AND and OR (inputs first), with a
+   pair of distinct input positions for the rewiring leg. *)
+let gen_gate_netlist =
+  let open QCheck2.Gen in
+  let* n_inputs = int_range 2 6 in
+  let* n_gates = int_range 1 16 in
+  let* seeds = list_repeat (4 * n_gates) (int_bound 1_000_000) in
+  let* n_outputs = int_range 1 3 in
+  let* out_seeds = list_repeat n_outputs (int_bound 1_000_000) in
+  let* i = int_bound (n_inputs - 1) in
+  let* j = int_bound (n_inputs - 2) in
+  let net = Netlist.create ~name:"gates" () in
+  for _ = 1 to n_inputs do
+    ignore (Netlist.add_input net)
+  done;
+  let seeds = Array.of_list seeds and cursor = ref 0 in
+  let next () =
+    incr cursor;
+    seeds.(!cursor - 1)
+  in
+  for _ = 1 to n_gates do
+    let pick () = next () mod Netlist.size net in
+    ignore
+      (Netlist.add_gate net
+         (match next () mod 5 with
+         | 0 -> Gate.Not (pick ())
+         | 1 -> Gate.Buf (pick ())
+         | 2 -> Gate.Xor (pick (), pick ())
+         | 3 -> Gate.And [| pick (); pick () |]
+         | _ -> Gate.Or [| pick (); pick () |]))
+  done;
+  List.iteri
+    (fun k s -> Netlist.add_output net (Printf.sprintf "o%d" k) (s mod Netlist.size net))
+    out_seeds;
+  return (net, i, if j >= i then j + 1 else j)
+
+let print_gate_case (net, i, j) =
+  Printf.sprintf "%s; input %d read as NOT input %d" (Dpa_logic.Io.to_string net) j i
+
+(* p = 0.7 everywhere, and a seeded vector away from the dyadic rationals *)
+let gate_case_probs net =
+  let n = Netlist.num_inputs net in
+  let rng = Dpa_util.Rng.create 11 in
+  [ Array.make n 0.7; Array.init n (fun _ -> 0.05 +. Dpa_util.Rng.float rng 0.9) ]
+
+let bits = Array.map Int64.bits_of_float
+
+(* [net] with input [j]'s fanouts moved to a NOT of input [i], placed
+   after the inputs; returns the copy and the old-id → new-id map. *)
+let rewire net ~i ~j =
+  let ins = Netlist.inputs net in
+  let copy = Netlist.create ~name:"rewired" () in
+  let map = Array.make (Netlist.size net) (-1) in
+  Array.iter (fun id -> map.(id) <- Netlist.add_input copy) ins;
+  map.(ins.(j)) <- Netlist.add_gate copy (Gate.Not map.(ins.(i)));
+  Netlist.iter_nodes
+    (fun id g ->
+      if map.(id) < 0 then map.(id) <- Netlist.add_gate copy (Gate.map_fanins (fun x -> map.(x)) g))
+    net;
+  Array.iter (fun (name, d) -> Netlist.add_output copy name map.(d)) (Netlist.outputs net);
+  (copy, map)
+
+let prop_build_leaf_and_cones =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:100 ~print:print_gate_case
+       ~name:"shared builder: cones and leaf map on any gate" gen_gate_netlist
+    @@ fun (net, i, j) ->
+      let order = Ordering.reverse_topological net in
+      let whole = Build.of_netlist ~order net in
+      (* one output cone at a time: same bits wherever a cone reaches, and
+         nothing built outside every cone *)
+      let coned = Build.start ~order ~leaf:(fun k -> (k, false)) net in
+      let cones = Dpa_logic.Cone.of_outputs net in
+      Array.iter (fun c -> Build.build coned ~within:(Dpa_util.Bitset.mem c)) cones;
+      let in_cone id = Array.exists (fun c -> Dpa_util.Bitset.mem c id) cones in
+      (* input j read as input i's variable, complemented *)
+      let leafed =
+        Build.start ~order ~leaf:(fun k -> if k = j then (i, true) else (k, false)) net
+      in
+      Build.build leafed ~within:(fun _ -> true);
+      let rewired, map = rewire net ~i ~j in
+      let reference = Build.of_netlist ~order rewired in
+      List.for_all
+        (fun input_probs ->
+          let w = bits (Build.node_probabilities whole ~input_probs) in
+          let c = bits (Build.node_probabilities coned ~input_probs) in
+          let l = bits (Build.node_probabilities leafed ~input_probs) in
+          let r = bits (Build.node_probabilities reference ~input_probs) in
+          let nan = Int64.bits_of_float Float.nan in
+          Array.for_all Fun.id
+            (Array.init (Netlist.size net) (fun id ->
+                 (if in_cone id then c.(id) = w.(id) else c.(id) = nan)
+                 && l.(id) = r.(map.(id)))))
+        (gate_case_probs net))
 
 let test_stats_counters () =
   let m = Robdd.create ~nvars:4 in
@@ -167,7 +265,6 @@ let test_stats_counters () =
 
 (* ---- the computed table is only a memo ---- *)
 
-module Gate = Dpa_logic.Gate
 module Sift = Dpa_bdd.Sift
 
 (* A loop that builds every node of a netlist, in id order, into a
@@ -228,7 +325,9 @@ let level_probs p =
   let n = Array.length p.inputs in
   Array.map (fun pos -> float_of_int (pos + 1) /. float_of_int (n + 2)) p.order
 
-let prob_bits m p = Array.map Int64.bits_of_float (Robdd.probabilities m (level_probs p) p.roots)
+let prob_bits m p =
+  let cache = Robdd.prob_cache m (level_probs p) in
+  Array.map (fun r -> Int64.bits_of_float (Robdd.cached_probability cache r)) p.roots
 
 (* What a build shows apart from its memo traffic: the root ids, the node
    counts and the probability bits — after a plain build, at the point a
@@ -479,10 +578,10 @@ let prop_isop_exact_and_irredundant =
     (Testkit.arbitrary_netlist ())
     (fun net ->
       let built = Build.of_netlist net in
-      let m = built.Build.manager in
+      let m = Build.manager built in
       Array.for_all
         (fun (_, d) ->
-          let f = built.Build.roots.(d) in
+          let f = (Build.roots built).(d) in
           let cover = Isop.of_node m f in
           Isop.cover_to_bdd m cover = f
           && List.for_all
@@ -651,4 +750,5 @@ let suite =
     Alcotest.test_case "computed table size, circuits" `Quick
       test_cache_capacity_invariance_circuits;
     Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
-    prop_orderings_are_permutations ]
+    prop_orderings_are_permutations;
+    prop_build_leaf_and_cones ]

@@ -38,18 +38,18 @@ let test_budget_exceeded_is_typed () =
   let mapped = fig5_mapped () in
   let input_probs = Array.make 4 0.5 in
   let order = Estimate.block_order ~input_probs mapped in
-  let pb = Estimate.start_build ~order mapped in
-  Dpa_bdd.Robdd.set_budget ~max_nodes:3 (Estimate.partial_manager pb);
-  (match Estimate.build_nodes pb ~within:(fun _ -> true) with
+  let b = Estimate.start_build ~order mapped in
+  Dpa_bdd.Robdd.set_budget ~max_nodes:3 (Dpa_bdd.Build.manager b);
+  (match Dpa_bdd.Build.build b ~within:(fun _ -> true) with
   | () -> Alcotest.fail "expected Budget_exceeded"
   | exception Dpa_error.Budget_exceeded r ->
     Alcotest.(check bool) "nodes resource" true (r.Dpa_error.resource = Dpa_error.Bdd_nodes)
   | exception _ -> Alcotest.fail "wrong exception type");
   (* the manager survives exhaustion: lifting the budget lets the same
-     partial build resume and finish *)
-  Dpa_bdd.Robdd.clear_budget (Estimate.partial_manager pb);
-  Estimate.build_nodes pb ~within:(fun _ -> true);
-  let probs = Estimate.partial_probabilities pb ~input_probs in
+     build resume and finish *)
+  Dpa_bdd.Robdd.clear_budget (Dpa_bdd.Build.manager b);
+  Dpa_bdd.Build.build b ~within:(fun _ -> true);
+  let probs = Dpa_bdd.Build.node_probabilities b ~input_probs in
   Alcotest.(check bool) "all probabilities defined" true
     (Array.for_all (fun p -> not (Float.is_nan p)) probs)
 

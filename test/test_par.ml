@@ -26,22 +26,6 @@ let test_map_empty_and_single () =
   Alcotest.(check int) "empty" 0 (Array.length (Par.map pool 0 (fun i -> i)));
   Alcotest.(check (array int)) "single" [| 7 |] (Par.map pool 1 (fun _ -> 7))
 
-let test_reduce_ordered_noncommutative () =
-  (* string concatenation does not commute: any out-of-order fold shows *)
-  let seq =
-    List.fold_left (fun acc i -> acc ^ string_of_int i ^ ";") "" (List.init 64 Fun.id)
-  in
-  Par.with_pool ~jobs:4 @@ fun pool ->
-  for _ = 1 to 10 do
-    let got =
-      Par.reduce pool 64
-        ~map:(fun i -> string_of_int i ^ ";")
-        ~fold:(fun acc s -> acc ^ s)
-        ~init:""
-    in
-    Alcotest.(check string) "ordered fold" seq got
-  done
-
 let test_jobs1_inline_matches () =
   let with_jobs j =
     Par.with_pool ~jobs:j @@ fun pool -> Par.map pool 100 (fun i -> (i * 37) mod 11)
@@ -231,9 +215,6 @@ let test_optimize_identity_exhaustive () =
     (optimize_identity ~strategy:Optimizer.Auto)
     [ "../data/frg1_synthetic.blif"; "../data/seq_controller.blif" ]
 
-let test_optimize_identity_multistart () =
-  optimize_identity ~strategy:(Optimizer.Multi_start 3) "../data/frg1_synthetic.blif"
-
 (* The identity legs stay green if a budgeted search ignores its pool,
    so check that the pool is really used: greedy spreads each
    candidate's shards (the pool runs tasks, nothing is prefetched), and
@@ -323,10 +304,8 @@ let suite =
   [
     Alcotest.test_case "map ordered results" `Quick test_map_ordered;
     Alcotest.test_case "map empty and single" `Quick test_map_empty_and_single;
-    Alcotest.test_case "reduce ordered (non-commutative)" `Quick
-      test_reduce_ordered_noncommutative;
-    Alcotest.test_case "jobs 1 inline matches" `Quick test_jobs1_inline_matches;
     Alcotest.test_case "exception: lowest index wins" `Quick test_exception_lowest_index;
+    Alcotest.test_case "jobs 1 inline matches" `Quick test_jobs1_inline_matches;
     Alcotest.test_case "nested use rejected" `Quick test_nested_use_rejected;
     Alcotest.test_case "create bounds" `Quick test_create_bounds;
     Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
@@ -339,8 +318,6 @@ let suite =
       test_optimize_identity_greedy;
     Alcotest.test_case "optimize identity (exhaustive)" `Quick
       test_optimize_identity_exhaustive;
-    Alcotest.test_case "optimize identity (multi-start)" `Quick
-      test_optimize_identity_multistart;
     Alcotest.test_case "budgeted search uses the pool" `Quick test_budgeted_search_uses_pool;
     Alcotest.test_case "full flow identity" `Quick test_full_flow_identity;
   ]

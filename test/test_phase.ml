@@ -195,37 +195,6 @@ let test_optimizer_auto_wide () =
   Alcotest.(check string) "greedy used" "greedy" r.Optimizer.strategy_used;
   Alcotest.(check bool) "measured something" true (r.Optimizer.measurements >= 1)
 
-let test_optimizer_multi_start () =
-  let p =
-    { Dpa_workload.Generator.default with
-      Dpa_workload.Generator.seed = 77;
-      n_inputs = 20;
-      n_outputs = 5;
-      gates_per_output = 8;
-      and_bias = 0.35;
-      inverter_prob = 0.1;
-      reuse_fraction = 0.4 }
-  in
-  let net = Dpa_synth.Opt.optimize (Dpa_workload.Generator.combinational p) in
-  let probs = Array.make (Netlist.num_inputs net) 0.5 in
-  let config =
-    { (Optimizer.default_config ~input_probs:probs) with
-      Optimizer.strategy = Optimizer.Multi_start 4 }
-  in
-  let r = Optimizer.minimize_power config net in
-  Alcotest.(check string) "strategy label" "multi-start(4)" r.Optimizer.strategy_used;
-  (* no worse than plain greedy, no better than the exhaustive optimum *)
-  let greedy =
-    Optimizer.minimize_power
-      { config with Optimizer.strategy = Optimizer.Greedy } net
-  in
-  let optimum =
-    Optimizer.minimize_power
-      { config with Optimizer.strategy = Optimizer.Exhaustive } net
-  in
-  Alcotest.(check bool) "≤ greedy" true (r.Optimizer.power <= greedy.Optimizer.power +. 1e-9);
-  Alcotest.(check bool) "≥ optimum" true (r.Optimizer.power >= optimum.Optimizer.power -. 1e-9)
-
 let test_optimizer_annealing_strategy () =
   let net = fig5 () in
   let config =
@@ -637,7 +606,6 @@ let suite =
     Alcotest.test_case "annealing improves" `Quick test_annealing_improves;
     Alcotest.test_case "optimizer auto small" `Quick test_optimizer_auto_small;
     Alcotest.test_case "optimizer auto wide" `Quick test_optimizer_auto_wide;
-    Alcotest.test_case "optimizer multi-start" `Quick test_optimizer_multi_start;
     Alcotest.test_case "optimizer annealing" `Quick test_optimizer_annealing_strategy;
     Alcotest.test_case "k-tuple coincides with pair" `Quick test_k_tuple_coincides_with_pair;
     Alcotest.test_case "ranked action tuples" `Quick test_ranked_action_tuples_sorted;

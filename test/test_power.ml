@@ -220,10 +220,10 @@ let table_order ~library ~input_probs net =
 (* The candidate's block built whole under [order] in a fresh manager,
    then priced as [of_mapped] prices. *)
 let build_under ~order ~input_probs mapped =
-  let pb = Estimate.start_build ~order mapped in
-  Estimate.build_nodes pb ~within:(fun _ -> true);
+  let b = Estimate.start_build ~order mapped in
+  Dpa_bdd.Build.build b ~within:(fun _ -> true);
   Estimate.price mapped
-    ~node_probs:(Estimate.partial_probabilities pb ~input_probs)
+    ~node_probs:(Dpa_bdd.Build.node_probabilities b ~input_probs)
     ~input_toggle:(fun opos -> Dpa_power.Model.static_switching input_probs.(opos))
 
 (* A seeded per-PI vector away from the dyadic rationals, where float

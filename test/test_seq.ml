@@ -405,12 +405,12 @@ let test_partition_node_probs_shared_memo () =
           let level_probs =
             Array.map
               (fun pos -> if pos < n_real then input_probs.(pos) else r.Partition.ff_probs.(pos - n_real))
-              b.Dpa_bdd.Build.order
+              (Dpa_bdd.Build.order b)
           in
           Testkit.check_bits_array
             (Printf.sprintf "%s at p = %g" name p)
-            (Array.map (Dpa_bdd.Robdd.probability b.Dpa_bdd.Build.manager level_probs)
-               b.Dpa_bdd.Build.roots)
+            (Array.map (Dpa_bdd.Robdd.probability (Dpa_bdd.Build.manager b) level_probs)
+               (Dpa_bdd.Build.roots b))
             r.Partition.node_probs)
         [ 0.5; 0.7 ])
     [ ("seq_controller", seq_controller ()); ("ctrl_smoke", ctrl_smoke ()) ]

@@ -57,9 +57,9 @@ let prop_sift_preserves =
     (fun net ->
       let n = Netlist.num_inputs net in
       let b = Build.of_netlist ~order:(Ordering.declaration net) net in
-      let m = b.Build.manager in
+      let m = Build.manager b in
       let roots = Array.to_list (Build.output_roots net b) in
-      let order = Array.copy b.Build.order in
+      let order = Array.copy (Build.order b) in
       let probs = Array.init n (fun i -> float_of_int (i + 1) /. float_of_int (n + 2)) in
       let level_probs o = Array.map (fun v -> probs.(v)) o in
       let pre_truth =
@@ -83,9 +83,9 @@ let prop_sift_preserves =
 let test_prob_cache_survives () =
   let net = Dpa_workload.Examples.fig5 () in
   let b = Build.of_netlist net in
-  let m = b.Build.manager in
+  let m = Build.manager b in
   let roots = Array.to_list (Build.output_roots net b) in
-  let order = Array.copy b.Build.order in
+  let order = Array.copy (Build.order b) in
   let n = Netlist.num_inputs net in
   let probs = Array.init n (fun i -> 0.3 +. (0.4 *. float_of_int i /. float_of_int (max 1 (n - 1)))) in
   let level_probs o = Array.map (fun v -> probs.(v)) o in
@@ -134,9 +134,9 @@ let test_sift_identity_on_corpus () =
     (fun (name, net) ->
       let n = Netlist.num_inputs net in
       let b = Build.of_netlist net in
-      let m = b.Build.manager in
+      let m = Build.manager b in
       let roots = Array.to_list (Build.output_roots net b) in
-      let order = Array.copy b.Build.order in
+      let order = Array.copy (Build.order b) in
       let probs = Array.init n (fun i -> float_of_int (i + 1) /. float_of_int (n + 2)) in
       let level_probs o = Array.map (fun v -> probs.(v)) o in
       let cache = Robdd.prob_cache m (level_probs order) in

@@ -483,9 +483,12 @@ let test_fault_parse_config () =
     Alcotest.(check (float 0.0)) "rate 2" 0.25 r2
   | Ok _ -> Alcotest.fail "wrong shape"
   | Error e -> Alcotest.fail e);
-  (match Fault.parse_config "bogus:0.1" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown point accepted");
+  List.iter
+    (fun spec ->
+      match Fault.parse_config spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "unknown point accepted: %s" spec)
+    [ "bogus:0.1"; "garbage_frame:1.0" ];
   match Fault.parse_config "slow_cone:nope" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad rate accepted"
