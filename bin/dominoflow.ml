@@ -152,15 +152,16 @@ let budget_arg ~passes =
   let fallback_arg =
     let doc =
       "What to do when a budget runs out: $(b,none) fails with exit code 75, \
-       $(b,reorder) sifts the BDD variable order in place and retries the failed \
-       cones, $(b,sim) (default) additionally falls back to Monte-Carlo simulation."
+       $(b,reorder) frees the BDD nodes no later node needs and retries the failed \
+       cones under the same variable order, $(b,sim) (default) additionally falls \
+       back to Monte-Carlo simulation."
     in
     Arg.(value & opt fallback_conv Engine.Simulate & info [ "fallback" ] ~docv:"POLICY" ~doc)
   in
   let reorder_passes_arg =
     let doc =
-      "Reorder-rung sift passes; $(b,0) disables the rung entirely, so exhausted \
-       cones fall straight through to the $(b,--fallback) policy."
+      "$(b,0) turns the retry rung off, so exhausted cones fall straight through \
+       to the $(b,--fallback) policy; any positive value turns it on."
     in
     Arg.(
       value

@@ -14,7 +14,7 @@ type t
 val manager : t -> Robdd.manager
 
 val order : t -> int array
-(** Level → token; {!sift} permutes it in place. *)
+(** Level → token. *)
 
 val roots : t -> Robdd.node array
 (** Root per netlist node id; {!Robdd.bdd_false} where not built. *)
@@ -36,22 +36,24 @@ val build : t -> within:(int -> bool) -> unit
 val node_probabilities : t -> input_probs:float array -> float array
 (** Exact signal probability per netlist node under one shared memo
     ({!Robdd.prob_cache}), [input_probs] indexed by token; [Float.nan]
-    where the node is not built. *)
+    where the node is not built. Raises [Invalid_argument] on a
+    collecting build, whose unpinned roots may be freed: read the array
+    {!collecting} returned instead. *)
 
-val sift :
-  ?passes:int ->
-  ?max_swaps:int ->
-  ?max_new_nodes:int ->
-  ?deadline:float ->
-  ?cancel:Dpa_util.Cancel.t ->
-  t ->
-  Sift.result
-(** In-place {!Sift.sift} of the build: every built root keeps its
-    function and node id, the interned prefixes of budget-aborted builds
-    compact, and everything unreachable from built roots is retired,
-    handing its count back to the budget for a retry. The order and the
-    token levels follow, so {!build} and {!node_probabilities} keep
-    working, also when the sift ends early on a budget or cancellation. *)
+val collecting : t -> input_probs:float array -> within:(int -> bool) -> float array
+(** Switches the build into collecting mode for the nodes [within]
+    selects (the {e union}; fanin-closed, like {!build}'s [within]) and
+    returns their probability record: {!node_probabilities}' values for
+    what is built now, and filled in by every later {!build} as each
+    node is built. From here on a built node's root is {e pinned} while
+    one of its fanouts in the union is unbuilt. When {!build} meets the
+    node cap ([Budget_exceeded] on [Bdd_nodes]; a wall-clock or
+    cancellation raise passes straight through), it runs
+    {!Robdd.collect} from the pinned roots and then retries the node
+    once if at most half the cap is live, and re-raises otherwise. The
+    variable order never changes, so every recorded value is the one
+    {!node_probabilities} would give. {!build} then raises
+    [Invalid_argument] for a node outside the union. *)
 
 val of_netlist : ?order:int array -> Dpa_logic.Netlist.t -> t
 (** Every node under the identity leaf; [order] (level → input position)

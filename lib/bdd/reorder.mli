@@ -1,6 +1,6 @@
 (** Static variable-order refinement by adjacent-swap hill climbing.
 
-    A lightweight alternative to in-place dynamic reordering (sifting):
+    A lightweight alternative to dynamic reordering (sifting):
     at this library's block sizes a full rebuild costs well under a
     millisecond, so the optimizer simply rebuilds under candidate orders —
     swapping adjacent variables (the same move sifting makes) and keeping
@@ -21,5 +21,5 @@ type result = {
 val refine : ?max_passes:int -> Dpa_logic.Netlist.t -> int array -> result
 (** Hill-climbs from the given order (default at most 8 passes over all
     adjacent pairs). The result is never worse than the input. The Fig. 10
-    ordering study's tool; no estimator reorders this way (the block
-    ladder sifts in place, [Sift]). *)
+    ordering study's tool; no estimator reorders at all (every build keeps
+    the block order, and the ladder's retry rung collects instead). *)

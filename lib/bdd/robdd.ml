@@ -10,6 +10,8 @@ type stats = {
   ite_probes : int;
   ite_hits : int;
   ite_resizes : int;
+  collections : int;
+  nodes_freed : int;
 }
 
 let zero_stats =
@@ -21,6 +23,8 @@ let zero_stats =
     ite_probes = 0;
     ite_hits = 0;
     ite_resizes = 0;
+    collections = 0;
+    nodes_freed = 0;
   }
 
 (* Node attributes live in three parallel int arrays indexed by node id
@@ -30,14 +34,20 @@ let zero_stats =
    computed table in the manner of Brace, Rudell and Bryant (DAC 1990):
    direct-mapped, one entry per hash, overwritten on collision. Losing an
    entry only costs a recomputation whose every [mk] hits the unique
-   table, so node ids and allocation order never depend on it. *)
+   table, so node ids and allocation order never depend on it. Ids freed
+   by [collect] wait on a free list threaded through [lo], and [new_node]
+   takes from it before it hands out a new id. *)
 type manager = {
   nv : int;
   mutable lvl : int array;
   mutable lo : int array;
   mutable hi : int array;
-  mutable n : int; (* nodes allocated so far; ids are 0 … n-1 *)
-  mutable reclaimed : int; (* nodes retired by the sifting reorderer *)
+  mutable n : int; (* ids handed out so far; ids are 0 … n-1 *)
+  mutable free : int; (* head of the free list; -1 when empty *)
+  mutable n_free : int; (* ids on the free list *)
+  mutable reused : int; (* allocations the free list served *)
+  mutable collections : int;
+  mutable freed : int; (* ids freed by every collection so far *)
   unique : Int3_table.t;
   (* computed table, stride 4: [f; g; h; ite f g h]; f = -1 marks empty *)
   mutable cache : int array;
@@ -94,7 +104,11 @@ let create_sized ~nvars ~cache_capacity =
       lo = Array.make cap 0;
       hi = Array.make cap 0;
       n = 2;
-      reclaimed = 0;
+      free = -1;
+      n_free = 0;
+      reused = 0;
+      collections = 0;
+      freed = 0;
       unique = Int3_table.create ~capacity:cache_capacity ();
       cache = Array.make (4 * entries) (-1);
       cache_mask = entries - 1;
@@ -139,9 +153,7 @@ let is_terminal n = n = bdd_false || n = bdd_true
 
 let total_nodes m = m.n
 
-let live_nodes m = m.n - m.reclaimed
-
-let reclaimed_nodes m = m.reclaimed
+let live_nodes m = m.n - m.n_free
 
 let grow_nodes m =
   let cap = Array.length m.lvl in
@@ -183,14 +195,12 @@ let check_budget m =
      [Cancelled] (which fallback ladders propagate), not [Budget_exceeded]
      (which they catch) *)
   if Dpa_util.Cancel.flag_set m.cancel then Dpa_util.Cancel.check_flag m.cancel;
-  (* live count, not allocation count: nodes the sifting reorderer retired
-     no longer occupy the caller's budget, so a post-sift retry gets the
-     headroom the reorder actually freed (identical when nothing was ever
-     reclaimed) *)
-  if m.n - m.reclaimed >= m.max_nodes then
+  (* live count, not ids handed out: ids a collection freed no longer
+     occupy the caller's budget *)
+  if live_nodes m >= m.max_nodes then
     Dpa_util.Dpa_error.budget_exceeded ~context:m.budget_context
       ~resource:Dpa_util.Dpa_error.Bdd_nodes
-      ~limit:(float_of_int m.max_nodes) ~spent:(float_of_int (m.n - m.reclaimed)) ();
+      ~limit:(float_of_int m.max_nodes) ~spent:(float_of_int (live_nodes m)) ();
   if m.deadline < infinity || Dpa_util.Cancel.has_deadline m.cancel then begin
     m.deadline_tick <- m.deadline_tick - 1;
     if m.deadline_tick <= 0 then begin
@@ -239,13 +249,24 @@ let grow_cache m =
 
 let new_node m l lo hi =
   if m.guarded then check_budget m;
-  if m.n = Array.length m.lvl then grow_nodes m;
-  let id = m.n in
+  let id =
+    if m.free >= 0 then begin
+      let id = m.free in
+      m.free <- Array.unsafe_get m.lo id;
+      m.n_free <- m.n_free - 1;
+      m.reused <- m.reused + 1;
+      id
+    end
+    else begin
+      if m.n = Array.length m.lvl then grow_nodes m;
+      m.n <- m.n + 1;
+      m.n - 1
+    end
+  in
   Array.unsafe_set m.lvl id l;
   Array.unsafe_set m.lo id lo;
   Array.unsafe_set m.hi id hi;
-  m.n <- id + 1;
-  if id - m.reclaimed > m.cache_mask && m.cache_mask < cache_ceiling - 1 then grow_cache m;
+  if live_nodes m > m.cache_mask + 1 && m.cache_mask < cache_ceiling - 1 then grow_cache m;
   id
 
 let level m n =
@@ -439,8 +460,9 @@ let prob_cache m probs =
 let cached_probability c root =
   let m = c.pm in
   if Array.length c.memo < m.n then begin
-    (* the manager grew since the last call; keep computed prefixes — node
-       attributes are immutable, so earlier values stay correct *)
+    (* the manager grew since the last call; keep computed prefixes — a
+       live id keeps its function, and [collect] resets the entry of every
+       id it frees *)
     let memo = Array.make (Array.length m.lvl) Float.nan in
     Array.blit c.memo 0 memo 0 (Array.length c.memo);
     c.memo <- memo
@@ -448,57 +470,43 @@ let cached_probability c root =
   prob_go m c.level_probs c.memo root
 
 (* ------------------------------------------------------------------ *)
-(* Reordering support                                                   *)
+(* Collection                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Low-level hooks for Sift, which rewires the two levels touched by an
-   adjacent-variable swap directly in the packed store. They bypass the
-   canonicity-preserving [mk] path on purpose; Sift is responsible for
-   restoring the invariants (unique-table consistency, no lo = hi nodes)
-   before returning. Nothing else should call them. *)
+(* [lvl] of an id on the free list, so a later sweep skips it *)
+let free_level = -1
 
-let assert_owner m op = check_owner m op
-
-let retired_level = -1
-
-let raw_level m n = Array.unsafe_get m.lvl n
-
-let unique_find m l lo hi = Int3_table.find m.unique l lo hi
-
-let unique_insert m l lo hi id = Int3_table.replace m.unique l lo hi id
-
-let unique_remove m l lo hi = Int3_table.remove m.unique l lo hi
-
-(* Like [new_node] but never raises: a swap must be able to finish the
-   level it is rewiring even when the caller's budget is exhausted (Sift
-   enforces its own [max_new_nodes] at swap boundaries instead). *)
-let alloc_unchecked m l lo hi =
-  if m.n = Array.length m.lvl then grow_nodes m;
-  let id = m.n in
-  Array.unsafe_set m.lvl id l;
-  Array.unsafe_set m.lo id lo;
-  Array.unsafe_set m.hi id hi;
-  m.n <- id + 1;
-  id
-
-let set_node m id l lo hi =
-  Array.unsafe_set m.lvl id l;
-  Array.unsafe_set m.lo id lo;
-  Array.unsafe_set m.hi id hi
-
-let retire_node m id =
-  Array.unsafe_set m.lvl id retired_level;
-  m.reclaimed <- m.reclaimed + 1
-
-let clear_ite_cache m = Array.fill m.cache 0 (Array.length m.cache) (-1)
-
-(* An in-place swap permutes the meaning of levels, so a surviving
-   [prob_cache]'s level-probability vector must be permuted to match.
-   The per-node memo itself stays valid: node ids keep their functions
-   across a swap, and probabilities depend only on the function. *)
-let set_cache_level_probs c probs =
-  check_probs c.pm probs;
-  Array.blit probs 0 c.level_probs 0 (Array.length probs)
+(* Mark and sweep (Brace, Rudell and Bryant, DAC 1990). A swept node is
+   unlinked from the unique table before its [lo] slot becomes the free
+   list's link. Nothing live can point at a swept node (a live parent
+   would have marked it), so no surviving unique-table key or node names
+   a freed id. Computed-table entries may, so the table is emptied. *)
+let collect ?cache m roots =
+  check_owner m "collect";
+  (match cache with
+  | Some c when c.pm != m -> invalid_arg "Robdd.collect: cache of another manager"
+  | Some _ | None -> ());
+  let marked = Bytes.make m.n '\000' in
+  visit_reachable m roots (fun n -> Bytes.unsafe_set marked n '\001');
+  let freed = ref 0 in
+  for id = m.n - 1 downto 2 do
+    let l = Array.unsafe_get m.lvl id in
+    if Bytes.unsafe_get marked id = '\000' && l <> free_level then begin
+      Int3_table.remove m.unique l (Array.unsafe_get m.lo id) (Array.unsafe_get m.hi id);
+      Array.unsafe_set m.lvl id free_level;
+      Array.unsafe_set m.lo id m.free;
+      m.free <- id;
+      (match cache with
+      | Some c when id < Array.length c.memo -> Array.unsafe_set c.memo id Float.nan
+      | Some _ | None -> ());
+      incr freed
+    end
+  done;
+  Array.fill m.cache 0 (Array.length m.cache) (-1);
+  m.n_free <- m.n_free + !freed;
+  m.collections <- m.collections + 1;
+  m.freed <- m.freed + !freed;
+  !freed
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                      *)
@@ -506,13 +514,15 @@ let set_cache_level_probs c probs =
 
 let stats m =
   {
-    nodes = m.n;
+    nodes = m.n + m.reused;
     unique_probes = Int3_table.probes m.unique;
     unique_hits = Int3_table.hits m.unique;
     unique_resizes = Int3_table.resizes m.unique;
     ite_probes = m.cache_probes;
     ite_hits = m.cache_hits;
     ite_resizes = m.cache_resizes;
+    collections = m.collections;
+    nodes_freed = m.freed;
   }
 
 let pp_stats fmt s =
@@ -527,7 +537,8 @@ let pp_stats fmt s =
     s.ite_resizes
 
 (* The registry path: cumulative counters across every manager of the
-   process, plus gauges for the last-published and peak manager sizes.
+   process, plus gauges for the last-published and peak manager sizes
+   (a manager's size is its peak live count, [total_nodes]).
    Cells are resolved lazily so a process that never publishes never
    touches the registry. *)
 let mc name help = Dpa_obs.Metrics.counter ~help name
@@ -546,9 +557,14 @@ let c_ihits = mc "bdd.ite.hits" "ite computed-table hits"
 
 let c_iresizes = mc "bdd.ite.resizes" "ite computed-table doublings"
 
+let c_collections = mc "bdd.collections" "mark-and-sweep collections"
+
+let c_freed = mc "bdd.nodes_freed" "node ids freed by collections"
+
 let g_manager = Dpa_obs.Metrics.gauge ~help:"nodes in the last published manager" "bdd.manager.nodes"
 
-let g_peak = Dpa_obs.Metrics.gauge ~help:"largest manager seen" "bdd.manager.peak_nodes"
+let g_peak =
+  Dpa_obs.Metrics.gauge ~help:"peak live nodes of the largest manager seen" "bdd.manager.peak_nodes"
 
 let publish_metrics m =
   let s = stats m in
@@ -561,6 +577,8 @@ let publish_metrics m =
   d c_iprobes (fun x -> x.ite_probes);
   d c_ihits (fun x -> x.ite_hits);
   d c_iresizes (fun x -> x.ite_resizes);
-  Dpa_obs.Metrics.set g_manager (float_of_int s.nodes);
-  Dpa_obs.Metrics.set_max g_peak (float_of_int s.nodes);
+  d c_collections (fun x -> x.collections);
+  d c_freed (fun x -> x.nodes_freed);
+  Dpa_obs.Metrics.set g_manager (float_of_int (total_nodes m));
+  Dpa_obs.Metrics.set_max g_peak (float_of_int (total_nodes m));
   m.published <- s

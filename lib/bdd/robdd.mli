@@ -22,7 +22,11 @@
     table's size and contents. It starts at the size {!create_sized} is
     given and doubles while the live node count exceeds its entry count,
     up to a fixed ceiling of 2{^20} entries. {!stats} exposes the
-    probe/hit/resize counters so benchmarks can report cache behaviour. *)
+    probe/hit/resize counters so benchmarks can report cache behaviour.
+
+    Memory is bounded by mark-and-sweep, as in the same paper: {!collect}
+    frees every node unreachable from the roots it is given, and node
+    creation reuses a freed id before it hands out a new one. *)
 
 type manager
 
@@ -47,7 +51,7 @@ val adopt : manager -> unit
     owned by the domain that created it: its unique table, computed table
     and node store are unsynchronized, so mutating entry points
     ({!var}, {!ite} and the operators built on it, {!set_budget},
-    {!prob_cache}) assert that the caller is the owner and raise a
+    {!prob_cache}, {!collect}) assert that the caller is the owner and raise a
     typed {!Dpa_util.Dpa_error.Internal} error otherwise — turning a
     latent cross-domain data race into an immediate, attributable
     failure. Call [adopt] only after a genuine handoff, i.e. when the
@@ -61,8 +65,8 @@ val adopt : manager -> unit
     typed {!Dpa_util.Dpa_error.Budget_exceeded} — never a bare [Failure] —
     when exhausted. The manager stays valid after exhaustion: already
     interned nodes, probabilities and lookups keep working, so a caller
-    can salvage the part of the computation that completed, then retry
-    under a different variable order or fall back to simulation.
+    can salvage the part of the computation that completed, then
+    {!collect} and retry, or fall back to simulation.
 
     A {!Dpa_util.Cancel} token may ride along: its flag is polled on
     every allocation (one atomic load) and its deadline on the same
@@ -78,9 +82,8 @@ val set_budget :
   manager ->
   unit
 (** [set_budget ?max_nodes ?deadline ?cancel m] installs (or, with no
-    arguments, clears) the budget. [max_nodes] bounds {!live_nodes} (the
-    same as {!total_nodes} until a sift retires nodes): creating a node
-    raises once [max_nodes] nodes are live;
+    arguments, clears) the budget. [max_nodes] bounds {!live_nodes}:
+    creating a node raises once [max_nodes] nodes are live;
     [deadline] is an absolute [Unix.gettimeofday] timestamp. [context]
     tags the {!Dpa_util.Dpa_error.budget_report} (e.g. which cone was
     building). [cancel] makes builds under this manager cooperatively
@@ -140,16 +143,14 @@ val shared_size : manager -> node list -> int
     quantity the paper's Fig. 10 compares across variable orders. *)
 
 val total_nodes : manager -> int
-(** Nodes ever created in the manager, retired ones included
-    (memory-pressure metric — the node store never shrinks). *)
+(** Node ids handed out, terminals included: every node created, on a
+    manager never collected. A new id is handed out only when the free
+    list is empty, that is when every id is live, so this is also the
+    peak of {!live_nodes} — the memory-pressure metric. *)
 
 val live_nodes : manager -> int
-(** {!total_nodes} minus nodes retired by the sifting reorderer — the
-    count the node budget is charged against. Equal to {!total_nodes}
-    on any manager that was never sifted. *)
-
-val reclaimed_nodes : manager -> int
-(** Nodes retired by the sifting reorderer since creation. *)
+(** {!total_nodes} minus the ids on the free list — the count the node
+    budget is charged against. *)
 
 val support : manager -> node -> int list
 (** Levels the function actually depends on, ascending. *)
@@ -179,80 +180,34 @@ val prob_cache : manager -> float array -> prob_cache
 
 val cached_probability : prob_cache -> node -> float
 (** Valid for nodes created after the cache, too — the memo tracks manager
-    growth, preserving already-computed entries (node attributes are
-    immutable outside reordering, so they stay correct). *)
+    growth, preserving already-computed entries (a live id keeps its
+    function; see {!collect} for freed ones). *)
 
-(** {2 Reordering support}
+(** {2 Collection} *)
 
-    Low-level hooks for {!Dpa_bdd.Sift}, which rewires the two levels
-    touched by an adjacent-variable swap directly in the packed store.
-    They bypass the canonicity-preserving intern path on purpose; the
-    sifter restores the invariants (unique-table consistency, no
-    redundant nodes) before returning, and an in-place swap preserves
-    the Boolean function denoted by every live node id — which is why
-    {!prob_cache} memos survive reordering (computed-table entries would
-    too, but the sifter clears them: see {!clear_ite_cache}). Nothing
-    else should call these. *)
-
-val assert_owner : manager -> string -> unit
-(** Raises the standard single-domain ownership error (named after the
-    calling operation) when the caller is not the owning domain. *)
-
-val retired_level : int
-(** Sentinel {!raw_level} of a node retired by the reorderer ([-1]). *)
-
-val raw_level : manager -> node -> int
-(** Stored level with no terminal check: [max_int] for terminals,
-    {!retired_level} for retired nodes, the decision level otherwise. *)
-
-val unique_find : manager -> int -> node -> node -> node
-(** Unique-table probe for [(level, lo, hi)];
-    {!Dpa_util.Int3_table.not_found} when absent. *)
-
-val unique_insert : manager -> int -> node -> node -> node -> unit
-(** [unique_insert m l lo hi id] binds [(l, lo, hi) → id], overwriting
-    any previous binding. *)
-
-val unique_remove : manager -> int -> node -> node -> unit
-(** Deletes the unique-table binding of [(level, lo, hi)] if present. *)
-
-val alloc_unchecked : manager -> int -> node -> node -> node
-(** Allocates a node without budget, deadline or cancellation checks (a
-    swap must be able to finish rewiring its level even under an
-    exhausted budget; the sifter enforces its own [max_new_nodes] at
-    swap boundaries). The caller must insert the unique-table entry. *)
-
-val set_node : manager -> node -> int -> node -> node -> unit
-(** Overwrites a node's level and children in place. *)
-
-val retire_node : manager -> node -> unit
-(** Marks a node dead ({!raw_level} becomes {!retired_level}) and credits
-    it back to the budget ({!live_nodes} drops by one). The caller must
-    already have removed its unique-table entry. *)
-
-val clear_ite_cache : manager -> unit
-(** Drops every ite memo entry. The sifter calls this when a sift session
-    opens and closes: entries keyed by live ids stay {e semantically}
-    valid across swaps (functions are preserved), but entries mentioning
-    retired ids must never resurrect them. *)
-
-val set_cache_level_probs : prob_cache -> float array -> unit
-(** Replaces the cache's level-probability vector — required after a sift
-    permuted the variable order, so level [l] again maps to the correct
-    variable's probability. Per-node memo entries are kept: node ids
-    retain their functions across in-place swaps, and a node's
-    probability depends only on its function. *)
+val collect : ?cache:prob_cache -> manager -> node list -> int
+(** [collect ?cache m roots] frees every internal node not reachable from
+    [roots] and returns how many it freed. A freed node leaves the unique
+    table and its id goes on the free list, which node creation serves
+    first; every node reachable from [roots] keeps its id and function,
+    so interning a surviving [(level, low, high)] still finds it. The
+    computed table is emptied, since its entries may name freed ids, and
+    [cache]'s memo entry for every freed id is reset, so a read after the
+    id is reused prices the new function. Any other {!prob_cache} on [m]
+    is stale once a freed id is reused. *)
 
 (** {2 Instrumentation} *)
 
 type stats = {
-  nodes : int;  (** nodes ever created, terminals included *)
+  nodes : int;  (** nodes created, terminals and reused ids included *)
   unique_probes : int;
   unique_hits : int;
   unique_resizes : int;
   ite_probes : int;  (** computed-table lookups (calls no terminal case answered) *)
   ite_hits : int;  (** lookups that found their full key *)
   ite_resizes : int;  (** computed-table doublings *)
+  collections : int;  (** {!collect} calls *)
+  nodes_freed : int;  (** ids freed by those calls *)
 }
 
 val stats : manager -> stats
@@ -270,5 +225,7 @@ val publish_metrics : manager -> unit
     manager, so calling after every estimate keeps process totals exact
     even with many short-lived managers. Registry names:
     [bdd.nodes_allocated], [bdd.unique.{probes,hits,resizes}],
-    [bdd.ite.{probes,hits,resizes}] (counters) and
-    [bdd.manager.nodes], [bdd.manager.peak_nodes] (gauges). *)
+    [bdd.ite.{probes,hits,resizes}], [bdd.collections],
+    [bdd.nodes_freed] (counters) and [bdd.manager.nodes],
+    [bdd.manager.peak_nodes] (gauges, both from {!total_nodes}, the
+    peak live count). *)

@@ -126,7 +126,7 @@ let c_estimates = oc "engine.estimates" "power estimates run through the engine"
 
 let c_exact = oc "engine.cones.exact" "output cones priced exactly"
 
-let c_reordered = oc "engine.cones.reordered" "output cones priced after the reorder rung"
+let c_reordered = oc "engine.cones.reordered" "output cones priced by the retry rung"
 
 let c_simulated = oc "engine.cones.simulated" "output cones priced by Monte-Carlo fallback"
 
@@ -207,54 +207,12 @@ let plan_shards ~n_shards cones =
   end;
   shard_of
 
-(* Rung 2: dynamically reorder the shard's rung-1 store in place
-   ({!Build.sift}) and retry the failed cones in the {e same} build.
-   Every already-built cone survives with node ids and probability memos
-   intact, the interned prefixes of budget-aborted cones compact, and
-   whatever became unreachable is retired — handing its node count back
-   to the manager budget for the retry. *)
-
-(* Sift allocates transiently while swapping (retired slots are not yet
-   reused), so bound the session's raw allocation independently of the
-   live-size cap; the bound is a function of the live size at entry,
-   which is deterministic. *)
-let sift_alloc_cap live = max 500_000 (4 * live)
-
-(* A full sift pass performs O(nvars) swaps per variable — quadratic in
-   the input count — while the achievable node savings scale with the
-   store. Capping the session's swaps linearly in the live size keeps
-   the rung's wall-clock proportional to the build it is rescuing on
-   wide-input blocks (a truncated session is fine: sifting visits the
-   largest levels first, so the early swaps carry most of the gain). *)
-let sift_swap_cap live = max 100_000 (2 * live)
-
-let run_sift ~budget ~deadline ~cancel b =
-  Trace.with_span "engine.sift" @@ fun () ->
-  let live = Robdd.live_nodes (Build.manager b) in
-  match
-    Build.sift ~passes:budget.reorder_passes ~max_swaps:(sift_swap_cap live)
-      ~max_new_nodes:(sift_alloc_cap live) ?deadline ~cancel b
-  with
-  | r ->
-    Trace.instant "engine.ladder.sift"
-      ~args:
-        [
-          ("swaps", Trace.Int r.Dpa_bdd.Sift.swaps);
-          ("nodes_before", Trace.Int r.Dpa_bdd.Sift.nodes_before);
-          ("nodes_after", Trace.Int r.Dpa_bdd.Sift.nodes_after);
-        ]
-  | exception Dpa_error.Budget_exceeded _ ->
-    (* ran out of wall clock or swap allowance mid-sift: the store is
-       consistent at every swap boundary, so the retry still runs
-       against whatever improvement was achieved *)
-    Trace.instant "engine.ladder.sift" ~args:[ ("completed", Trace.Bool false) ]
-
 (* Attempt every cone of [members] that [ok] marks unbuilt, in order,
    recording successes into [ok]. Each cone is protected individually, so
    one hostile cone cannot take down its siblings (they still profit from
    whatever sharing was interned before exhaustion). The cap bounds the
    manager's live node count — the same [max_bdd_nodes] for rung 1 and
-   for the post-sift retry. *)
+   for the collecting retry. *)
 let build_cones ~budget ~deadline ~cancel ~cones ~rung b members ok =
   let m = Build.manager b in
   Array.iteri
@@ -294,14 +252,39 @@ let build_cones ~budget ~deadline ~cancel ~cones ~rung b members ok =
    has [Float.nan] wherever the (possibly partial) build did not reach. *)
 type shard_build = {
   sb_ok0 : bool array;  (* rung-1 success, parallel to the member array *)
-  sb_okf : bool array;  (* after the in-shard sift retry *)
-  sb_nodes : int;  (* live manager nodes when the shard finished *)
+  sb_okf : bool array;  (* after the in-shard collecting retry *)
+  sb_nodes : int;  (* peak live manager nodes *)
   sb_probs : float array;
 }
 
+let retries budget = budget.fallback <> No_fallback && budget.reorder_passes > 0
+
+(* Rung 2: the shard's build switches into collecting mode
+   ({!Build.collecting}) over the union of its failed cones, and retries
+   them in the same manager under the same order and cap. A node-cap stop
+   frees every node no later node can read and retries that node once.
+   Rung 1 does not collect; DESIGN.md §16 says why. *)
+let retry_failed ~budget ~deadline ~cancel ~input_probs ~cones ~members b ok0 =
+  Trace.with_span "engine.retry" @@ fun () ->
+  let union = Bitset.create (Bitset.universe_size cones.(members.(0))) in
+  Array.iteri (fun t k -> if not ok0.(t) then Bitset.union_into union cones.(k)) members;
+  let probs = Build.collecting b ~input_probs ~within:(Bitset.mem union) in
+  let okf = Array.copy ok0 in
+  build_cones ~budget ~deadline ~cancel ~cones ~rung:"retry" b members okf;
+  let s = Robdd.stats (Build.manager b) in
+  Trace.instant "engine.ladder.retry"
+    ~args:
+      [
+        ("collections", Trace.Int s.Robdd.collections);
+        ("freed", Trace.Int s.Robdd.nodes_freed);
+        ("peak_live", Trace.Int (Robdd.total_nodes (Build.manager b)));
+        ("rescued", Trace.Int (count_ok okf - count_ok ok0));
+      ];
+  (okf, probs)
+
 (* One shard, one manager, built in whatever domain runs it. A shard with
-   failures sifts its own store in place and retries them right here, so
-   no manager ever crosses a domain. *)
+   failures retries them right here, so no manager ever crosses a
+   domain. *)
 let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members mapped =
   Trace.with_span "engine.shard"
     ~args:
@@ -313,26 +296,14 @@ let build_shard ~budget ~deadline ~cancel ~order ~input_probs ~cones ~members ma
   let b = Estimate.start_build ?max_nodes:budget.max_bdd_nodes ~order mapped in
   let ok0 = Array.make (Array.length members) false in
   build_cones ~budget ~deadline ~cancel ~cones ~rung:"exact" b members ok0;
-  (* extract rung-1 probabilities before any reordering, so cones priced
-     by rung 1 keep bit-identical values whatever the sift does *)
-  let probs0 = Build.node_probabilities b ~input_probs in
   let okf, probs =
-    if
-      budget.fallback = No_fallback
-      || budget.reorder_passes <= 0
-      || Array.for_all Fun.id ok0
-    then (ok0, probs0)
-    else begin
-      run_sift ~budget ~deadline ~cancel b;
-      let okf = Array.copy ok0 in
-      build_cones ~budget ~deadline ~cancel ~cones ~rung:"sift" b members okf;
-      let probs1 = Build.node_probabilities b ~input_probs in
-      (okf, Array.mapi (fun i p0 -> if Float.is_nan p0 then probs1.(i) else p0) probs0)
-    end
+    if retries budget && not (Array.for_all Fun.id ok0) then
+      retry_failed ~budget ~deadline ~cancel ~input_probs ~cones ~members b ok0
+    else (ok0, Build.node_probabilities b ~input_probs)
   in
   let m = Build.manager b in
   Robdd.publish_metrics m;
-  { sb_ok0 = ok0; sb_okf = okf; sb_nodes = Robdd.live_nodes m; sb_probs = probs }
+  { sb_ok0 = ok0; sb_okf = okf; sb_nodes = Robdd.total_nodes m; sb_probs = probs }
 
 (* The budgeted ladder. Shards return plain arrays and all merging
    happens on the calling domain in ascending shard order, so the result
@@ -384,8 +355,7 @@ let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
   Trace.instant "engine.ladder.exact"
     ~args:[ ("built", Trace.Int (count_ok ok0)); ("cones", Trace.Int n_out) ];
   let reorder_used = count_ok okf > count_ok ok0 in
-  if count_ok ok0 < n_out && budget.fallback <> No_fallback && budget.reorder_passes > 0
-  then
+  if count_ok ok0 < n_out && retries budget then
     Trace.instant "engine.ladder.reorder"
       ~args:[ ("adopted", Trace.Bool reorder_used); ("built", Trace.Int (count_ok okf)) ];
   let methods =

@@ -8,11 +8,14 @@
       support overlap, and each shard builds its cones, one at a time,
       in one manager under the node cap and wall-clock deadline
       ({!Dpa_bdd.Robdd.set_budget});
-    + {b reorder} — a shard with failed cones dynamically reorders its
-      node store {e in place} ({!Dpa_bdd.Sift}) — already-built cones
-      survive bitwise, aborted prefixes compact, garbage is retired back
-      to the budget — and retries the failed cones in the same manager,
-      under the same cap;
+    + {b retry} — a shard with failed cones switches its build into
+      collecting mode ({!Dpa_bdd.Build.collecting}) and retries them in
+      the same manager, under the same order and cap: each node's
+      probability is recorded as it is built, a node's BDD is unpinned
+      once its fanouts are built, and a node that meets the cap first
+      frees every unpinned node ({!Dpa_bdd.Robdd.collect}) and is
+      retried once — so the cap bounds the live frontier, and a rescued
+      cone carries {!Estimate.of_mapped}'s exact bits;
     + {b simulate} — cones still unbuilt are priced from one whole-block
       Monte-Carlo run of the domino simulator
       ({!Dpa_sim.Simulator.measure}) with a sample count sized from the
@@ -27,14 +30,15 @@
     degrading — never a bare [Failure]. *)
 
 (** What to do when the exact build exhausts its budget. Each level
-    includes the previous: [Reorder_retry] sifts in place and retries,
+    includes the previous: [Reorder_retry] collects and retries (the
+    name and its ["reorder"] spelling predate the collecting retry),
     [Simulate] additionally falls back to simulation. *)
 type fallback = No_fallback | Reorder_retry | Simulate
 
 type budget = {
   max_bdd_nodes : int option;
       (** manager node cap: no BDD manager the ladder creates holds more
-          live nodes, rung-1 build and sift retry alike; [None] =
+          live nodes, rung-1 build and collecting retry alike; [None] =
           unlimited *)
   deadline_s : float option;
       (** wall-clock seconds for the whole estimate; [None] = unlimited *)
@@ -43,12 +47,13 @@ type budget = {
       (** target 95% confidence-interval half-width on simulated
           probabilities; sizes the Monte-Carlo sample count *)
   reorder_passes : int;
-      (** reorder-rung effort in sift passes; [0] disables the rung *)
+      (** [0] turns the retry rung off, any positive value turns it on
+          (the field keeps its name from the sifting rung it replaced) *)
 }
 
 val default_budget : budget
-(** Unlimited resources, [Simulate] fallback, 1% half-width, 2 reorder
-    passes. *)
+(** Unlimited resources, [Simulate] fallback, 1% half-width, retry rung
+    on ([reorder_passes = 2]). *)
 
 val bounded : ?max_bdd_nodes:int -> ?deadline_s:float -> ?fallback:fallback -> unit -> budget
 (** [default_budget] with the given limits installed. *)
@@ -78,7 +83,9 @@ val ci_halfwidth_of : int -> float
 
 (** {2 Degradation report} *)
 
-(** How one output cone's probabilities were obtained. *)
+(** How one output cone's probabilities were obtained: rung 1, the retry
+    rung ([Reordered], spelled ["reordered"] and counted as [re] for the
+    tools that parse it) or simulation. *)
 type cone_method = Exact | Reordered | Simulated
 
 val cone_method_to_string : cone_method -> string
@@ -88,9 +95,10 @@ val cone_method_to_string : cone_method -> string
 type degradation = {
   methods : cone_method array;  (** per output cone, in output order *)
   bdd_nodes : int;
-      (** live nodes of the largest manager the estimate built — at most
-          [max_bdd_nodes] under a node cap *)
-  reorder_used : bool;  (** the sift retry rescued at least one cone *)
+      (** peak live nodes of the largest manager the estimate built
+          ({!Dpa_bdd.Robdd.total_nodes}) — at most [max_bdd_nodes] under
+          a node cap *)
+  reorder_used : bool;  (** the retry rung rescued at least one cone *)
   sim_cycles : int;  (** 0 when no cone needed simulation *)
   ci_halfwidth : float;  (** 0.0 when no cone needed simulation *)
 }

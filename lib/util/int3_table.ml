@@ -89,8 +89,9 @@ let purge t =
 
 (* Runs when live entries plus tombstones reach half the capacity. The
    capacity doubles when genuinely half full of live entries; when the
-   pressure was tombstone churn (a delete-heavy phase, e.g. sifting) the
-   tombstones are purged in place instead, so churn allocates nothing. *)
+   pressure was tombstone churn (a delete-heavy phase, e.g. a BDD
+   collection unlinking its dead nodes) the tombstones are purged in
+   place instead, so churn allocates nothing. *)
 let grow t =
   let old_cap = t.mask + 1 in
   if 2 * (t.size + 1) > old_cap then begin

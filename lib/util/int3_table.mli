@@ -10,7 +10,7 @@
     rather than emptying the slot (probe chains stay intact); tombstones
     are reused by later inserts and dropped at the next rehash, which
     happens in place when the live entries still fit, so delete-heavy
-    phases (the sifting reorderer retiring dead BDD nodes) neither strand
+    phases (a BDD collection unlinking its dead nodes) neither strand
     capacity nor allocate. The first key component must be non-negative
     (negative values mark empty and tombstoned slots); values are
     arbitrary ints except [-1] ({!not_found}), and non-negative wherever

@@ -33,9 +33,6 @@ type outcome = {
 (* No [deadline_s] in manifest budgets, ever: wall-clock deadlines make
    the ladder rung machine-dependent, and baselines demand (profile,
    seed, budget)-determinism. Node caps and sim parameters are exact. *)
-(* The reorder rung sifts each shard's node store in place and retries
-   in the same build; sifting costs a bounded multiple of the store it
-   compacts, so corpus-scale circuits can afford it. *)
 let budgeted ?max_bdd_nodes ?sim_halfwidth ?reorder_passes () =
   let b =
     {
@@ -71,12 +68,11 @@ let full =
         spec_of "parity_deep" ~budget:(budgeted ~max_bdd_nodes:120_000 ~sim_halfwidth:0.02 ());
         spec_of "parity_mix";
         spec_of "parity_wide" ~budget:(budgeted ~max_bdd_nodes:400_000 ());
-        (* Sift stays off for the wide adders only: their exhausted cones
-           are the high carry bits, which are already near their optimal
-           order, so the rung pays a store-proportional sift per shard for
-           almost no rescues — measured 1 cone of 35 on add8x32 at ~16×
-           the estimate's runtime. Every other budgeted spec keeps the
-           default sift rung. *)
+        (* The retry rung stays off for the wide adders only, where it
+           rescues almost nothing: on add8x32 (`run` under this cap) one
+           more exact cone, 4ex+1re+34sim against 4ex+0re+35sim, for
+           1.1–1.8 s instead of 0.6–0.7 s. Every other budgeted spec
+           keeps the default retry rung. *)
         spec_of "add8x32" ~budget:(budgeted ~max_bdd_nodes:200_000 ~reorder_passes:0 ());
         spec_of "add16x48" ~budget:(budgeted ~max_bdd_nodes:400_000 ~reorder_passes:0 ());
         spec_of "mult16" ~budget:(budgeted ~max_bdd_nodes:120_000 ~sim_halfwidth:0.02 ());

@@ -265,8 +265,6 @@ let test_stats_counters () =
 
 (* ---- the computed table is only a memo ---- *)
 
-module Sift = Dpa_bdd.Sift
-
 (* A loop that builds every node of a netlist, in id order, into a
    manager the test chose, reading gates and input levels from arrays
    prepared up front: nothing in [build_range] allocates, so whatever Gc
@@ -275,11 +273,9 @@ type plan = {
   gates : Gate.t array;
   level : int array;  (* input node id → current level; -1 for gates *)
   roots : Robdd.node array;
-  order : int array;  (* level → input position, permuted by a sift *)
+  order : int array;  (* level → input position *)
   inputs : int array;
 }
-
-let set_levels p = Array.iteri (fun lvl pos -> p.level.(p.inputs.(pos)) <- lvl) p.order
 
 let plan_of net =
   let n = Netlist.size net in
@@ -292,7 +288,7 @@ let plan_of net =
       inputs = Netlist.inputs net;
     }
   in
-  set_levels p;
+  Array.iteri (fun lvl pos -> p.level.(p.inputs.(pos)) <- lvl) p.order;
   p
 
 let build_range m p lo hi =
@@ -331,17 +327,17 @@ let prob_bits m p =
 
 (* What a build shows apart from its memo traffic: the root ids, the node
    counts and the probability bits — after a plain build, at the point a
-   node cap stops a build, and across a sift between two half-builds. *)
+   node cap stops a build, and across a collection between two
+   half-builds. *)
 type observed = {
   root_ids : int array;
   total : int;
   live : int;
   probs : int64 array;
   stop : int * int * int * float;  (* node id, total, live, report's spent *)
-  sifted_roots : int array;
-  sifted_order : int array;
-  sifted_counts : int * int;
-  sifted_probs : int64 array;
+  collected_roots : int array;
+  collected_counts : int * int;
+  collected_probs : int64 array;
 }
 
 let observe net ~cache_capacity =
@@ -368,8 +364,7 @@ let observe net ~cache_capacity =
   let ms = fresh s in
   build_range ms s 0 (n / 2);
   let built = List.filter (fun r -> not (Robdd.is_terminal r)) (Array.to_list (Array.sub s.roots 0 (n / 2))) in
-  ignore (Sift.sift ~roots:built ~order:s.order ms);
-  set_levels s;
+  ignore (Robdd.collect ms built);
   build_range ms s (n / 2) n;
   {
     root_ids = Array.copy p.roots;
@@ -377,10 +372,9 @@ let observe net ~cache_capacity =
     live = Robdd.live_nodes m;
     probs;
     stop = !stop;
-    sifted_roots = Array.copy s.roots;
-    sifted_order = Array.copy s.order;
-    sifted_counts = (Robdd.total_nodes ms, Robdd.live_nodes ms);
-    sifted_probs = prob_bits ms s;
+    collected_roots = Array.copy s.roots;
+    collected_counts = (Robdd.total_nodes ms, Robdd.live_nodes ms);
+    collected_probs = prob_bits ms s;
   }
 
 let check_capacity_invariance name net =
@@ -392,11 +386,12 @@ let check_capacity_invariance name net =
   let i, t, l, spent = a.stop and i', t', l', spent' = b.stop in
   Alcotest.(check (list int)) (name ^ ": budget stop (node, total, live)") [ i; t; l ] [ i'; t'; l' ];
   Testkit.check_bits (name ^ ": budget spent") spent spent';
-  ids "root ids across a sift" a.sifted_roots b.sifted_roots;
-  ids "order after the sift" a.sifted_order b.sifted_order;
-  Alcotest.(check (pair int int)) (name ^ ": counts across a sift") a.sifted_counts b.sifted_counts;
-  Alcotest.(check bool) (name ^ ": probability bits across a sift") true
-    (a.sifted_probs = b.sifted_probs)
+  ids "root ids across a collection" a.collected_roots b.collected_roots;
+  Alcotest.(check (pair int int))
+    (name ^ ": counts across a collection")
+    a.collected_counts b.collected_counts;
+  Alcotest.(check bool) (name ^ ": probability bits across a collection") true
+    (a.collected_probs = b.collected_probs)
 
 let prop_cache_capacity_invariance =
   Testkit.qcheck_case ~count:80 ~name:"computed table size changes no result"
@@ -716,6 +711,76 @@ let prop_reorder_never_worse =
       r.Dpa_bdd.Reorder.nodes <= r.Dpa_bdd.Reorder.initial_nodes
       && sorted = Array.init (Netlist.num_inputs net) Fun.id)
 
+(* ---- collection ---- *)
+
+(* Three collect-then-rebuild cycles over one manager, each keeping a
+   random subset of the roots. A rebuild interns into the ids the
+   collection freed, and every root must come back with its old
+   function, its old id where it was kept, and probability bits read
+   through a cache that lived across the reuse. Returns how many
+   allocations reused an id. *)
+let check_collect_cycles name net rng =
+  let p = plan_of net in
+  let n = Array.length p.gates and nv = Array.length p.inputs in
+  let m = Robdd.create ~nvars:nv in
+  let probs = level_probs p in
+  let cache = Robdd.prob_cache m probs in
+  let vectors = List.init 16 (fun _ -> Array.init nv (fun _ -> Random.State.bool rng)) in
+  let truth r = List.map (Robdd.eval m r) vectors in
+  build_range m p 0 n;
+  let truths = Array.map truth p.roots in
+  for cycle = 1 to 3 do
+    let msg what = Printf.sprintf "%s cycle %d: %s" name cycle what in
+    Array.iter (fun r -> ignore (Robdd.cached_probability cache r)) p.roots;
+    let kept_ids = Array.map (fun r -> if Random.State.bool rng then r else -1) p.roots in
+    let kept = List.filter (fun r -> r >= 0) (Array.to_list kept_ids) in
+    ignore (Robdd.collect ~cache m kept);
+    Alcotest.(check int) (msg "live = reachable + terminals")
+      (Robdd.shared_size m kept + 2) (Robdd.live_nodes m);
+    Array.iteri
+      (fun i r -> if r >= 0 then Alcotest.(check (list bool)) (msg "kept function") truths.(i) (truth r))
+      kept_ids;
+    let seen = Hashtbl.create 64 in
+    let rec survives r =
+      if (not (Robdd.is_terminal r)) && not (Hashtbl.mem seen r) then begin
+        Hashtbl.add seen r ();
+        survives (Robdd.low m r);
+        survives (Robdd.high m r);
+        let again =
+          Robdd.ite m (Robdd.var m (Robdd.level m r)) (Robdd.high m r) (Robdd.low m r)
+        in
+        Alcotest.(check int) (msg "a surviving triple interns to its id") r again
+      end
+    in
+    List.iter survives kept;
+    Array.fill p.roots 0 n Robdd.bdd_false;
+    build_range m p 0 n;
+    Array.iteri
+      (fun i r ->
+        if kept_ids.(i) >= 0 then Alcotest.(check int) (msg "kept root id") kept_ids.(i) r;
+        Alcotest.(check (list bool)) (msg "rebuilt function") truths.(i) (truth r);
+        Testkit.check_bits (msg "cached probability")
+          (Robdd.probability m probs r) (Robdd.cached_probability cache r))
+      p.roots
+  done;
+  let s = Robdd.stats m in
+  s.Robdd.nodes - Robdd.total_nodes m
+
+let prop_collect_cycles =
+  Testkit.qcheck_case ~count:60 ~name:"collect keeps roots, reuses ids"
+    QCheck2.Gen.(pair (Testkit.arbitrary_netlist ~n_inputs:8 ~max_gates:40 ()) (int_bound 1_000_000))
+    (fun (net, seed) ->
+      ignore (check_collect_cycles "random" net (Random.State.make [| seed |]));
+      true)
+
+let test_collect_cycles_circuits () =
+  List.iter
+    (fun (name, net) ->
+      let reused = check_collect_cycles name net (Random.State.make [| 7 |]) in
+      Alcotest.(check bool) (name ^ ": freed ids were reused") true (reused > 0))
+    (("mult8", Testkit.comb_of_profile "mult8")
+    :: List.map (fun path -> (path, Testkit.load_blif path)) Testkit.data_files)
+
 let suite =
   [ Alcotest.test_case "terminals" `Quick test_terminals;
     Alcotest.test_case "reorder refines" `Quick test_reorder_refines_bad_order;
@@ -751,4 +816,6 @@ let suite =
       test_cache_capacity_invariance_circuits;
     Alcotest.test_case "kernel allocation" `Quick test_kernel_allocation;
     prop_orderings_are_permutations;
-    prop_build_leaf_and_cones ]
+    prop_build_leaf_and_cones;
+    prop_collect_cycles;
+    Alcotest.test_case "collect on circuits" `Quick test_collect_cycles_circuits ]

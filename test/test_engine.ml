@@ -1,5 +1,5 @@
 (* The resource-bounded estimation engine: typed budget exhaustion, the
-   exact → reorder → simulate degradation ladder, and the malformed-BLIF
+   exact → retry → simulate degradation ladder, and the malformed-BLIF
    corpus (every bad input must yield a structured Error, never an
    uncaught exception). *)
 
@@ -8,6 +8,9 @@ module Estimate = Dpa_power.Estimate
 module Flow = Dpa_core.Flow
 module Netlist = Dpa_logic.Netlist
 module Dpa_error = Dpa_util.Dpa_error
+module Build = Dpa_bdd.Build
+module Robdd = Dpa_bdd.Robdd
+module Bitset = Dpa_util.Bitset
 
 let read_file path =
   let ic = open_in_bin path in
@@ -259,6 +262,117 @@ let test_parse_exn_typed () =
   | exception Dpa_error.Error (Dpa_error.Parse _) -> ()
   | exception _ -> Alcotest.fail "wrong exception type"
 
+(* ---- the collecting retry is exact -------------------------------- *)
+
+let all_positive_block net =
+  Dpa_domino.Mapped.map
+    (Dpa_synth.Inverterless.realize net
+       (Dpa_synth.Phase.all_positive (Netlist.num_outputs net)))
+
+(* Caps from an eighth of the exact build up to all of it. At each one
+   where the ladder simulates no cone, every probability and the total
+   carry [of_mapped]'s bits, with no pool and at jobs 1 and 4. Returns
+   the cones rung 2 rescued over those caps. *)
+let check_retry_exact name mapped ~input_probs =
+  let exact = Estimate.of_mapped ~input_probs mapped in
+  let n = exact.Estimate.bdd_nodes in
+  let caps = List.sort_uniq compare (List.filter (fun c -> c >= 3) [ n / 8; n / 4; n / 2; n ]) in
+  List.fold_left
+    (fun rescued cap ->
+      let budget = Engine.bounded ~max_bdd_nodes:cap () in
+      let run par = Engine.estimate ?par ~budget ~input_probs mapped in
+      let r = run None in
+      if Engine.simulated_cones r.Engine.degradation > 0 then rescued
+      else begin
+        List.iter
+          (fun (jobs, (r : Engine.result)) ->
+            let msg = Printf.sprintf "%s cap %d jobs %d" name cap jobs in
+            Testkit.check_bits_array (msg ^ " node probs") exact.Estimate.node_probs
+              r.Engine.report.Estimate.node_probs;
+            Testkit.check_bits (msg ^ " total") exact.Estimate.total r.Engine.report.Estimate.total)
+          ((0, r)
+          :: List.map
+               (fun jobs -> (jobs, Dpa_util.Par.with_pool ~jobs (fun pool -> run (Some pool))))
+               [ 1; 4 ]);
+        rescued + Engine.reordered_cones r.Engine.degradation
+      end)
+    0 caps
+
+(* p = 0.7 (not dyadic, so a reassociated sum shows) and a seeded
+   per-PI vector *)
+let retry_probs net seed =
+  let n = Netlist.num_inputs net in
+  let rng = Dpa_util.Rng.create seed in
+  [ ("p=0.7", Array.make n 0.7); ("seeded", Array.init n (fun _ -> Dpa_util.Rng.float rng 1.0)) ]
+
+let prop_retry_exact =
+  Testkit.qcheck_case ~count:30 ~name:"collecting retry matches of_mapped bit for bit"
+    Testkit.gen_wide_netlist
+    (fun (net, seed) ->
+      List.iter
+        (fun (label, input_probs) ->
+          ignore (check_retry_exact label (all_positive_block net) ~input_probs))
+        (retry_probs net seed);
+      true)
+
+(* Only mult8 and apex7 are held to a rescue: at these caps rung 2
+   rescues no cone of frg1, whose three cones sit in three shards *)
+let test_retry_exact_circuits () =
+  List.iter
+    (fun (name, raw, must_rescue) ->
+      let net = Dpa_synth.Opt.optimize raw in
+      List.iter
+        (fun (label, input_probs) ->
+          let name = name ^ " " ^ label in
+          let rescued = check_retry_exact name (all_positive_block net) ~input_probs in
+          if must_rescue then
+            Alcotest.(check bool) (name ^ ": rung 2 rescued a cone") true (rescued > 0))
+        (retry_probs net 11))
+    (("mult8", Testkit.comb_of_profile "mult8", true)
+    :: List.map
+         (fun path -> (path, Testkit.load_blif path, path = "../data/apex7_synthetic.blif"))
+         Testkit.data_files)
+
+(* Rung 2 collects on the node cap only: a wall-clock or cancellation
+   stop inside it passes straight through. *)
+let test_retry_passes_deadline_and_cancel () =
+  let net = Dpa_synth.Opt.optimize (Testkit.comb_of_profile "mult8") in
+  let mapped = all_positive_block net in
+  let input_probs = Array.make (Netlist.num_inputs net) 0.5 in
+  let order = Estimate.block_order ~input_probs mapped in
+  let cones = Dpa_logic.Cone.of_outputs (Dpa_domino.Mapped.net mapped) in
+  let rung2 install =
+    let b = Estimate.start_build ~order mapped in
+    let m = Build.manager b in
+    Robdd.set_budget ~max_nodes:20_000 m;
+    let failed =
+      List.filter
+        (fun k ->
+          match Build.build b ~within:(Bitset.mem cones.(k)) with
+          | () -> false
+          | exception Dpa_error.Budget_exceeded _ -> true)
+        (List.init (Array.length cones) Fun.id)
+    in
+    Alcotest.(check bool) "rung 1 failed a cone" true (failed <> []);
+    let union = Bitset.create (Bitset.universe_size cones.(0)) in
+    List.iter (fun k -> Bitset.union_into union cones.(k)) failed;
+    ignore (Build.collecting b ~input_probs ~within:(Bitset.mem union));
+    install m;
+    match Build.build b ~within:(Bitset.mem union) with
+    | () -> Alcotest.fail "expected rung 2 to stop"
+    | exception e ->
+      Alcotest.(check int) "no collection" 0 (Robdd.stats m).Robdd.collections;
+      e
+  in
+  (match rung2 (fun m -> Robdd.set_budget ~deadline:(Unix.gettimeofday () -. 1.0) m) with
+  | Dpa_error.Budget_exceeded { Dpa_error.resource = Dpa_error.Wall_clock; _ } -> ()
+  | e -> Alcotest.failf "expected a wall-clock stop, got %s" (Printexc.to_string e));
+  let cancel = Dpa_util.Cancel.create () in
+  Dpa_util.Cancel.cancel cancel;
+  match rung2 (fun m -> Robdd.set_budget ~max_nodes:20_000 ~cancel m) with
+  | Dpa_error.Error (Dpa_error.Cancelled _) -> ()
+  | e -> Alcotest.failf "expected a cancellation, got %s" (Printexc.to_string e)
+
 let suite =
   [ Alcotest.test_case "budget exceeded is typed" `Quick test_budget_exceeded_is_typed;
     Alcotest.test_case "fallback none raises" `Quick test_fallback_none_raises_budget_error;
@@ -275,4 +389,8 @@ let suite =
     Alcotest.test_case "width mismatch detail" `Quick test_width_mismatch_message_detail;
     Alcotest.test_case "exit codes" `Quick test_exit_codes;
     Alcotest.test_case "of_exn folding" `Quick test_of_exn_folding;
-    Alcotest.test_case "parse_exn typed" `Quick test_parse_exn_typed ]
+    Alcotest.test_case "parse_exn typed" `Quick test_parse_exn_typed;
+    prop_retry_exact;
+    Alcotest.test_case "collecting retry exact on circuits" `Quick test_retry_exact_circuits;
+    Alcotest.test_case "rung 2 passes deadline and cancel" `Quick
+      test_retry_passes_deadline_and_cancel ]

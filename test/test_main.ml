@@ -5,7 +5,6 @@ let () =
       ("logic", Test_logic.suite);
       ("blif", Test_blif.suite);
       ("bdd", Test_bdd.suite);
-      ("sift", Test_sift.suite);
       ("synth", Test_synth.suite);
       ("domino", Test_domino.suite);
       ("power", Test_power.suite);

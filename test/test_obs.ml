@@ -317,7 +317,7 @@ let test_budgeted_estimate_tags_ladder_method () =
   List.iter
     (fun (e : Trace.event) ->
       match List.assoc_opt "rung" e.Trace.args with
-      | Some (Trace.Str ("exact" | "reorder" | "sift")) -> ()
+      | Some (Trace.Str ("exact" | "retry")) -> ()
       | Some _ -> Alcotest.failf "engine.cone has non-string rung arg"
       | None -> Alcotest.failf "engine.cone span missing rung arg")
     cones;
@@ -344,11 +344,11 @@ let test_budgeted_estimate_tags_ladder_method () =
     (List.exists (fun (e : Trace.event) -> e.name = "engine.ladder.sim") events);
   Alcotest.(check bool) "budget counter track present" true
     (List.exists (fun (e : Trace.event) -> e.name = "engine.budget") events);
-  (* the set-up and the reorder rung are spans of their own, so neither
-     is booked as [engine.estimate] or [engine.shard] self time *)
+  (* the set-up and the retry rung are spans of their own, so neither is
+     booked as [engine.estimate] or [engine.shard] self time *)
   List.iter
     (fun name -> Alcotest.(check bool) (name ^ " span present") true (List.mem name (span_names ())))
-    [ "engine.plan"; "engine.shard"; "engine.sift" ]
+    [ "engine.plan"; "engine.shard"; "engine.retry" ]
 
 let test_blif_parse_span () =
   with_trace @@ fun () ->

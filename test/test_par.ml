@@ -151,10 +151,12 @@ let check_pool_identity ?budget label =
 let test_estimate_identity_across_jobs () = check_pool_identity "unbudgeted"
 
 let test_budgeted_estimate_identity_across_jobs () =
-  (* a tight node cap forces the full ladder (sift retry + simulation);
-     a cap no cone reaches keeps every cone exact, yet only a budgeted
-     estimate fans its shards across the pool *)
+  (* a tight node cap forces the retry rung (on apex7, 15 cones at 200
+     nodes), a tighter one simulation too (19 cones at 60); a cap no cone
+     reaches keeps every cone exact, yet only a budgeted estimate fans its
+     shards across the pool *)
   check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:200 ()) "budgeted";
+  check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:60 ()) "budgeted, simulating";
   check_pool_identity ~budget:(Engine.bounded ~max_bdd_nodes:1_000_000 ()) "uncapped budget"
 
 (* ---- parallel identity: the phase search -------------------------- *)
@@ -176,8 +178,8 @@ let identity_probs = [ 0.5; 0.7 ]
 
 (* Only the bounded engine prices on the pool: an unbudgeted candidate
    is a slot-table sum on the calling domain. So every search leg runs
-   unbudgeted and again under a 200-node cap, where the ladder sifts and
-   simulates some cones. [capped_pair_limit] bounds the capped leg's
+   unbudgeted and again under a 200-node cap, where the ladder's lower
+   rungs price some cones. [capped_pair_limit] bounds the capped leg's
    greedy candidate set: on apex7 at p = 0.7, 40 pairs take 16 capped
    measurements, commits and rejections both, where all 630 take 140. *)
 let search_cap = Engine.bounded ~max_bdd_nodes:200 ()

@@ -301,7 +301,7 @@ let test_int3_table_remove () =
   Alcotest.(check int) "reinserted over tombstone" 11 (Int3_table.find t 1 2 3);
   Alcotest.(check int) "length restored" 2 (Int3_table.length t)
 
-(* delete-heavy churn (the sifting reorderer's access pattern): tombstone
+(* delete-heavy churn (a BDD collection's access pattern): tombstone
    pressure must trigger purging rehashes — without them the table would
    fill with dead slots and probe chains would never terminate — and the
    table must stay exact throughout *)
