@@ -121,9 +121,7 @@ let timed_arg =
   let doc = "Run the Table 2 flow: derive a clock constraint and resize." in
   Arg.(value & flag & info [ "timed" ] ~doc)
 
-let seed_arg =
-  let doc = "Seed for randomized search strategies." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
+let seed_arg ~doc = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
 
 (* the optimized netlist's phase assignment: all positive, or the
    --phases string *)
@@ -269,11 +267,10 @@ let run_cmd =
     let doc = "Collapse narrow output cones to irredundant two-level form (ISOP) first." in
     Arg.(value & flag & info [ "two-level" ] ~doc)
   in
-  let action (file, profile) input_prob timed seed sequential two_level budget pool =
+  let action (file, profile) input_prob timed sequential two_level budget pool =
     let config =
       { Flow.default_config with
         Flow.input_prob;
-        seed;
         pair_limit = pair_limit_of ~profile;
         timing = (if timed then Some Flow.default_timing else None);
         budget;
@@ -331,7 +328,7 @@ let run_cmd =
   command "run" ~doc
     (pooled
        Term.(
-         const action $ source_arg $ input_prob_arg $ timed_arg $ seed_arg $ sequential_arg
+         const action $ source_arg $ input_prob_arg $ timed_arg $ sequential_arg
          $ two_level_arg $ budget_arg ~passes:true))
 
 (* ---- estimate / validate ---- *)
@@ -434,7 +431,8 @@ let validate_cmd =
   command "validate" ~doc
     (pooled
        Term.(
-         const action $ source_arg $ input_prob_arg $ phases_arg $ cycles_arg $ seed_arg
+         const action $ source_arg $ input_prob_arg $ phases_arg $ cycles_arg
+         $ seed_arg ~doc:"Seed of the Monte-Carlo simulation."
          $ budget_arg ~passes:true))
 
 (* ---- info ---- *)
@@ -690,7 +688,7 @@ let serve_cmd =
 
 (* Request construction shared by submit and batch: one CLI-side source
    of truth for turning flags into protocol envelopes. *)
-let build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cache =
+let build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~budget ~cache =
   let source path =
     if inline then
       Protocol.Inline
@@ -715,6 +713,8 @@ let build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cach
         })
       budget
   in
+  (* the wire default: the flow's phase search never reads the seed *)
+  let seed = 1 in
   let req =
     match cmd with
     | "ping" -> Ok Protocol.Ping
@@ -768,8 +768,8 @@ let submit_cmd =
     let doc = "Request id echoed in the response." in
     Arg.(value & opt int 0 & info [ "id" ] ~docv:"N" ~doc)
   in
-  let action socket cmd id file inline input_prob phases seed budget cache () =
-    match build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~seed ~budget ~cache with
+  let action socket cmd id file inline input_prob phases budget cache () =
+    match build_request ~id ~cmd ~file ~inline ~input_prob ~phases ~budget ~cache with
     | Error msg -> `Error (false, msg)
     | Ok envelope ->
       let client = Client.connect socket in
@@ -794,7 +794,7 @@ let submit_cmd =
   command ~obs:false "submit" ~doc
     Term.(
       const action $ socket_req_arg $ cmd_pos $ id_arg $ file_arg $ inline_arg
-      $ input_prob_arg $ phases_arg $ seed_arg $ budget_arg ~passes:false $ cache_arg)
+      $ input_prob_arg $ phases_arg $ budget_arg ~passes:false $ cache_arg)
 
 let batch_cmd =
   let jobs_arg =
@@ -874,7 +874,7 @@ let batch_cmd =
           | path :: rest -> (
             match
               build_request ~id:i ~cmd ~file:(Some path) ~inline ~input_prob ~phases
-                ~seed ~budget ~cache
+                ~budget ~cache
             with
             | Error msg -> Error msg
             | Ok env -> expand (i + 1) (Protocol.request_line env :: acc) rest)
@@ -957,7 +957,8 @@ let batch_cmd =
   command ~obs:false "batch" ~doc
     Term.(
       const action $ socket_opt_arg $ workers_arg $ request_jobs_arg $ retries_arg $ jobs_arg
-      $ files_pos $ cmd_arg $ repeat_arg $ inline_arg $ input_prob_arg $ phases_arg $ seed_arg
+      $ files_pos $ cmd_arg $ repeat_arg $ inline_arg $ input_prob_arg $ phases_arg
+      $ seed_arg ~doc:"Seed of the retry backoff jitter."
       $ budget_arg ~passes:false $ cache_arg)
 
 let chaos_cmd =
@@ -1021,7 +1022,9 @@ let chaos_cmd =
   command "chaos" ~doc
     Term.(
       const action $ workers_arg $ chaos_jobs_arg $ requests_arg $ garbage_arg
-      $ deadline_every_arg $ chaos_queue_arg $ fault_arg $ seed_arg $ out_arg)
+      $ deadline_every_arg $ chaos_queue_arg $ fault_arg
+      $ seed_arg ~doc:"Seed of the soak's request payloads and fault decisions."
+      $ out_arg)
 
 (* ---- workload ---- *)
 

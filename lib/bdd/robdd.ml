@@ -76,9 +76,8 @@ type manager = {
   (* managers are single-domain: the unique table, computed table and
      node store are unsynchronized, so cross-domain mutation is memory-unsafe,
      not just nondeterministic. Mutating entry points assert the caller
-     is the owning domain; [adopt] re-homes a manager after a legitimate
-     single-threaded handoff. *)
-  mutable owner : int;
+     is the owning domain, the one that created the manager. *)
+  owner : int;
 }
 
 let deadline_stride = 1024
@@ -146,8 +145,6 @@ let check_owner m op =
             "Robdd.%s: manager owned by domain %d used from domain %d (managers are \
              single-domain; see DESIGN.md §11)"
             op m.owner d))
-
-let adopt m = m.owner <- (Domain.self () :> int)
 
 let is_terminal n = n = bdd_false || n = bdd_true
 

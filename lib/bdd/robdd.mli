@@ -34,7 +34,13 @@ type node = int
 (** Node handle, valid for the creating manager only. *)
 
 val create : nvars:int -> manager
-(** Fresh manager with [nvars] variable levels. *)
+(** Fresh manager with [nvars] variable levels, owned by the calling
+    domain for its whole life. Its unique table, computed table and node
+    store are unsynchronized, so mutating entry points ({!var}, {!ite}
+    and the operators built on it, {!set_budget}, {!prob_cache},
+    {!collect}) assert that the caller is the owner and raise a typed
+    {!Dpa_util.Dpa_error.Internal} error otherwise — turning a latent
+    cross-domain data race into an immediate, attributable failure. *)
 
 val create_sized : nvars:int -> cache_capacity:int -> manager
 (** Like {!create} but presizes the unique table and the computed table
@@ -45,17 +51,6 @@ val create_sized : nvars:int -> cache_capacity:int -> manager
 
 val nvars : manager -> int
 (** Number of variable levels the manager was created with. *)
-
-val adopt : manager -> unit
-(** Transfers manager ownership to the calling domain. A manager is
-    owned by the domain that created it: its unique table, computed table
-    and node store are unsynchronized, so mutating entry points
-    ({!var}, {!ite} and the operators built on it, {!set_budget},
-    {!prob_cache}, {!collect}) assert that the caller is the owner and raise a
-    typed {!Dpa_util.Dpa_error.Internal} error otherwise — turning a
-    latent cross-domain data race into an immediate, attributable
-    failure. Call [adopt] only after a genuine handoff, i.e. when the
-    previous owner will never touch the manager again. *)
 
 (** {2 Resource budget}
 

@@ -56,6 +56,9 @@ type config = {
   pair_limit : int option;  (** greedy candidate cap for wide circuits *)
   timing : timing_config option;  (** [Some _] = the Table 2 flow *)
   seed : int;
+      (** passed on as {!Dpa_phase.Optimizer.config}'s [seed]; the flow
+          searches with [Auto], which never anneals, so it changes no
+          result *)
   budget : Dpa_power.Engine.budget option;
       (** resource budget for every power estimate in both flows (search
           and final pricing); [None] = exact, unbounded *)

@@ -11,15 +11,14 @@ type sequential = {
 type line = { num : int; tokens : string list }
 
 let tokenize text =
-  let raw = String.split_on_char '\n' text in
+  let raw = List.mapi (fun i line -> (i + 1, line)) (String.split_on_char '\n' text) in
   (* join '\' continuations, remembering the first physical line *)
   let rec join acc pending = function
     | [] -> (
       match pending with
       | Some (num, buf) -> List.rev ((num, buf) :: acc)
       | None -> List.rev acc)
-    | line :: rest ->
-      let n = List.length raw - List.length rest in
+    | (n, line) :: rest ->
       let stripped =
         match String.index_opt line '#' with
         | Some k -> String.sub line 0 k

@@ -14,7 +14,8 @@ let c_prefetched =
 let c_par_tasks = Metrics.counter ~help:"tasks fanned out to the domain pool" "par.tasks"
 
 let c_par_steals =
-  Metrics.counter ~help:"work-stealing operations in the domain pool" "par.steals"
+  Metrics.counter ~help:"tasks run by worker domains of the domain pool (0 at width 1)"
+    "par.steals"
 
 type sample = {
   power : float;
@@ -221,54 +222,40 @@ let eval t assignment =
   end
 
 (* Exhaustive search visits every candidate, so pricing its enumeration
-   ahead across the pool wastes nothing. The enumeration is taken in
-   chunks of [64 × jobs] candidates, which bounds the work a region
-   holds; each chunk's distinct unpriced candidates run as one
-   [Par.map] region, and each task estimates without the pool, because
-   [Par.map] rejects nesting. Entries are keyed merges, so the order
-   tasks finish in is irrelevant. *)
+   ahead across the pool wastes nothing. The distinct unpriced
+   candidates run as one [Par.map] region, and each task estimates
+   without the pool, because [Par.map] rejects nesting. Entries are
+   keyed merges, so the order tasks finish in is irrelevant. *)
 let prefetch t assignments =
   match t.par, t.pricing with
   | Some pool, Engine budget
     when Par.jobs pool > 1 && not (Dpa_power.Engine.is_unbounded budget) ->
-    let chunk = 64 * Par.jobs pool in
-    let rec go seq =
-      let todo = Hashtbl.create chunk in
-      (* fills [todo] from the next [k] candidates; [None] at the end *)
-      let rec fill k seq =
-        if k = 0 then Some seq
-        else
-          match seq () with
-          | Seq.Nil -> None
-          | Seq.Cons (a, rest) ->
-            let key = Phase.to_string a in
-            if not (Hashtbl.mem t.cache key) then Hashtbl.replace todo key a;
-            fill (k - 1) rest
+    let todo = Hashtbl.create 64 in
+    Seq.iter
+      (fun a ->
+        let key = Phase.to_string a in
+        if not (Hashtbl.mem t.cache key) then Hashtbl.replace todo key a)
+      assignments;
+    let work = Array.of_seq (Hashtbl.to_seq todo) in
+    if Array.length work > 0 then begin
+      let before = Par.stats pool in
+      let entries =
+        Par.map pool (Array.length work) (fun i ->
+            let _, assignment = work.(i) in
+            Trace.with_span "phase.measure.prefetch"
+              ~args:[ ("domain", Trace.Int (Domain.self () :> int)) ]
+            @@ fun () -> price t assignment)
       in
-      let rest = fill chunk seq in
-      if Hashtbl.length todo > 0 then begin
-        let work = Array.of_seq (Hashtbl.to_seq todo) in
-        let before = Par.stats pool in
-        let entries =
-          Par.map pool (Array.length work) (fun i ->
-              let _, assignment = work.(i) in
-              Trace.with_span "phase.measure.prefetch"
-                ~args:[ ("domain", Trace.Int (Domain.self () :> int)) ]
-              @@ fun () -> price t assignment)
-        in
-        let after = Par.stats pool in
-        Metrics.add c_par_tasks (after.Par.tasks - before.Par.tasks);
-        Metrics.add c_par_steals (after.Par.steals - before.Par.steals);
-        Metrics.add c_prefetched (Array.length work);
-        Array.iteri
-          (fun i (e, base) ->
-            keep_base t base;
-            Hashtbl.replace t.cache (fst work.(i)) e)
-          entries
-      end;
-      Option.iter go rest
-    in
-    go assignments
+      let after = Par.stats pool in
+      Metrics.add c_par_tasks (after.Par.tasks - before.Par.tasks);
+      Metrics.add c_par_steals (after.Par.steals - before.Par.steals);
+      Metrics.add c_prefetched (Array.length work);
+      Array.iteri
+        (fun i (e, base) ->
+          keep_base t base;
+          Hashtbl.replace t.cache (fst work.(i)) e)
+        entries
+    end
   | Some _, (Pricer _ | Table | Engine _) | None, _ -> ()
 
 let prime t assignment mapped result =

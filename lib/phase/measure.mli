@@ -88,8 +88,8 @@ val eval : t -> Dpa_synth.Phase.assignment -> sample
 
 val prefetch : t -> Dpa_synth.Phase.assignment Seq.t -> unit
 (** Prices the given candidates across the pool's domains, one candidate
-    per task in chunks of [64 × jobs], and stores the results in the
-    sample cache, so subsequent {!eval} calls answer without
+    per task in one {!Dpa_util.Par.map} region, and stores the results
+    in the sample cache, so subsequent {!eval} calls answer without
     recomputing. For a search that will visit every candidate
     ({!Exhaustive.run}), where pricing ahead wastes nothing. Duplicates
     and already-priced candidates are skipped. A no-op unless candidates

@@ -68,7 +68,6 @@ let cone_method_to_string = function
 type degradation = {
   methods : cone_method array;
   bdd_nodes : int;
-  reorder_used : bool;
   sim_cycles : int;
   ci_halfwidth : float;
 }
@@ -87,7 +86,6 @@ let exact_degradation ~n_outputs ~bdd_nodes =
   {
     methods = Array.make n_outputs Exact;
     bdd_nodes;
-    reorder_used = false;
     sim_cycles = 0;
     ci_halfwidth = 0.0;
   }
@@ -138,7 +136,8 @@ let g_budget_remaining =
 
 let c_par_tasks = oc "par.tasks" "tasks fanned out to the domain pool"
 
-let c_par_steals = oc "par.steals" "work-stealing operations in the domain pool"
+let c_par_steals =
+  oc "par.steals" "tasks run by worker domains of the domain pool (0 at width 1)"
 
 (* The pool itself sits below Dpa_obs, so it only keeps raw counters;
    every layer that runs a region folds the growth into the registry. *)
@@ -354,10 +353,13 @@ let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
     groups;
   Trace.instant "engine.ladder.exact"
     ~args:[ ("built", Trace.Int (count_ok ok0)); ("cones", Trace.Int n_out) ];
-  let reorder_used = count_ok okf > count_ok ok0 in
   if count_ok ok0 < n_out && retries budget then
     Trace.instant "engine.ladder.reorder"
-      ~args:[ ("adopted", Trace.Bool reorder_used); ("built", Trace.Int (count_ok okf)) ];
+      ~args:
+        [
+          ("adopted", Trace.Bool (count_ok okf > count_ok ok0));
+          ("built", Trace.Int (count_ok okf));
+        ];
   let methods =
     Array.init n_out (fun k ->
         if not okf.(k) then Simulated else if ok0.(k) then Exact else Reordered)
@@ -424,7 +426,7 @@ let estimate_bounded ?par ~budget ~cancel ~input_probs mapped =
   in
   {
     report = { report with Estimate.bdd_nodes };
-    degradation = { methods; bdd_nodes; reorder_used; sim_cycles; ci_halfwidth = ci };
+    degradation = { methods; bdd_nodes; sim_cycles; ci_halfwidth = ci };
   }
 
 let estimate ?par ?(budget = default_budget) ?(cancel = Dpa_util.Cancel.none) ~input_probs

@@ -98,7 +98,6 @@ type degradation = {
       (** peak live nodes of the largest manager the estimate built
           ({!Dpa_bdd.Robdd.total_nodes}) — at most [max_bdd_nodes] under
           a node cap *)
-  reorder_used : bool;  (** the retry rung rescued at least one cone *)
   sim_cycles : int;  (** 0 when no cone needed simulation *)
   ci_halfwidth : float;  (** 0.0 when no cone needed simulation *)
 }
@@ -145,8 +144,9 @@ val estimate :
     shards by a greedy overlap heuristic (big cones first, each joining
     the shard whose accumulated support it overlaps most, under a soft
     load cap), and each shard builds {e all} its cones in one private
-    manager capped at [max_bdd_nodes] ({!Dpa_bdd.Robdd.adopt}
-    discipline) — cross-cone sharing survives inside a shard. With
+    manager capped at [max_bdd_nodes], created and used by the one
+    domain that builds the shard — cross-cone sharing survives inside a
+    shard. With
     [par] the shards run across the pool's domains; without it they run
     in order on the calling domain. The plan is a pure function of the
     cones, never of the pool, and the Monte-Carlo rung is one run from

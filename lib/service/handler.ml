@@ -95,24 +95,23 @@ let realization_json (r : Flow.realization) =
       ("degradation", str (Engine.degradation_label r.Flow.degradation));
     ]
 
-let flow_result ?par ?(cancel = Dpa_util.Cancel.none) ~source ~input_prob ~seed ~budget () =
+let flow_result ?par ?(cancel = Dpa_util.Cancel.none) ~source ~input_prob ~budget () =
   let net = load source in
   let config =
     { Flow.default_config with
       Flow.input_prob;
-      seed;
       budget = engine_budget budget;
       par;
       cancel }
   in
   Flow.compare_ma_mp ~config net
 
-let optimize ?par ?cancel ~source ~input_prob ~seed ~budget () =
-  let r = flow_result ?par ?cancel ~source ~input_prob ~seed ~budget () in
+let optimize ?par ?cancel ~source ~input_prob ~budget () =
+  let r = flow_result ?par ?cancel ~source ~input_prob ~budget () in
   realization_json r.Flow.mp
 
-let compare ?par ?cancel ~source ~input_prob ~seed ~budget () =
-  let r = flow_result ?par ?cancel ~source ~input_prob ~seed ~budget () in
+let compare ?par ?cancel ~source ~input_prob ~budget () =
+  let r = flow_result ?par ?cancel ~source ~input_prob ~budget () in
   Jsonlite.Obj
     [
       ("circuit", str r.Flow.circuit);
@@ -130,10 +129,11 @@ let execute ?par ?cancel = function
   | Protocol.Info { source } -> info source
   | Protocol.Estimate { source; input_prob; phases; budget } ->
     estimate ?par ?cancel ~source ~input_prob ~phases ~budget ()
-  | Protocol.Optimize { source; input_prob; seed; budget } ->
-    optimize ?par ?cancel ~source ~input_prob ~seed ~budget ()
-  | Protocol.Compare { source; input_prob; seed; budget } ->
-    compare ?par ?cancel ~source ~input_prob ~seed ~budget ()
+  (* [seed] is ignored: the flow's phase search never reads it *)
+  | Protocol.Optimize { source; input_prob; seed = _; budget } ->
+    optimize ?par ?cancel ~source ~input_prob ~budget ()
+  | Protocol.Compare { source; input_prob; seed = _; budget } ->
+    compare ?par ?cancel ~source ~input_prob ~budget ()
   | Protocol.Stats ->
     (* the pool intercepts [stats] before dispatching here; the direct
        handler path has no pool to report on *)

@@ -14,7 +14,7 @@
      "input_prob": 0.5, "phases": "+-+",
      "max_bdd_nodes": 20000, "deadline_s": 1.5,
      "fallback": "none" | "reorder" | "sim",
-     "seed": 1,                              -- optimize / compare
+     "seed": 1,                              -- optimize / compare; changes no answer
      "cache": "use" | "bypass"}              -- result-cache control
     v}
     [cmd] is one of [ping], [info], [estimate], [optimize], [compare],

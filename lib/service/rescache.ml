@@ -25,7 +25,7 @@ let g_bytes = Metrics.gauge ~help:"result-cache resident bytes" "service.cache.b
 let g_entries = Metrics.gauge ~help:"result-cache resident entries" "service.cache.entries"
 
 (* ------------------------------------------------------------------ *)
-(* Striped LRU                                                          *)
+(* LRU                                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Intrusive doubly-linked list threaded through a circular sentinel:
@@ -40,26 +40,21 @@ type node = {
   mutable next : node;
 }
 
-type stripe = {
+(* Every mutable field is guarded by [lock]. A probe holds it for one
+   lookup and one relink; a service runs one or two workers, each
+   probing once per request, so one lock is never contended for long. *)
+type t = {
   lock : Mutex.t;
   tbl : (string, node) Hashtbl.t;
   sent : node;
-  mutable bytes : int;
-  mutable entries : int;
-}
-
-type t = {
-  stripes : stripe array;
-  stripe_max_bytes : int;
-  stripe_max_entries : int;
   max_bytes : int;
   max_entries : int;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-  stores : int Atomic.t;
-  total_bytes : int Atomic.t;
-  total_entries : int Atomic.t;
+  mutable bytes : int;
+  mutable entries : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable stores : int;
 }
 
 (* hashtable slot, list links, size fields: a flat accounting constant so
@@ -69,31 +64,23 @@ let entry_overhead = 64
 let entry_size ~key ~cmd ~result =
   entry_overhead + String.length key + String.length cmd + String.length result
 
-let make_stripe () =
-  let rec sent = { key = ""; cmd = ""; result = ""; size = 0; prev = sent; next = sent } in
-  { lock = Mutex.create (); tbl = Hashtbl.create 64; sent; bytes = 0; entries = 0 }
-
-let create ?(stripes = 16) ~max_bytes ~max_entries () =
+let create ~max_bytes ~max_entries () =
   if max_bytes < 1 then invalid_arg "Rescache.create: max_bytes must be >= 1";
   if max_entries < 1 then invalid_arg "Rescache.create: max_entries must be >= 1";
-  let stripes = max 1 stripes in
-  (* never let striping round a positive bound down to zero capacity *)
-  let per total = max 1 (total / stripes) in
+  let rec sent = { key = ""; cmd = ""; result = ""; size = 0; prev = sent; next = sent } in
   {
-    stripes = Array.init stripes (fun _ -> make_stripe ());
-    stripe_max_bytes = per max_bytes;
-    stripe_max_entries = per max_entries;
+    lock = Mutex.create ();
+    tbl = Hashtbl.create 64;
+    sent;
     max_bytes;
     max_entries;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    evictions = Atomic.make 0;
-    stores = Atomic.make 0;
-    total_bytes = Atomic.make 0;
-    total_entries = Atomic.make 0;
+    bytes = 0;
+    entries = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    stores = 0;
   }
-
-let stripe_of t key = t.stripes.(Hashtbl.hash key mod Array.length t.stripes)
 
 let unlink n =
   n.prev.next <- n.next;
@@ -101,93 +88,78 @@ let unlink n =
   n.prev <- n;
   n.next <- n
 
-let push_front s n =
-  n.next <- s.sent.next;
-  n.prev <- s.sent;
-  s.sent.next.prev <- n;
-  s.sent.next <- n
+let push_front t n =
+  n.next <- t.sent.next;
+  n.prev <- t.sent;
+  t.sent.next.prev <- n;
+  t.sent.next <- n
 
-let remove_node t s n =
+let remove_node t n =
   unlink n;
-  Hashtbl.remove s.tbl n.key;
-  s.bytes <- s.bytes - n.size;
-  s.entries <- s.entries - 1;
-  Atomic.fetch_and_add t.total_bytes (-n.size) |> ignore;
-  Atomic.decr t.total_entries
-
-let publish_gauges t =
-  Metrics.set g_bytes (float_of_int (Atomic.get t.total_bytes));
-  Metrics.set g_entries (float_of_int (Atomic.get t.total_entries))
+  Hashtbl.remove t.tbl n.key;
+  t.bytes <- t.bytes - n.size;
+  t.entries <- t.entries - 1
 
 let find t key =
   Trace.with_span "service.cache.lookup" @@ fun () ->
-  let s = stripe_of t key in
   let r =
-    Mutex.protect s.lock (fun () ->
-        match Hashtbl.find_opt s.tbl key with
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt t.tbl key with
         | Some n ->
           unlink n;
-          push_front s n;
+          push_front t n;
+          t.hits <- t.hits + 1;
+          Metrics.incr c_hits;
           Some n.result
-        | None -> None)
+        | None ->
+          t.misses <- t.misses + 1;
+          Metrics.incr c_misses;
+          None)
   in
-  (match r with
-  | Some _ ->
-    Atomic.incr t.hits;
-    Metrics.incr c_hits
-  | None ->
-    Atomic.incr t.misses;
-    Metrics.incr c_misses);
-  if Trace.is_enabled () then Trace.add_args [ ("hit", Trace.Bool (r <> None)) ];
+  if Trace.is_enabled () then Trace.add_args [ ("hit", Trace.Bool (Option.is_some r)) ];
   r
 
 let store t ~key ~cmd ~result =
   let size = entry_size ~key ~cmd ~result in
-  if size <= t.stripe_max_bytes then begin
-    let s = stripe_of t key in
-    Mutex.protect s.lock (fun () ->
-        (match Hashtbl.find_opt s.tbl key with
-        | Some old -> remove_node t s old
-        | None -> ());
-        let n = { key; cmd; result; size; prev = s.sent; next = s.sent } in
-        push_front s n;
-        Hashtbl.replace s.tbl key n;
-        s.bytes <- s.bytes + size;
-        s.entries <- s.entries + 1;
-        Atomic.fetch_and_add t.total_bytes size |> ignore;
-        Atomic.incr t.total_entries;
-        while s.bytes > t.stripe_max_bytes || s.entries > t.stripe_max_entries do
-          let lru = s.sent.prev in
-          (* the loop cannot empty the stripe: the fresh entry fits by
-             the size guard above *)
-          remove_node t s lru;
-          Atomic.incr t.evictions;
-          Metrics.incr c_evictions
-        done);
-    Atomic.incr t.stores;
+  if size <= t.max_bytes then
+    Mutex.protect t.lock @@ fun () ->
+    Option.iter (remove_node t) (Hashtbl.find_opt t.tbl key);
+    let n = { key; cmd; result; size; prev = t.sent; next = t.sent } in
+    push_front t n;
+    Hashtbl.replace t.tbl key n;
+    t.bytes <- t.bytes + size;
+    t.entries <- t.entries + 1;
+    while t.bytes > t.max_bytes || t.entries > t.max_entries do
+      (* the loop cannot empty the cache: the fresh entry fits by the
+         size guard above, and [max_entries >= 1] *)
+      remove_node t t.sent.prev;
+      t.evictions <- t.evictions + 1;
+      Metrics.incr c_evictions
+    done;
+    t.stores <- t.stores + 1;
     Metrics.incr c_stores;
-    publish_gauges t
-  end
+    Metrics.set g_bytes (float_of_int t.bytes);
+    Metrics.set g_entries (float_of_int t.entries)
 
-let hits t = Atomic.get t.hits
+let hits t = Mutex.protect t.lock (fun () -> t.hits)
 
-let misses t = Atomic.get t.misses
+let misses t = Mutex.protect t.lock (fun () -> t.misses)
 
 let stats_json t =
   let num n = Jsonlite.Num (float_of_int n) in
-  let hits = Atomic.get t.hits and misses = Atomic.get t.misses in
-  let probes = hits + misses in
+  Mutex.protect t.lock @@ fun () ->
+  let probes = t.hits + t.misses in
   Jsonlite.Obj
     [
-      ("hits", num hits);
-      ("misses", num misses);
+      ("hits", num t.hits);
+      ("misses", num t.misses);
       ( "hit_ratio",
-        Jsonlite.Num (if probes = 0 then 0.0 else float_of_int hits /. float_of_int probes)
-      );
-      ("stores", num (Atomic.get t.stores));
-      ("evictions", num (Atomic.get t.evictions));
-      ("entries", num (Atomic.get t.total_entries));
-      ("bytes", num (Atomic.get t.total_bytes));
+        Jsonlite.Num
+          (if probes = 0 then 0.0 else float_of_int t.hits /. float_of_int probes) );
+      ("stores", num t.stores);
+      ("evictions", num t.evictions);
+      ("entries", num t.entries);
+      ("bytes", num t.bytes);
       ("max_bytes", num t.max_bytes);
       ("max_entries", num t.max_entries);
     ]
@@ -200,9 +172,9 @@ let stats_json t =
    interface preamble for the rationale of each component. Fields are
    length-delimited ('|' plus explicit lengths where content is free
    text) so adjacent fields cannot alias. *)
-let key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget =
+let key_material ~cmd ~net ~with_name ~input_prob ~phases ~budget =
   let b = Buffer.create 256 in
-  Buffer.add_string b "rckey1|";
+  Buffer.add_string b "rckey2|";
   Buffer.add_string b cmd;
   Buffer.add_string b "|";
   Buffer.add_string b (Dpa_logic.Struct_hash.digest net);
@@ -215,9 +187,6 @@ let key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget =
   (match phases with
   | None -> Buffer.add_string b "|ph:-"
   | Some p -> Buffer.add_string b (Printf.sprintf "|ph:%d:%s" (String.length p) p));
-  (match seed with
-  | None -> ()
-  | Some s -> Buffer.add_string b (Printf.sprintf "|seed:%d" s));
   (match (budget : Protocol.budget_opts option) with
   | None -> Buffer.add_string b "|b:-"
   | Some { Protocol.max_bdd_nodes; deadline_s = _; fallback } ->
@@ -228,7 +197,7 @@ let key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget =
   Buffer.contents b
 
 let key (request : Protocol.request) =
-  let cacheable ~with_name ~cmd ~source ~input_prob ~phases ~seed ~budget =
+  let cacheable ~with_name ~cmd ~source ~input_prob ~phases ~budget =
     match (budget : Protocol.budget_opts option) with
     | Some { Protocol.deadline_s = Some _; _ } ->
       (* ladder degradation under a deadline is wall-clock dependent:
@@ -240,22 +209,19 @@ let key (request : Protocol.request) =
         Some
           (Digest.to_hex
              (Digest.string
-                (key_material ~cmd ~net ~with_name ~input_prob ~phases ~seed ~budget)))
+                (key_material ~cmd ~net ~with_name ~input_prob ~phases ~budget)))
       | exception _ ->
         (* unloadable source: let the cold path produce the error *)
         None)
   in
   match request with
   | Protocol.Estimate { source; input_prob; phases; budget } ->
-    cacheable ~with_name:false ~cmd:"estimate" ~source ~input_prob ~phases ~seed:None
-      ~budget
-  | Protocol.Optimize { source; input_prob; seed; budget } ->
-    cacheable ~with_name:false ~cmd:"optimize" ~source ~input_prob ~phases:None
-      ~seed:(Some seed) ~budget
-  | Protocol.Compare { source; input_prob; seed; budget } ->
+    cacheable ~with_name:false ~cmd:"estimate" ~source ~input_prob ~phases ~budget
+  | Protocol.Optimize { source; input_prob; seed = _; budget } ->
+    cacheable ~with_name:false ~cmd:"optimize" ~source ~input_prob ~phases:None ~budget
+  | Protocol.Compare { source; input_prob; seed = _; budget } ->
     (* the compare response echoes the netlist name as [circuit] *)
-    cacheable ~with_name:true ~cmd:"compare" ~source ~input_prob ~phases:None
-      ~seed:(Some seed) ~budget
+    cacheable ~with_name:true ~cmd:"compare" ~source ~input_prob ~phases:None ~budget
   | Protocol.Ping | Protocol.Info _ | Protocol.Stats | Protocol.Shutdown -> None
 
 (* ------------------------------------------------------------------ *)
@@ -266,18 +232,15 @@ let snapshot_magic = "dpa-rescache"
 
 let snapshot_version = 1
 
-(* LRU-first across all stripes (round-robin by stripe, each stripe's
-   own order preserved): replaying the lines through [store] leaves the
-   most recently used entries most recent again. *)
+(* LRU first: replaying the lines through [store] leaves the most
+   recently used entries most recent again. *)
 let dump t =
-  Array.to_list t.stripes
-  |> List.concat_map (fun s ->
-         Mutex.protect s.lock (fun () ->
-             let rec collect acc n =
-               if n == s.sent then acc else collect ((n.key, n.cmd, n.result) :: acc) n.prev
-             in
-             (* walking MRU→LRU and consing yields LRU-first *)
-             collect [] s.sent.prev |> List.rev))
+  Mutex.protect t.lock @@ fun () ->
+  (* walking MRU→LRU and consing yields LRU-first *)
+  let rec collect acc n =
+    if n == t.sent then acc else collect ((n.key, n.cmd, n.result) :: acc) n.next
+  in
+  collect [] t.sent.next
 
 let save t path =
   let entries = dump t in

@@ -14,7 +14,11 @@
     - the netlist {e name}, for [compare] only (its response echoes the
       name as [circuit]; [estimate]/[optimize] responses do not);
     - the request parameters: command, [input_prob] (exact float bits),
-      [phases], [seed], and the budget's [max_bdd_nodes] / [fallback].
+      [phases], and the budget's [max_bdd_nodes] / [fallback].
+
+    The [seed] of an [optimize] / [compare] request is {e not} part of
+    the key: the flow's phase search never reads it, so two requests
+    that differ only in seed get the same bytes.
 
     The worker's intra-request pool width is {e not} part of the key:
     the engine answers byte-identically with no pool and at every
@@ -33,12 +37,11 @@
     cold response by construction — there is no decode/re-encode round
     trip to disagree over float formatting.
 
-    {b Concurrency.} One cache is shared by every worker domain, behind
-    a striped lock: the key space is partitioned over independent
-    mutex-guarded LRU stripes, so concurrent workers only contend when
-    their keys land on the same stripe. Byte and entry bounds are split
-    evenly across stripes (a stripe evicts its own LRU tail), which
-    bounds the total within [stripes - 1] entries of a global LRU.
+    {b Concurrency.} One cache is shared by every worker domain: one
+    LRU (a hash table and an intrusive recency list) under one mutex. A
+    probe holds the mutex for one lookup and one relink, and a store for
+    its insertion and evictions. The bounds are exact: the cache never
+    holds more than [max_entries] entries or [max_bytes] bytes.
 
     {b Observability.} [service.cache.hits] / [.misses] / [.evictions] /
     [.stores] / [.snapshot_rejected] counters and [service.cache.bytes]
@@ -55,13 +58,11 @@
 
 type t
 
-val create : ?stripes:int -> max_bytes:int -> max_entries:int -> unit -> t
-(** [create ~max_bytes ~max_entries ()] — total byte and entry bounds
-    across all stripes. [stripes] (default 16, clamped to [>= 1]) is the
-    lock-striping width. [max_bytes] counts keys, payloads and a fixed
-    per-entry overhead; an entry larger than its stripe's byte share is
-    simply not stored. Raises [Invalid_argument] if either bound
-    is [< 1]. *)
+val create : max_bytes:int -> max_entries:int -> unit -> t
+(** [create ~max_bytes ~max_entries ()] — byte and entry bounds.
+    [max_bytes] counts keys, payloads and a fixed per-entry overhead; an
+    entry larger than [max_bytes] is simply not stored. Raises
+    [Invalid_argument] if either bound is [< 1]. *)
 
 val key : Protocol.request -> string option
 (** The cache key of a request, or [None] when the request must not be
@@ -75,8 +76,8 @@ val find : t -> string -> string option
     recency. Counts a hit or miss. *)
 
 val store : t -> key:string -> cmd:string -> result:string -> unit
-(** Inserts (or refreshes) an entry, evicting LRU entries of the key's
-    stripe until its bounds hold again. [result] must be the
+(** Inserts (or refreshes) an entry, evicting least recently used
+    entries until both bounds hold again. [result] must be the
     [Jsonlite]-encoded payload of a {e successful} response; [cmd] is
     kept for snapshot integrity checks. *)
 

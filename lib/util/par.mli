@@ -1,11 +1,11 @@
-(** Bounded work-stealing domain pool with deterministic ordered fan-out.
+(** Bounded domain pool with deterministic ordered fan-out.
 
     One pool owns [jobs - 1] resident worker domains; the submitting
     domain is the remaining participant, so [jobs = 1] runs everything
-    inline and spawns nothing. A parallel region ({!map}) partitions its
-    index space into per-participant ranges; an idle participant steals
-    the upper half of the fullest remaining range, so irregular task
-    costs (one hostile BDD cone among cheap siblings) still load-balance.
+    inline and spawns nothing. In a parallel region ({!map}) every
+    participant claims the next task index from one shared atomic
+    counter until none is left, so irregular task costs (one hostile BDD
+    cone among cheap siblings) still load-balance.
 
     Determinism contract: {!map} always returns results in task-index
     order, whatever interleaving executed them — callers that keep
@@ -44,9 +44,9 @@ val map : t -> int -> (int -> 'a) -> 'a array
 
     If one or more tasks raise, the exception of the {e lowest-indexed}
     failing task is re-raised in the submitting domain with its
-    backtrace, whatever the schedule: once a task fails, tasks with a
-    higher index are abandoned (best-effort) and tasks with a lower one
-    still run.
+    backtrace, whatever the schedule: tasks are claimed in increasing
+    index order, so once a task fails every lower index still runs, and
+    a higher index claimed afterwards is skipped.
 
     Nested use is rejected: calling [map] (on any pool) from inside a
     task raises [Invalid_argument] — tasks must be leaves. One region
@@ -56,8 +56,10 @@ val map : t -> int -> (int -> 'a) -> 'a array
     must be domain-safe or task-private. *)
 
 type stats = {
-  tasks : int;  (** tasks executed over the pool's lifetime *)
-  steals : int;  (** range-steal operations that moved work *)
+  tasks : int;  (** tasks submitted to regions over the pool's lifetime *)
+  steals : int;
+      (** tasks run by worker domains rather than the submitter: 0 at
+          [jobs = 1], where everything runs inline *)
 }
 
 val stats : t -> stats

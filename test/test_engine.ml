@@ -373,6 +373,48 @@ let test_retry_passes_deadline_and_cancel () =
   | Dpa_error.Error (Dpa_error.Cancelled _) -> ()
   | e -> Alcotest.failf "expected a cancellation, got %s" (Printexc.to_string e)
 
+(* ---- the reorder fallback ------------------------------------------ *)
+
+(* [Reorder_retry] runs rungs 1 and 2 and never simulates: where rung 2
+   rescues every failed cone it answers with [Simulate]'s bits, and where
+   a cone stays unbuilt it raises [Budget] (exit 75 from the CLI). *)
+let apex7_block () =
+  all_positive_block (Dpa_synth.Opt.optimize (Testkit.load_blif "../data/apex7_synthetic.blif"))
+
+let test_reorder_fallback_rescues () =
+  let mapped = apex7_block () in
+  let input_probs = Array.make (Netlist.num_inputs (Dpa_domino.Mapped.net mapped)) 0.7 in
+  let run fallback =
+    Engine.estimate ~budget:(Engine.bounded ~max_bdd_nodes:200 ~fallback ()) ~input_probs
+      mapped
+  in
+  let r = run Engine.Reorder_retry and s = run Engine.Simulate in
+  Alcotest.(check string)
+    "ladder" "21ex+15re+0sim"
+    (Engine.degradation_label r.Engine.degradation);
+  Testkit.check_bits_array "node probs as under sim" s.Engine.report.Estimate.node_probs
+    r.Engine.report.Estimate.node_probs;
+  Testkit.check_bits "total as under sim" s.Engine.report.Estimate.total
+    r.Engine.report.Estimate.total
+
+let test_reorder_fallback_raises () =
+  let mapped = apex7_block () in
+  let input_probs = Array.make (Netlist.num_inputs (Dpa_domino.Mapped.net mapped)) 0.7 in
+  let budget = Engine.bounded ~max_bdd_nodes:20 ~fallback:Engine.Reorder_retry () in
+  match Engine.estimate ~budget ~input_probs mapped with
+  | _ -> Alcotest.fail "expected a Budget error"
+  | exception Dpa_error.Error (Dpa_error.Budget { Dpa_error.context; _ }) ->
+    Alcotest.(check string)
+      "context" "36 of 36 output cones unbuildable (fallback reorder)" context
+
+let test_reorder_fallback_cli_exit () =
+  let rc =
+    Sys.command
+      "../bin/dominoflow.exe estimate --file ../data/apex7_synthetic.blif \
+       --fallback reorder --max-bdd-nodes 20 --jobs 1 > /dev/null 2>&1"
+  in
+  Alcotest.(check int) "exit code" 75 rc
+
 let suite =
   [ Alcotest.test_case "budget exceeded is typed" `Quick test_budget_exceeded_is_typed;
     Alcotest.test_case "fallback none raises" `Quick test_fallback_none_raises_budget_error;
@@ -393,4 +435,8 @@ let suite =
     prop_retry_exact;
     Alcotest.test_case "collecting retry exact on circuits" `Quick test_retry_exact_circuits;
     Alcotest.test_case "rung 2 passes deadline and cancel" `Quick
-      test_retry_passes_deadline_and_cancel ]
+      test_retry_passes_deadline_and_cancel;
+    Alcotest.test_case "reorder fallback rescues like sim" `Quick
+      test_reorder_fallback_rescues;
+    Alcotest.test_case "reorder fallback raises budget" `Quick test_reorder_fallback_raises;
+    Alcotest.test_case "reorder fallback exits 75" `Quick test_reorder_fallback_cli_exit ]

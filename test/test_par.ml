@@ -1,4 +1,4 @@
-(* The shared work-stealing domain pool and the parallel-identity
+(* The shared domain pool and the parallel-identity
    property: everything the pool touches — budgeted shard builds, the
    budgeted searches that spread each candidate's shards, exhaustive
    search's prefetch — must be bit-identical at every jobs count and
@@ -19,7 +19,10 @@ let test_map_ordered () =
   Par.with_pool ~jobs:4 @@ fun pool ->
   let r = Par.map pool 1000 (fun i -> i * i) in
   Alcotest.(check int) "length" 1000 (Array.length r);
-  Array.iteri (fun i v -> Alcotest.(check int) "slot" (i * i) v) r
+  Array.iteri (fun i v -> Alcotest.(check int) "slot" (i * i) v) r;
+  (* no task cap: one more task than a 20-bit index holds *)
+  let big = Par.map pool (1 lsl 20) Fun.id in
+  Alcotest.(check int) "2^20 tasks, last slot" ((1 lsl 20) - 1) big.((1 lsl 20) - 1)
 
 let test_map_empty_and_single () =
   Par.with_pool ~jobs:3 @@ fun pool ->
@@ -95,11 +98,17 @@ let test_shutdown_idempotent () =
   Par.shutdown pool
 
 let test_stats_count_tasks () =
-  Par.with_pool ~jobs:2 @@ fun pool ->
-  let before = (Par.stats pool).Par.tasks in
-  ignore (Par.map pool 50 Fun.id);
-  let after = (Par.stats pool).Par.tasks in
-  Alcotest.(check int) "50 tasks accounted" 50 (after - before)
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs @@ fun pool ->
+      let before = Par.stats pool in
+      ignore (Par.map pool 50 Fun.id);
+      let after = Par.stats pool in
+      Alcotest.(check int) "50 tasks accounted" 50 (after.Par.tasks - before.Par.tasks);
+      let by_workers = after.Par.steals - before.Par.steals in
+      if jobs = 1 then Alcotest.(check int) "width 1 runs every task inline" 0 by_workers
+      else Alcotest.(check bool) "worker tasks within the region" true (by_workers <= 50))
+    [ 1; 2 ]
 
 (* ---- parallel identity: estimation -------------------------------- *)
 

@@ -1,6 +1,6 @@
 (* The result cache end to end: canonical structural hashing (alpha /
    insertion-order / dead-logic invariance), cache-key composition,
-   striped-LRU bounds, snapshot persistence with corrupt-file
+   exact LRU bounds, snapshot persistence with corrupt-file
    tolerance, and — over a real server — byte identity of cached
    responses against cold ones for every cacheable request kind, at
    both intra-request pool widths. *)
@@ -91,7 +91,7 @@ let test_key_composition () =
     (key (estimate ~phases:"+-+" dln_base));
   check_some_neq "command is in the key" (key (estimate dln_base))
     (key (optimize dln_base));
-  check_some_neq "seed is in the key" (key (optimize ~seed:1 dln_base))
+  check_some_eq "seed is not in the key" (key (optimize ~seed:1 dln_base))
     (key (optimize ~seed:2 dln_base));
   check_some_neq "budget is in the key" (key (estimate dln_base))
     (key
@@ -164,7 +164,7 @@ let test_ok_response_text_identity () =
 let hex s = Digest.to_hex (Digest.string s)
 
 let test_lru_entry_bound () =
-  let t = Rescache.create ~stripes:1 ~max_bytes:1_000_000 ~max_entries:2 () in
+  let t = Rescache.create ~max_bytes:1_000_000 ~max_entries:2 () in
   let put k = Rescache.store t ~key:(hex k) ~cmd:"estimate" ~result:("{\"v\":" ^ k ^ "}") in
   put "1";
   put "2";
@@ -178,12 +178,21 @@ let test_lru_entry_bound () =
   Alcotest.(check (option string))
     "refreshed entry survives" (Some "{\"v\":2}") (Rescache.find t (hex "2"));
   Alcotest.(check bool) "hits counted" true (Rescache.hits t >= 2);
-  Alcotest.(check bool) "misses counted" true (Rescache.misses t >= 2)
+  Alcotest.(check bool) "misses counted" true (Rescache.misses t >= 2);
+  (* the bound is exact: after 200 distinct stores exactly the last five
+     of them are resident *)
+  let t = Rescache.create ~max_bytes:1_000_000 ~max_entries:5 () in
+  let keys = List.init 200 (fun i -> hex (string_of_int i)) in
+  List.iter (fun k -> Rescache.store t ~key:k ~cmd:"estimate" ~result:"{}") keys;
+  Alcotest.(check (list bool))
+    "the five most recent survive"
+    (List.init 200 (fun i -> i >= 195))
+    (List.map (fun k -> Rescache.find t k <> None) keys)
 
 let test_lru_byte_bound () =
   (* per-entry size = 64 overhead + 32 key + 8 cmd + payload; two
      100-byte payloads fit a 450-byte cache, a third forces eviction *)
-  let t = Rescache.create ~stripes:1 ~max_bytes:450 ~max_entries:100 () in
+  let t = Rescache.create ~max_bytes:450 ~max_entries:100 () in
   let payload = "{\"p\":\"" ^ String.make 93 'x' ^ "\"}" in
   Rescache.store t ~key:(hex "a") ~cmd:"estimate" ~result:payload;
   Rescache.store t ~key:(hex "b") ~cmd:"estimate" ~result:payload;
@@ -198,7 +207,13 @@ let test_lru_byte_bound () =
   let huge = "{\"p\":\"" ^ String.make 600 'y' ^ "\"}" in
   Rescache.store t ~key:(hex "d") ~cmd:"estimate" ~result:huge;
   Alcotest.(check (option string)) "oversized entry refused" None
-    (Rescache.find t (hex "d"))
+    (Rescache.find t (hex "d"));
+  (* any entry up to the whole byte bound is stored *)
+  let t = Rescache.create ~max_bytes:1_000_000 ~max_entries:100 () in
+  let big = "{\"p\":\"" ^ String.make 100_000 'z' ^ "\"}" in
+  Rescache.store t ~key:(hex "e") ~cmd:"estimate" ~result:big;
+  Alcotest.(check (option string)) "100 KB entry in a 1 MB cache" (Some big)
+    (Rescache.find t (hex "e"))
 
 (* ---- snapshots ----------------------------------------------------- *)
 

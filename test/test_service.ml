@@ -91,6 +91,31 @@ let test_roundtrip_flow_cmds () =
         Protocol.Compare { source; input_prob; seed; budget });
     ]
 
+(* The flow's phase search never reads the seed (the cache key leaves it
+   out for that reason): optimize and compare answer the same bytes at
+   any seed, on the exhaustive path (frg1) and the greedy one (apex7). *)
+let test_seed_changes_no_answer () =
+  List.iter
+    (fun path ->
+      List.iter
+        (fun (cmd, make) ->
+          let answer seed =
+            Jsonlite.encode
+              (Handler.execute
+                 (make ~source:(Protocol.File path) ~input_prob:0.7 ~seed ~budget:None))
+          in
+          Alcotest.(check string) (Printf.sprintf "%s %s seeds 1, 7" cmd path) (answer 1)
+            (answer 7))
+        [
+          ( "optimize",
+            fun ~source ~input_prob ~seed ~budget ->
+              Protocol.Optimize { source; input_prob; seed; budget } );
+          ( "compare",
+            fun ~source ~input_prob ~seed ~budget ->
+              Protocol.Compare { source; input_prob; seed; budget } );
+        ])
+    [ frg1; apex7 ]
+
 let test_roundtrip_info () =
   match
     (roundtrip
@@ -715,4 +740,6 @@ let suite =
     Alcotest.test_case "chaos: small soak, nothing lost" `Quick test_chaos_soak_small;
     Alcotest.test_case "chaos: a non-JSON probe reply fails the soak" `Quick
       test_chaos_garbage_needs_structured_errors;
+    Alcotest.test_case "seed changes no optimize/compare answer" `Quick
+      test_seed_changes_no_answer;
   ]
